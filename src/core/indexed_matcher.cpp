@@ -5,6 +5,7 @@
 #include "core/distance_providers.h"
 #include "core/dominance.h"
 #include "util/timer.h"
+#include "util/visit_marks.h"
 
 namespace ptrider::core {
 
@@ -24,6 +25,10 @@ MatchResult IndexedMatcherBase::Match(const vehicle::Request& request,
   util::WallTimer timer;
   MatchResult result;
   const uint64_t computed_before = ctx_.oracle->computed();
+  // Every exact distance below has s or d as an endpoint, or is a branch
+  // leg TrialInsert reuses (DESIGN.md section 7.5).
+  const roadnet::DistanceOracle::AnchorScope anchors(
+      *ctx_.oracle, request.start, request.destination);
 
   IndexedDistanceProvider dist(*ctx_.oracle, *ctx_.grid);
   const pricing::PricingPolicy& price = *ctx_.pricing;
@@ -41,7 +46,8 @@ MatchResult IndexedMatcherBase::Match(const vehicle::Request& request,
   const MatchEffort& effort = ctx_.effort;
 
   Skyline skyline;
-  std::vector<char> seen(ctx_.fleet->size(), 0);
+  util::VisitMarks& seen = ctx_.oracle->match_marks();
+  seen.Reset(ctx_.fleet->size());
 
   // Visits one cell; returns false once the search may stop entirely.
   auto process_cell = [&](roadnet::CellId cell,
@@ -51,8 +57,7 @@ MatchResult IndexedMatcherBase::Match(const vehicle::Request& request,
     ++result.cells_visited;
 
     for (const vehicle::VehicleId id : vindex.EmptyVehicles(cell)) {
-      if (seen[static_cast<size_t>(id)]) continue;
-      seen[static_cast<size_t>(id)] = 1;
+      if (!seen.Mark(static_cast<size_t>(id))) continue;
       const vehicle::Vehicle& v = ctx_.fleet->at(id);
       // Empty-vehicle option is fully determined by the pick-up distance,
       // and both coordinates grow with it: prune on the joint bound.
@@ -74,8 +79,7 @@ MatchResult IndexedMatcherBase::Match(const vehicle::Request& request,
     if (effort.empty_vehicle_only) return true;
 
     for (const vehicle::VehicleId id : vindex.NonEmptyVehicles(cell)) {
-      if (seen[static_cast<size_t>(id)]) continue;
-      seen[static_cast<size_t>(id)] = 1;
+      if (!seen.Mark(static_cast<size_t>(id))) continue;
       const vehicle::Vehicle& v = ctx_.fleet->at(id);
       const roadnet::Weight t_lb = PickupLowerBound(v, request.start);
       if (t_lb > radius) {

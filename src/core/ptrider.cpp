@@ -191,6 +191,9 @@ util::Status PTRider::ChooseOption(const vehicle::Request& request,
     return util::Status::InvalidArgument("option names an unknown vehicle");
   }
   vehicle::Vehicle& v = fleet_.at(option.vehicle);
+  // CommitInsert re-runs the trial insertion: the serial commit floor.
+  const roadnet::DistanceOracle::AnchorScope anchors(
+      oracle_, request.start, request.destination);
   IndexedDistanceProvider dist(oracle_, grid_);
   PTRIDER_RETURN_IF_ERROR(v.mutable_tree().CommitInsert(
       request, option.pickup_distance, option.price,

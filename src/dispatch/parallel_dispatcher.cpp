@@ -295,6 +295,8 @@ util::Result<std::vector<core::BatchItem>> ParallelDispatcher::CommitMatch(
         ++reprobe_count_;
         for (core::Option& o : m.options) skyline.Add(std::move(o));
       }
+      const roadnet::DistanceOracle::AnchorScope anchors(
+          system_->oracle(), r.start, r.destination);
       core::IndexedDistanceProvider dist(system_->oracle(), grid);
       EvaluateVehicle(v, r, system_->MakeScheduleContext(now_s), dist,
                       pricing, m.direct_distance_m, radius, skyline, m,

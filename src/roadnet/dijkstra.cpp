@@ -1,6 +1,7 @@
 #include "roadnet/dijkstra.h"
 
 #include <algorithm>
+#include <functional>
 #include <queue>
 
 namespace ptrider::roadnet {
@@ -9,6 +10,7 @@ DijkstraEngine::DijkstraEngine(const RoadNetwork& graph) : graph_(&graph) {
   const size_t n = graph.NumVertices();
   dist_.assign(n, kInfWeight);
   parent_.assign(n, kInvalidVertex);
+  parent_weight_.assign(n, 0.0);
   source_.assign(n, kInvalidVertex);
   version_.assign(n, 0);
   settled_.assign(n, 0);
@@ -22,6 +24,16 @@ void DijkstraEngine::BumpGeneration() {
   }
 }
 
+void DijkstraEngine::Touch(VertexId v) {
+  if (version_[v] != generation_) {
+    version_[v] = generation_;
+    dist_[v] = kInfWeight;
+    parent_[v] = kInvalidVertex;
+    source_[v] = kInvalidVertex;
+    settled_[v] = 0;
+  }
+}
+
 void DijkstraEngine::Run(
     std::span<const std::pair<VertexId, Weight>> sources,
     const RunOptions& opts) {
@@ -32,19 +44,9 @@ void DijkstraEngine::Run(
                       std::greater<HeapEntry>>
       heap;
 
-  auto touch = [&](VertexId v) {
-    if (version_[v] != generation_) {
-      version_[v] = generation_;
-      dist_[v] = kInfWeight;
-      parent_[v] = kInvalidVertex;
-      source_[v] = kInvalidVertex;
-      settled_[v] = 0;
-    }
-  };
-
   for (const auto& [v, d] : sources) {
     if (!graph_->IsValidVertex(v)) continue;
-    touch(v);
+    Touch(v);
     if (d < dist_[v]) {
       dist_[v] = d;
       source_[v] = v;
@@ -84,7 +86,7 @@ void DijkstraEngine::Run(
     for (const Edge& e : graph_->OutEdges(u)) {
       const VertexId v = e.to;
       if (opts.filter && !opts.filter(v)) continue;
-      touch(v);
+      Touch(v);
       if (settled_[v]) continue;
       const Weight nd = top.dist + e.weight;
       if (nd < dist_[v]) {
@@ -98,6 +100,54 @@ void DijkstraEngine::Run(
   // Vertices reached but not settled (early exit) keep tentative distances;
   // mark them settled so DistanceTo() exposes them as upper bounds is NOT
   // done: Reached() requires settled, keeping reported distances exact.
+}
+
+void DijkstraEngine::StartFrom(VertexId source) {
+  BumpGeneration();
+  last_settled_ = 0;
+  heap_.clear();
+  if (!graph_->IsValidVertex(source)) return;
+  Touch(source);
+  dist_[source] = 0.0;
+  source_[source] = source;
+  heap_.push_back({0.0, source});
+}
+
+Weight DijkstraEngine::SettleUntil(VertexId target) {
+  if (!graph_->IsValidVertex(target)) return kInfWeight;
+  if (Reached(target)) return dist_[target];
+  // The same pops and relaxations as Run's loop (std::priority_queue is
+  // push_heap/pop_heap over a vector), plus the parent-edge weights.
+  const std::greater<HeapEntry> later;
+  while (!heap_.empty()) {
+    std::pop_heap(heap_.begin(), heap_.end(), later);
+    const HeapEntry top = heap_.back();
+    heap_.pop_back();
+    ++total_pops_;
+    const VertexId u = top.vertex;
+    if (settled_[u] || top.dist > dist_[u]) continue;  // stale entry
+    settled_[u] = 1;
+    ++last_settled_;
+    // Relax before returning so the next call resumes a consistent
+    // frontier; a one-shot run would stop here, having settled the
+    // same vertices in the same order.
+    for (const Edge& e : graph_->OutEdges(u)) {
+      const VertexId v = e.to;
+      Touch(v);
+      if (settled_[v]) continue;
+      const Weight nd = top.dist + e.weight;
+      if (nd < dist_[v]) {
+        dist_[v] = nd;
+        parent_[v] = u;
+        parent_weight_[v] = e.weight;
+        source_[v] = source_[u];
+        heap_.push_back({nd, v});
+        std::push_heap(heap_.begin(), heap_.end(), later);
+      }
+    }
+    if (u == target) return top.dist;
+  }
+  return kInfWeight;
 }
 
 void DijkstraEngine::RunFrom(VertexId source, const RunOptions& opts) {

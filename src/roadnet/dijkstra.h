@@ -42,6 +42,20 @@ class DijkstraEngine {
   /// Single-pair distance with early exit; kInfWeight when unreachable.
   Weight Distance(VertexId source, VertexId target);
 
+  /// Resumable single-source mode. StartFrom seeds a search from `source`
+  /// and settles nothing; each SettleUntil call resumes it where the
+  /// previous call stopped, settling vertices (in exactly the order a
+  /// one-shot Distance(source, target) would) only until `target` is
+  /// settled. The heap persists between calls, so a sequence of targets
+  /// costs one search, not one per target. Returns DistanceTo(target):
+  /// kInfWeight once the search is exhausted without reaching it. Any
+  /// Run/RunFrom/Distance call in between abandons the resumable search.
+  void StartFrom(VertexId source);
+  Weight SettleUntil(VertexId target);
+  /// Weight of the edge ParentOf(v) -> v the resumable search settled a
+  /// non-source `v` through (the lightest of parallel edges).
+  Weight ParentWeightOf(VertexId v) const { return parent_weight_[v]; }
+
   /// Results of the last Run. `Reached` means a finite tentative distance
   /// was assigned (all reached vertices are settled once Run returns unless
   /// the run stopped early on radius/targets).
@@ -81,13 +95,20 @@ class DijkstraEngine {
   };
 
   void BumpGeneration();
+  /// Lazily resets `v`'s state arrays for the current generation.
+  void Touch(VertexId v);
 
   const RoadNetwork* graph_;
   std::vector<Weight> dist_;
   std::vector<VertexId> parent_;
+  /// Written by the resumable search only; Run never pays for it.
+  std::vector<Weight> parent_weight_;
   std::vector<VertexId> source_;
   std::vector<uint32_t> version_;
   std::vector<char> settled_;
+  /// The resumable search's binary min-heap, kept between SettleUntil
+  /// calls (push_heap/pop_heap, the operations std::priority_queue uses).
+  std::vector<HeapEntry> heap_;
   uint32_t generation_ = 0;
   size_t last_settled_ = 0;
   uint64_t total_pops_ = 0;

@@ -1,6 +1,7 @@
 #include "roadnet/distance_oracle.h"
 
 #include <algorithm>
+#include <cassert>
 #include <utility>
 
 #include "util/string_util.h"
@@ -68,6 +69,68 @@ Weight DistanceOracle::ComputeDistance(VertexId u, VertexId v) {
   return kInfWeight;
 }
 
+DistanceOracle::Anchor::Anchor(const RoadNetwork& graph)
+    : search(graph), answer(graph.NumVertices(), kInfWeight) {
+  answered.Reset(answer.size());
+}
+
+void DistanceOracle::Anchor::Restart(VertexId from) {
+  source = from;
+  search.StartFrom(from);
+  answered.Reset(answer.size());
+}
+
+DistanceOracle::AnchorScope::AnchorScope(DistanceOracle& oracle, VertexId s,
+                                         VertexId d)
+    : oracle_(&oracle) {
+  oracle_->SetAnchors(s, d);
+}
+
+DistanceOracle::AnchorScope::~AnchorScope() { oracle_->anchored_ = false; }
+
+void DistanceOracle::SetAnchors(VertexId s, VertexId d) {
+  // One search answers both dist(x, a) and dist(a, x) only when they are
+  // equal. Nesting would silently re-root the outer scope's searches.
+  assert(options_.symmetric && "anchoring needs a symmetric oracle");
+  assert(!anchored_ && "anchor scopes do not nest");
+  const VertexId roots[2] = {s, d};
+  for (int k = 0; k < 2; ++k) {
+    if (!anchors_[k]) anchors_[k] = std::make_unique<Anchor>(*graph_);
+    // Same root: resume, keeping every settled vertex and answer.
+    if (anchors_[k]->source != roots[k]) anchors_[k]->Restart(roots[k]);
+  }
+  anchored_ = true;
+}
+
+DistanceOracle::Anchor* DistanceOracle::AnchorAt(VertexId v) {
+  for (const std::unique_ptr<Anchor>& a : anchors_) {
+    if (a->source == v) return a.get();
+  }
+  return nullptr;
+}
+
+Weight DistanceOracle::AnchoredDistance(Anchor& anchor, VertexId x) {
+  if (!anchor.answered.Mark(static_cast<size_t>(x))) {
+    ++cache_hits_;
+    return anchor.answer[x];
+  }
+  ++computed_;
+  Weight d = anchor.search.SettleUntil(x);
+  if (d != kInfWeight && x < anchor.source) {
+    // A point-to-point query computes dist(x, source), summing edge
+    // weights left to right from x (DESIGN.md 7.4); the search's label
+    // summed them from the source. Re-sum the same path in x's order so
+    // the double is the one the engines return.
+    d = 0.0;
+    for (VertexId cur = x; cur != anchor.source;
+         cur = anchor.search.ParentOf(cur)) {
+      d += anchor.search.ParentWeightOf(cur);
+    }
+  }
+  anchor.answer[x] = d;
+  return d;
+}
+
 Weight DistanceOracle::Distance(VertexId u, VertexId v) {
   ++queries_;
   if (!graph_->IsValidVertex(u) || !graph_->IsValidVertex(v)) {
@@ -77,6 +140,11 @@ Weight DistanceOracle::Distance(VertexId u, VertexId v) {
   VertexId a = u;
   VertexId b = v;
   if (options_.symmetric && a > b) std::swap(a, b);
+  if (anchored_) {
+    // Prefer the anchor at the smaller id: its label is the answer as is.
+    if (Anchor* anchor = AnchorAt(a)) return AnchoredDistance(*anchor, b);
+    if (Anchor* anchor = AnchorAt(b)) return AnchoredDistance(*anchor, a);
+  }
   const uint64_t key = Key(a, b);
   if (const Weight* hit = cache_.Find(key)) {
     ++cache_hits_;
@@ -126,6 +194,9 @@ uint64_t DistanceOracle::heap_pops() const {
   if (bidirectional_) pops += bidirectional_->total_pops();
   if (astar_) pops += astar_->total_pops();
   if (ch_query_) pops += ch_query_->total_pops();
+  for (const std::unique_ptr<Anchor>& a : anchors_) {
+    if (a) pops += a->search.total_pops();
+  }
   return pops;
 }
 
@@ -137,6 +208,9 @@ void DistanceOracle::ResetStats() {
   if (bidirectional_) bidirectional_->ResetStats();
   if (astar_) astar_->ResetStats();
   if (ch_query_) ch_query_->ResetStats();
+  for (const std::unique_ptr<Anchor>& a : anchors_) {
+    if (a) a->search.ResetStats();
+  }
 }
 
 }  // namespace ptrider::roadnet

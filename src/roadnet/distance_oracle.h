@@ -14,6 +14,7 @@
 #include "roadnet/sp_algorithm.h"
 #include "roadnet/types.h"
 #include "util/status.h"
+#include "util/visit_marks.h"
 
 namespace ptrider::roadnet {
 
@@ -34,6 +35,27 @@ struct DistanceOracleOptions {
 /// its own.
 class DistanceOracle {
  public:
+  /// Request anchoring (DESIGN.md section 7.5). While a scope is alive,
+  /// every Distance(u, v) with u or v in {s, d} is read from one of two
+  /// resumable single-source searches rooted at s and d instead of
+  /// running a point-to-point search; matching one request asks almost
+  /// nothing else. Each answer is the double a point-to-point query
+  /// returns: the anchor's own label when the anchor has the smaller id,
+  /// otherwise its path re-summed from the other end. The searches
+  /// persist across scopes (re-anchoring at the same vertex resumes
+  /// them) and are allocated on first use, so oracles that never anchor
+  /// pay nothing. Requires a symmetric oracle; scopes do not nest.
+  class AnchorScope {
+   public:
+    AnchorScope(DistanceOracle& oracle, VertexId s, VertexId d);
+    ~AnchorScope();
+    AnchorScope(const AnchorScope&) = delete;
+    AnchorScope& operator=(const AnchorScope&) = delete;
+
+   private:
+    DistanceOracle* oracle_;
+  };
+
   explicit DistanceOracle(const RoadNetwork& graph,
                           DistanceOracleOptions options = {});
 
@@ -66,6 +88,8 @@ class DistanceOracle {
   DistanceOracle CloneWith(DistanceOracleOptions options) const;
 
   /// Exact shortest-path distance (kInfWeight when unreachable).
+  /// Anchored lookups count like pair lookups: the first lookup of a
+  /// vertex in an anchor's search is `computed`, a repeat a cache hit.
   Weight Distance(VertexId u, VertexId v);
 
   /// Exact shortest path as a vertex sequence (u..v inclusive); error when
@@ -87,18 +111,42 @@ class DistanceOracle {
   // --- Statistics ---------------------------------------------------------
   uint64_t queries() const { return queries_; }
   uint64_t cache_hits() const { return cache_hits_; }
-  /// Exact searches actually executed (queries - cache_hits - trivial).
+  /// Exact distances actually computed: point-to-point searches plus
+  /// first lookups in an anchor search (queries - cache_hits - trivial).
   uint64_t computed() const { return computed_; }
   uint64_t heap_pops() const;
   void ResetStats();
 
+  /// Per-thread matcher scratch (vehicles seen in one match). It lives
+  /// here because the oracle is the one piece of mutable search state
+  /// each matching thread owns; clones start with their own.
+  util::VisitMarks& match_marks() { return match_marks_; }
+
  private:
+  /// One request anchor: a resumable search from `source`, plus the
+  /// oracle-order answer of every vertex looked up since it started
+  /// (valid where `answered` marks it).
+  struct Anchor {
+    explicit Anchor(const RoadNetwork& graph);
+    void Restart(VertexId from);
+
+    DijkstraEngine search;
+    VertexId source = kInvalidVertex;
+    std::vector<Weight> answer;
+    util::VisitMarks answered;
+  };
+
   static uint64_t Key(VertexId u, VertexId v) {
     return (static_cast<uint64_t>(static_cast<uint32_t>(u)) << 32) |
            static_cast<uint32_t>(v);
   }
 
   Weight ComputeDistance(VertexId u, VertexId v);
+  void SetAnchors(VertexId s, VertexId d);
+  /// The active anchor rooted at `v`, or null.
+  Anchor* AnchorAt(VertexId v);
+  /// dist between the anchor's source and `x`, in the oracle's order.
+  Weight AnchoredDistance(Anchor& anchor, VertexId x);
 
   const RoadNetwork* graph_;
   DistanceOracleOptions options_;
@@ -112,6 +160,10 @@ class DistanceOracle {
   std::unique_ptr<CHQuery> ch_query_;
 
   PairCache cache_;
+  /// Request anchors at s and d; allocated by the first AnchorScope.
+  std::unique_ptr<Anchor> anchors_[2];
+  bool anchored_ = false;
+  util::VisitMarks match_marks_;
 
   uint64_t queries_ = 0;
   uint64_t cache_hits_ = 0;

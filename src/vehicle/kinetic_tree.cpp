@@ -1,6 +1,7 @@
 #include "vehicle/kinetic_tree.h"
 
 #include <algorithm>
+#include <array>
 #include <set>
 #include <sstream>
 
@@ -15,6 +16,12 @@ namespace {
 constexpr double kEps = 1e-6;
 
 bool LeqWithSlack(double a, double b) { return a <= b + kEps; }
+
+/// Marks a leg WalkSequence must compute (exact legs are >= 0).
+constexpr roadnet::Weight kUnknownLeg = -1.0;
+
+/// Stops whose cumulative distances a walk keeps on the stack.
+constexpr size_t kInlineStops = 32;
 
 bool StopLess(const Stop& a, const Stop& b) {
   if (a.request != b.request) return a.request < b.request;
@@ -82,14 +89,40 @@ int KineticTree::RidersCommitted() const {
 }
 
 bool KineticTree::WalkSequence(const std::vector<Stop>& stops,
+                               std::span<roadnet::Weight> legs,
                                const ScheduleContext& ctx,
                                DistanceProvider& dist, bool exact,
                                const Request* new_request,
                                double new_request_max_trip,
                                roadnet::Weight* total_out,
                                roadnet::Weight* new_pickup_out) const {
-  auto distance = [&](roadnet::VertexId u, roadnet::VertexId v) {
-    return exact ? dist.Exact(u, v) : dist.Lower(u, v);
+  const bool known_legs = exact && !legs.empty();
+  auto distance = [&](size_t k, roadnet::VertexId u, roadnet::VertexId v) {
+    if (!exact) return dist.Lower(u, v);
+    if (!known_legs) return dist.Exact(u, v);
+    if (legs[k] < 0.0) legs[k] = dist.Exact(u, v);
+    return legs[k];
+  };
+
+  // Cum distance at each stop, so a drop-off finds its pick-up's by
+  // position. The walk is matching's innermost loop, so the buffer is on
+  // the stack; pending requests are not bounded by capacity, so an
+  // unusually long schedule spills to the heap.
+  std::array<roadnet::Weight, kInlineStops> inline_cum;
+  std::vector<roadnet::Weight> spilled_cum;
+  roadnet::Weight* cum_at = inline_cum.data();
+  if (stops.size() > inline_cum.size()) {
+    spilled_cum.resize(stops.size());
+    cum_at = spilled_cum.data();
+  }
+  // The latest pick-up of `request` before position k, or null.
+  auto pickup_cum = [&](size_t k, RequestId request) -> const roadnet::Weight* {
+    while (k-- > 0) {
+      if (stops[k].request == request && stops[k].type == StopType::kPickup) {
+        return &cum_at[k];
+      }
+    }
+    return nullptr;
   };
 
   roadnet::VertexId cur = root_;
@@ -99,13 +132,12 @@ bool KineticTree::WalkSequence(const std::vector<Stop>& stops,
     *new_pickup_out = roadnet::kInfWeight;
   }
 
-  // cum distance at each request's pickup within this sequence.
-  std::map<RequestId, roadnet::Weight> pickup_cum;
-
-  for (const Stop& stop : stops) {
-    const roadnet::Weight leg = distance(cur, stop.location);
+  for (size_t k = 0; k < stops.size(); ++k) {
+    const Stop& stop = stops[k];
+    const roadnet::Weight leg = distance(k, cur, stop.location);
     if (leg == roadnet::kInfWeight) return false;
     cum += leg;
+    cum_at[k] = cum;
     cur = stop.location;
 
     const bool is_new =
@@ -128,24 +160,20 @@ bool KineticTree::WalkSequence(const std::vector<Stop>& stops,
           is_new ? new_request->num_riders : pending->request.num_riders;
       riders += n;
       if (riders > capacity_) return false;
-      pickup_cum[stop.request] = cum;
       if (is_new && new_pickup_out != nullptr) *new_pickup_out = cum;
     } else {
       // Service constraint (condition 4).
-      const auto pk = pickup_cum.find(stop.request);
       double trip;
       double allowance;
-      if (is_new) {
-        if (pk == pickup_cum.end()) return false;  // order violated
-        trip = cum - pk->second;
-        allowance = new_request_max_trip;
-      } else if (pending->onboard) {
+      if (!is_new && pending->onboard) {
         trip = pending->consumed_trip_distance_m + cum;
         allowance = pending->max_trip_distance_m;
       } else {
-        if (pk == pickup_cum.end()) return false;  // order violated
-        trip = cum - pk->second;
-        allowance = pending->max_trip_distance_m;
+        const roadnet::Weight* pk = pickup_cum(k, stop.request);
+        if (pk == nullptr) return false;  // order violated
+        trip = cum - *pk;
+        allowance =
+            is_new ? new_request_max_trip : pending->max_trip_distance_m;
       }
       if (!LeqWithSlack(trip, allowance)) return false;
       const int n =
@@ -157,6 +185,49 @@ bool KineticTree::WalkSequence(const std::vector<Stop>& stops,
   return true;
 }
 
+bool KineticTree::StructureValid(const std::vector<Stop>& stops,
+                                 const Request* new_request) const {
+  // Two stops of one request are allowed only as pick-up then drop-off:
+  // this rejects duplicates and drop-offs before pick-ups. Schedules hold
+  // a handful of stops, so the quadratic scan beats any set.
+  for (size_t k = 0; k < stops.size(); ++k) {
+    for (size_t m = 0; m < k; ++m) {
+      if (stops[m].request != stops[k].request) continue;
+      if (stops[m].type == stops[k].type ||
+          stops[m].type == StopType::kDropoff) {
+        return false;
+      }
+    }
+  }
+  auto has = [&](RequestId id, StopType type) {
+    return std::any_of(stops.begin(), stops.end(), [&](const Stop& s) {
+      return s.request == id && s.type == type;
+    });
+  };
+  size_t expected = 0;
+  for (const auto& [id, p] : pending_) {
+    if (p.onboard) {
+      if (has(id, StopType::kPickup) || !has(id, StopType::kDropoff)) {
+        return false;
+      }
+      expected += 1;
+    } else {
+      if (!has(id, StopType::kPickup) || !has(id, StopType::kDropoff)) {
+        return false;
+      }
+      expected += 2;
+    }
+  }
+  if (new_request != nullptr) {
+    if (!has(new_request->id, StopType::kPickup) ||
+        !has(new_request->id, StopType::kDropoff)) {
+      return false;
+    }
+    expected += 2;
+  }
+  return stops.size() == expected;
+}
+
 bool KineticTree::ValidateSequence(const std::vector<Stop>& stops,
                                    const ScheduleContext& ctx,
                                    DistanceProvider& dist,
@@ -164,48 +235,13 @@ bool KineticTree::ValidateSequence(const std::vector<Stop>& stops,
                                    double new_request_max_trip,
                                    roadnet::Weight* total_out,
                                    roadnet::Weight* new_pickup_out) const {
-  // Structural check (condition 2 plus completeness): the sequence must
-  // contain, exactly once each, a drop-off for every onboard request, a
-  // pick-up followed by a drop-off for every waiting request, and the new
-  // request's pick-up before its drop-off.
-  std::map<RequestId, int> seen_pickup;
-  std::map<RequestId, int> seen_dropoff;
-  for (const Stop& s : stops) {
-    if (s.type == StopType::kPickup) {
-      if (++seen_pickup[s.request] > 1) return false;
-      if (seen_dropoff.count(s.request) > 0) return false;  // order
-    } else {
-      if (++seen_dropoff[s.request] > 1) return false;
-    }
-  }
-  size_t expected = 0;
-  for (const auto& [id, p] : pending_) {
-    if (p.onboard) {
-      if (seen_pickup.count(id) > 0 || seen_dropoff.count(id) == 0) {
-        return false;
-      }
-      expected += 1;
-    } else {
-      if (seen_pickup.count(id) == 0 || seen_dropoff.count(id) == 0) {
-        return false;
-      }
-      expected += 2;
-    }
-  }
-  if (new_request != nullptr) {
-    if (seen_pickup.count(new_request->id) == 0 ||
-        seen_dropoff.count(new_request->id) == 0) {
-      return false;
-    }
-    expected += 2;
-  }
-  if (stops.size() != expected) return false;
-
-  return WalkSequence(stops, ctx, dist, /*exact=*/true, new_request,
+  return StructureValid(stops, new_request) &&
+         WalkSequence(stops, {}, ctx, dist, /*exact=*/true, new_request,
                       new_request_max_trip, total_out, new_pickup_out);
 }
 
 bool KineticTree::ValidateWithBounds(const std::vector<Stop>& stops,
+                                     std::span<roadnet::Weight> legs,
                                      const ScheduleContext& ctx,
                                      DistanceProvider& dist,
                                      const Request* new_request,
@@ -216,13 +252,14 @@ bool KineticTree::ValidateWithBounds(const std::vector<Stop>& stops,
   *pruned_by_bounds = false;
   // Lower-bound screen: if the walk fails with admissible lower bounds it
   // must fail with exact distances (constraints are monotone in distance).
-  if (!WalkSequence(stops, ctx, dist, /*exact=*/false, new_request,
+  if (!WalkSequence(stops, {}, ctx, dist, /*exact=*/false, new_request,
                     new_request_max_trip, nullptr, nullptr)) {
     *pruned_by_bounds = true;
     return false;
   }
-  return ValidateSequence(stops, ctx, dist, new_request,
-                          new_request_max_trip, total_out, new_pickup_out);
+  return StructureValid(stops, new_request) &&
+         WalkSequence(stops, legs, ctx, dist, /*exact=*/true, new_request,
+                      new_request_max_trip, total_out, new_pickup_out);
 }
 
 std::vector<InsertionCandidate> KineticTree::TrialInsert(
@@ -240,21 +277,25 @@ std::vector<InsertionCandidate> KineticTree::TrialInsert(
   const Stop pickup{request.id, StopType::kPickup, request.start};
   const Stop dropoff{request.id, StopType::kDropoff, request.destination};
 
-  std::set<std::vector<Stop>, bool (*)(const std::vector<Stop>&,
-                                       const std::vector<Stop>&)>
-      tried(SequenceLess);
-
-  auto consider = [&](std::vector<Stop> seq) {
-    if (!tried.insert(seq).second) return;
+  // One candidate at a time in reused buffers: `legs` holds each branch
+  // leg the candidate keeps (a stop whose predecessor is unchanged) and
+  // kUnknownLeg for the legs into and out of the new stops. Distinct
+  // (branch, i, j) yield distinct sequences — branches are deduplicated
+  // and none holds the new request's stops — so nothing is tried twice.
+  // (A tree already holding the request could repeat a sequence, but
+  // every such sequence has two pick-ups and fails StructureValid.)
+  std::vector<Stop> seq;
+  std::vector<roadnet::Weight> legs;
+  auto consider = [&] {
     ++local.sequences_generated;
     roadnet::Weight total = 0.0;
     roadnet::Weight pickup_dist = 0.0;
     bool by_bounds = false;
-    if (ValidateWithBounds(seq, ctx, dist, &request, max_trip, &total,
+    if (ValidateWithBounds(seq, legs, ctx, dist, &request, max_trip, &total,
                            &pickup_dist, &by_bounds)) {
       ++local.exact_validated;
       ++local.accepted;
-      out.push_back({pickup_dist, total, std::move(seq)});
+      out.push_back({pickup_dist, total, seq, legs});
     } else if (by_bounds) {
       ++local.bound_pruned;
     } else {
@@ -263,7 +304,9 @@ std::vector<InsertionCandidate> KineticTree::TrialInsert(
   };
 
   if (branches_.empty()) {
-    consider({pickup, dropoff});
+    seq = {pickup, dropoff};
+    legs = {kUnknownLeg, kUnknownLeg};
+    consider();
   } else {
     // Branches are kept sorted by total distance, so a probe cap
     // enumerates the best-K schedules and skips the tail.
@@ -274,40 +317,33 @@ std::vector<InsertionCandidate> KineticTree::TrialInsert(
     for (size_t bi = 0; bi < probe_limit; ++bi) {
       const Branch& branch = branches_[bi];
       const size_t n = branch.stops.size();
+      // Appends branch stops [from, to); the first one's leg is new when
+      // it follows an inserted stop.
+      auto append = [&](size_t from, size_t to, bool after_new) {
+        for (size_t k = from; k < to; ++k) {
+          seq.push_back(branch.stops[k]);
+          legs.push_back(k == from && after_new ? kUnknownLeg
+                                                : branch.legs[k]);
+        }
+      };
       for (size_t i = 0; i <= n; ++i) {
         for (size_t j = i; j <= n; ++j) {
-          std::vector<Stop> seq;
-          seq.reserve(n + 2);
-          seq.insert(seq.end(), branch.stops.begin(),
-                     branch.stops.begin() + static_cast<long>(i));
+          seq.clear();
+          legs.clear();
+          append(0, i, /*after_new=*/false);
           seq.push_back(pickup);
-          seq.insert(seq.end(), branch.stops.begin() + static_cast<long>(i),
-                     branch.stops.begin() + static_cast<long>(j));
+          legs.push_back(kUnknownLeg);
+          append(i, j, /*after_new=*/true);
           seq.push_back(dropoff);
-          seq.insert(seq.end(), branch.stops.begin() + static_cast<long>(j),
-                     branch.stops.end());
-          consider(std::move(seq));
+          legs.push_back(kUnknownLeg);
+          append(j, n, /*after_new=*/true);
+          consider();
         }
       }
     }
   }
   if (stats != nullptr) stats->Merge(local);
   return out;
-}
-
-void KineticTree::AppendBranch(std::vector<Stop> stops,
-                               DistanceProvider& dist) {
-  Branch b;
-  b.legs.reserve(stops.size());
-  roadnet::VertexId cur = root_;
-  for (const Stop& s : stops) {
-    const roadnet::Weight leg = dist.Exact(cur, s.location);
-    b.legs.push_back(leg);
-    b.total += leg;
-    cur = s.location;
-  }
-  b.stops = std::move(stops);
-  branches_.push_back(std::move(b));
 }
 
 void KineticTree::NormalizeBranches() {
@@ -358,15 +394,11 @@ util::Status KineticTree::CommitInsert(
   for (InsertionCandidate& c : candidates) {
     const double arrival = ctx.now_s + c.pickup_distance / ctx.speed_mps;
     if (!LeqWithSlack(arrival, deadline_s)) continue;
+    // The walk summed the legs left to right from 0, as a branch does.
     Branch b;
-    roadnet::VertexId cur = root_;
-    for (const Stop& s : c.stops) {
-      const roadnet::Weight leg = dist.Exact(cur, s.location);
-      b.legs.push_back(leg);
-      b.total += leg;
-      cur = s.location;
-    }
     b.stops = std::move(c.stops);
+    b.legs = std::move(c.legs);
+    b.total = c.total_distance;
     new_branches.push_back(std::move(b));
   }
   if (new_branches.empty()) {
@@ -401,9 +433,12 @@ util::Status KineticTree::AdvanceTo(roadnet::VertexId new_root,
     b.total = b.total - b.legs.front() + first;
     b.legs.front() = first;
     const bool is_executing = !executing.empty() && b.stops == executing;
+    // Every other leg joins two stops the branch already orders, and is
+    // cached exactly.
     if (is_executing ||
-        ValidateSequence(b.stops, ctx, dist, nullptr, 0.0, nullptr,
-                         nullptr)) {
+        (StructureValid(b.stops, nullptr) &&
+         WalkSequence(b.stops, b.legs, ctx, dist, /*exact=*/true, nullptr,
+                      0.0, nullptr, nullptr))) {
       kept.push_back(std::move(b));
     }
   }

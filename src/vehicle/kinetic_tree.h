@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -63,6 +64,8 @@ struct InsertionCandidate {
   /// Total distance of the new schedule (dist_trj in Definition 3).
   roadnet::Weight total_distance = 0.0;
   std::vector<Stop> stops;
+  /// Exact legs of `stops` (Branch::legs of the schedule once committed).
+  std::vector<roadnet::Weight> legs;
 };
 
 /// Insertion effort counters (experiment E3 / E10).
@@ -136,11 +139,16 @@ class KineticTree {
   /// Enumerates all valid schedules that additionally serve `request`
   /// (not yet constrained by a pick-up deadline — the returned candidates
   /// are exactly the vehicle's feasible (time, price) offers). Does not
-  /// modify the tree. `max_probe_branches` (0 = unlimited) probes only
-  /// the best (shortest-total) K branches — the service-mode degradation
-  /// ladder's bounded-effort knob (core::MatchEffort): every returned
-  /// candidate is still exactly validated, the cap only skips the
-  /// longer-schedule tail of the enumeration.
+  /// modify the tree. Legs between two stops a branch already orders
+  /// consecutively are read from its cached `legs`, so `dist` is asked
+  /// only for the (at most four) legs that touch the request's start or
+  /// destination — the queries an anchored oracle answers from its
+  /// request searches (DESIGN.md section 7.5). `max_probe_branches`
+  /// (0 = unlimited) probes only the best (shortest-total) K branches —
+  /// the service-mode degradation ladder's bounded-effort knob
+  /// (core::MatchEffort): every returned candidate is still exactly
+  /// validated, the cap only skips the longer-schedule tail of the
+  /// enumeration.
   std::vector<InsertionCandidate> TrialInsert(const Request& request,
                                               const ScheduleContext& ctx,
                                               DistanceProvider& dist,
@@ -198,8 +206,10 @@ class KineticTree {
  private:
   /// Like ValidateSequence but first screens with lower bounds; returns
   /// false early (cheap) when bounds prove invalidity. `pruned_by_bounds`
-  /// reports whether the rejection used bounds only.
+  /// reports whether the rejection used bounds only. `legs` is the exact
+  /// walk's leg buffer (see WalkSequence).
   bool ValidateWithBounds(const std::vector<Stop>& stops,
+                          std::span<roadnet::Weight> legs,
                           const ScheduleContext& ctx, DistanceProvider& dist,
                           const Request* new_request,
                           double new_request_max_trip,
@@ -207,16 +217,24 @@ class KineticTree {
                           roadnet::Weight* new_pickup_out,
                           bool* pruned_by_bounds) const;
 
+  /// Structural half of ValidateSequence (condition 2 plus completeness):
+  /// every onboard request dropped off once, every waiting request picked
+  /// up then dropped off once, and the new request likewise.
+  bool StructureValid(const std::vector<Stop>& stops,
+                      const Request* new_request) const;
+
   /// Core walk shared by validation paths. `exact` selects exact vs
-  /// lower-bound distances.
+  /// lower-bound distances. For an exact walk `legs` (empty, or one entry
+  /// per stop) supplies known exact legs: an entry >= 0 is used as is,
+  /// a negative one is computed and written back, so an accepted walk
+  /// leaves the schedule's complete legs behind. Lower-bound walks
+  /// ignore it.
   bool WalkSequence(const std::vector<Stop>& stops,
+                    std::span<roadnet::Weight> legs,
                     const ScheduleContext& ctx, DistanceProvider& dist,
                     bool exact, const Request* new_request,
                     double new_request_max_trip, roadnet::Weight* total_out,
                     roadnet::Weight* new_pickup_out) const;
-
-  /// Recomputes legs/total for `stops` (exact) and appends to branches_.
-  void AppendBranch(std::vector<Stop> stops, DistanceProvider& dist);
 
   /// Sorts branches by (total, lexicographic stops) and dedups.
   void NormalizeBranches();

@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <memory>
 
 #include "core/ptrider.h"
 #include "roadnet/graph_generator.h"
 #include "roadnet/paper_example.h"
+#include "sim/workload.h"
 #include "util/random.h"
 
 namespace ptrider::core {
@@ -275,6 +278,180 @@ INSTANTIATE_TEST_SUITE_P(
                       EquivalenceParam{3, 15, 2},
                       EquivalenceParam{4, 100, 3},
                       EquivalenceParam{5, 45, 6}));
+
+/// Busy-fleet reference. The indexed matchers read every distance that
+/// touches s or d from anchored searches, TrialInsert reuses the cached
+/// branch legs, and the naive matcher shares TrialInsert — so agreement
+/// among the matchers cannot catch a wrong leg. Re-walk every option's
+/// schedule with a fresh, cacheless Dijkstra oracle instead, on vehicles
+/// holding up to four pending requests.
+TEST(BusyFleetReferenceTest, OptionDistancesMatchFreshDijkstraWalk) {
+  roadnet::CityGridOptions gopts;
+  gopts.rows = 14;
+  gopts.cols = 14;
+  gopts.seed = 3;
+  auto graph = roadnet::MakeCityGrid(gopts);
+  ASSERT_TRUE(graph.ok());
+  Config cfg;
+  cfg.vehicle_capacity = 4;
+  cfg.default_max_wait_s = 900.0;
+  cfg.default_service_sigma = 0.8;
+  cfg.max_planned_pickup_s = 3000.0;
+  roadnet::GridIndexOptions gridopts;
+  gridopts.cells_x = 6;
+  gridopts.cells_y = 6;
+  auto sys = PTRider::Create(*graph, cfg, gridopts);
+  ASSERT_TRUE(sys.ok());
+  ASSERT_TRUE((*sys)->InitFleetUniform(6, 3).ok());
+  roadnet::DistanceOracle reference(
+      *graph, {roadnet::SpAlgorithm::kDijkstra, 0, true});
+
+  // Walks `o`'s schedule from its vehicle's position, summing legs left
+  // to right from 0 as the kinetic tree does.
+  const auto expect_walk_matches = [&](const Option& o,
+                                       vehicle::RequestId id) {
+    const vehicle::Vehicle& v = (*sys)->fleet().at(o.vehicle);
+    roadnet::VertexId cur = v.tree().root_location();
+    roadnet::Weight cum = 0.0;
+    roadnet::Weight pickup = roadnet::kInfWeight;
+    for (const vehicle::Stop& stop : o.schedule) {
+      cum += reference.Distance(cur, stop.location);
+      cur = stop.location;
+      if (stop.request == id && stop.type == vehicle::StopType::kPickup) {
+        pickup = cum;
+      }
+    }
+    EXPECT_EQ(std::bit_cast<uint64_t>(o.pickup_distance),
+              std::bit_cast<uint64_t>(pickup))
+        << "request " << id << " vehicle " << o.vehicle;
+    EXPECT_EQ(std::bit_cast<uint64_t>(o.new_total_distance),
+              std::bit_cast<uint64_t>(cum))
+        << "request " << id << " vehicle " << o.vehicle;
+  };
+
+  util::Rng rng(41);
+  const auto random_vertex = [&]() {
+    return static_cast<roadnet::VertexId>(rng.UniformInt(
+        0, static_cast<int64_t>(graph->NumVertices()) - 1));
+  };
+  size_t busy_options = 0;  // options on vehicles with >= 2 pending
+  size_t most_pending = 0;
+  for (vehicle::RequestId id = 1; id <= 60; ++id) {
+    vehicle::Request r;
+    r.id = id;
+    r.start = random_vertex();
+    r.destination = random_vertex();
+    if (r.start == r.destination) continue;
+    r.num_riders = 1;
+    r.max_wait_s = cfg.default_max_wait_s;
+    r.service_sigma = cfg.default_service_sigma;
+
+    MatchResult dual;
+    for (const MatcherAlgorithm algo :
+         {MatcherAlgorithm::kNaive, MatcherAlgorithm::kDualSide}) {
+      (*sys)->set_matcher(algo);
+      auto res = (*sys)->SubmitRequest(r, 0.0);
+      ASSERT_TRUE(res.ok());
+      for (const Option& o : res->options) {
+        expect_walk_matches(o, id);
+        const size_t pending =
+            (*sys)->fleet().at(o.vehicle).tree().NumPendingRequests();
+        if (pending >= 2) ++busy_options;
+      }
+      dual = std::move(res).value();
+    }
+    // Pile requests onto the busiest vehicle that still has room for
+    // one more, so trees reach 2-4 pending requests.
+    const Option* pick = nullptr;
+    size_t pick_pending = 0;
+    for (const Option& o : dual.options) {
+      const size_t pending =
+          (*sys)->fleet().at(o.vehicle).tree().NumPendingRequests();
+      if (pending < 4 && (pick == nullptr || pending > pick_pending)) {
+        pick = &o;
+        pick_pending = pending;
+      }
+    }
+    if (pick == nullptr) continue;
+    ASSERT_TRUE((*sys)->ChooseOption(r, *pick, 0.0).ok());
+    most_pending = std::max(most_pending, pick_pending + 1);
+  }
+  EXPECT_GE(most_pending, 3u);
+  EXPECT_GT(busy_options, 20u);
+}
+
+/// The E10 ablation (bench_e10_ablation_pruning) at test size: on the
+/// same pre-loaded fleet, naive matching computes more exact distances
+/// per request than single-side, and single-side more than dual-side, on
+/// both the uniform and the origin-hub workload. Anchored lookups count
+/// like pair lookups (first lookup of a vertex computed, repeats hits),
+/// which is what keeps this ordering meaningful.
+TEST(AblationCountersTest, NaiveAboveSingleAboveDual) {
+  roadnet::CityGridOptions gopts;
+  gopts.rows = 24;
+  gopts.cols = 24;
+  gopts.spacing_m = 250.0;
+  gopts.seed = 7;
+  auto graph = roadnet::MakeCityGrid(gopts);
+  ASSERT_TRUE(graph.ok());
+
+  sim::HotspotWorkloadOptions uniform;
+  uniform.num_trips = 400;
+  uniform.duration_s = 3600.0;
+  uniform.origin_hotspot_bias = 0.0;
+  uniform.destination_hotspot_bias = 0.0;
+  sim::HotspotWorkloadOptions hub;
+  hub.num_trips = 400;
+  hub.duration_s = 3600.0;
+  hub.num_hotspots = 1;
+  hub.hotspot_stddev_m = 600.0;
+  hub.origin_hotspot_bias = 0.9;
+  hub.destination_hotspot_bias = 0.0;
+  hub.seed = 31;
+
+  for (const sim::HotspotWorkloadOptions& wopts : {uniform, hub}) {
+    auto trips = sim::GenerateHotspotTrips(*graph, wopts);
+    ASSERT_TRUE(trips.ok());
+    uint64_t computations[3] = {0, 0, 0};
+    const MatcherAlgorithm algos[] = {MatcherAlgorithm::kNaive,
+                                      MatcherAlgorithm::kSingleSide,
+                                      MatcherAlgorithm::kDualSide};
+    for (int a = 0; a < 3; ++a) {
+      Config cfg;
+      cfg.matcher = algos[a];
+      cfg.default_service_sigma = 0.3;
+      auto sys = PTRider::Create(*graph, cfg);
+      ASSERT_TRUE(sys.ok());
+      ASSERT_TRUE((*sys)->InitFleetUniform(300, 3).ok());
+      const auto request = [&](size_t i) {
+        vehicle::Request r;
+        r.id = static_cast<vehicle::RequestId>(i + 1);
+        r.start = (*trips)[i].origin;
+        r.destination = (*trips)[i].destination;
+        r.num_riders = (*trips)[i].num_riders;
+        r.max_wait_s = cfg.default_max_wait_s;
+        r.service_sigma = cfg.default_service_sigma;
+        return r;
+      };
+      // Load the fleet like the bench's warm-up, then measure.
+      for (size_t i = 0; i < 150; ++i) {
+        const vehicle::Request r = request(i);
+        auto m = (*sys)->SubmitRequest(r, 0.0);
+        ASSERT_TRUE(m.ok());
+        if (!m->options.empty()) {
+          ASSERT_TRUE((*sys)->ChooseOption(r, m->options.front(), 0.0).ok());
+        }
+      }
+      for (size_t i = 150; i < 250; ++i) {
+        auto m = (*sys)->SubmitRequest(request(i), 1.0);
+        ASSERT_TRUE(m.ok());
+        computations[a] += m->distance_computations;
+      }
+    }
+    EXPECT_GT(computations[0], computations[1]);
+    EXPECT_GT(computations[1], computations[2]);
+  }
+}
 
 }  // namespace
 }  // namespace ptrider::core
