@@ -76,8 +76,9 @@ struct SimulationReport {
   // At depth 1 they partition the loop like they always did.
   /// Request submission / batch dispatch, cumulative.
   double match_phase_seconds = 0.0;
-  /// Vehicle-movement advance (the SimulatorOptions::move_jobs-parallel
-  /// part), cumulative.
+  /// Vehicle-movement advance: the pass-through listing (which also
+  /// steps pass-through vehicles) and the serving events' advance (the
+  /// SimulatorOptions::move_jobs-parallel part), cumulative.
   double move_advance_seconds = 0.0;
   /// Vehicle-movement commit + idle cruising (sequential), cumulative.
   double move_commit_seconds = 0.0;

@@ -152,17 +152,17 @@ MovementOutcome AdvanceVehicle(const core::PTRider& system,
 
     const roadnet::VertexId from = m.path[m.next - 1];
     const roadnet::VertexId to = m.path[m.next];
-    const roadnet::Weight edge_len = graph.EdgeWeight(from, to);
-    if (edge_len == roadnet::kInfWeight) {
-      out.status = util::Status::Internal(util::StrFormat(
-          "vehicle %d routed over missing edge v%d->v%d", id, from, to));
-      return out;
+    if (m.edge_progress_m == 0.0) {
+      m.edge_len_m = graph.EdgeWeight(from, to);  // entering the edge
+      if (m.edge_len_m == roadnet::kInfWeight) {
+        out.status = util::Status::Internal(util::StrFormat(
+            "vehicle %d routed over missing edge v%d->v%d", id, from, to));
+        return out;
+      }
     }
-    const double remaining = edge_len - m.edge_progress_m;
+    const double remaining = m.edge_len_m - m.edge_progress_m;
     if (budget < remaining) {
-      m.edge_progress_m += budget;
-      m.meters_since_update += budget;
-      budget = 0.0;
+      DriveAlongEdge(m, budget);
       break;
     }
     // Reach the next vertex.

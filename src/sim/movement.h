@@ -19,12 +19,38 @@ struct Motion {
   std::vector<roadnet::VertexId> path;
   size_t next = 0;
   double edge_progress_m = 0.0;
+  /// Length of the edge path[next-1] -> path[next], cached as
+  /// RoadNetwork::EdgeWeight(from, to) (the minimum over parallel edges)
+  /// when the vehicle enters it; valid while edge_progress_m != 0.
+  double edge_len_m = 0.0;
   double meters_since_update = 0.0;
   /// Stop the current path leads to; re-planned when the tree's best
   /// branch changes.
   vehicle::Stop target;
   bool has_target = false;
 };
+
+/// True when `budget` meters keep the vehicle strictly inside the edge it
+/// is already driving: it is mid-edge, a vertex lies ahead, and the
+/// budget ends short of it. Such a tick is exactly the first iteration
+/// of AdvanceVehicle's and the idle walk's loops ending in
+/// DriveAlongEdge — no vertex reached, no stop, no tree walk, no RNG
+/// draw — so the simulator applies that step alone. Every other vehicle
+/// is an *event* and takes the full per-vehicle path (DESIGN.md
+/// section 6.1).
+inline bool PassesThrough(const Motion& m, double budget) {
+  return budget > 1e-9 && m.edge_progress_m != 0.0 && m.next > 0 &&
+         m.next < m.path.size() &&
+         budget < m.edge_len_m - m.edge_progress_m;
+}
+
+/// Drives `budget` meters along the current edge without reaching its
+/// head vertex: the step shared by both movement loops and the
+/// pass-through.
+inline void DriveAlongEdge(Motion& m, double budget) {
+  m.edge_progress_m += budget;
+  m.meters_since_update += budget;
+}
 
 /// Result of advancing one vehicle through one tick against the frozen
 /// pre-tick system state. Everything in here is scratch: nothing touches

@@ -11,6 +11,14 @@
 
 namespace ptrider::sim {
 
+namespace {
+/// Below this many serving events a tick's advance runs inline: waking
+/// the movement pool costs more than the events it would spread. Both
+/// paths give identical outcomes (AdvanceVehicle is pure), so the
+/// threshold is a latency constant, like dispatch::ApplyReindex's.
+constexpr size_t kParallelAdvanceMin = 16;
+}  // namespace
+
 Simulator::Simulator(core::PTRider& system, SimulatorOptions options)
     : system_(&system), options_(options), rng_(options.seed) {}
 
@@ -193,8 +201,9 @@ util::Status Simulator::AdvanceTick(double prev, double now,
   // Depth >= 3: same stages, but the reindex floats onto a stage
   // thread and overlaps the NEXT tick's advance/commit (movement never
   // reads the index; DESIGN.md section 15).
+  ListEvents(budget, /*step=*/true, report);
   RunAdvance(now, budget, report);
-  const util::Status moved = CommitMove(now, report);
+  const util::Status moved = CommitMove(now, budget, report);
   // Like MovePhase, reindex even after a commit error: vehicles
   // committed before the failure must still reach the index.
   PrepareReindex(report);
@@ -245,6 +254,9 @@ util::Result<std::vector<core::BatchItem>> Simulator::StepWindow(
     pipeline_->Launch([staged] { staged->RunMatch(); }, &stage_seconds);
   }
   util::WallTimer driver_timer;
+  // Read-only listing: the match commit below may still re-target
+  // vehicles, so nothing takes its step yet.
+  ListEvents(budget, /*step=*/false, report);
   RunAdvance(now, budget, report);
   const double driver_seconds = driver_timer.ElapsedSeconds();
   if (prepared) {
@@ -270,7 +282,9 @@ util::Result<std::vector<core::BatchItem>> Simulator::StepWindow(
   }
   SyncAssignedMasks(*items);
   RedoAdvance(now, budget, *items, report);
-  const util::Status moved = CommitMove(now, report);
+  // The check again, on the post-commit state, now stepping.
+  ListEvents(budget, /*step=*/true, report);
+  const util::Status moved = CommitMove(now, budget, report);
   PrepareReindex(report);
   if (FloatingReindex()) {
     FloatReindex(report);
@@ -288,40 +302,60 @@ util::Status Simulator::FinishStepping(SimulationReport& report) {
 
 util::Status Simulator::MovePhase(double now, double budget,
                                   SimulationReport& report) {
-  // The depth-1 composition of the movement stages — identical
-  // operation order and timer placement to the historical monolithic
-  // phase.
+  // The depth-1 composition of the movement stages.
+  ListEvents(budget, /*step=*/true, report);
   RunAdvance(now, budget, report);
-  const util::Status moved = CommitMove(now, report);
+  const util::Status moved = CommitMove(now, budget, report);
   PrepareReindex(report);
   ApplyReindexNow(report);
   return moved;
 }
 
-void Simulator::RunAdvance(double now, double budget,
+void Simulator::ListEvents(double budget, bool step,
                            SimulationReport& report) {
   const size_t n = system_->fleet().size();
   util::WallTimer timer;
-  advances_.resize(n);
-  if (move_pool_ != nullptr) {
+  events_.clear();
+  serving_events_.clear();
+  for (size_t i = 0; i < n; ++i) {
+    if (PassesThrough(motions_[i], budget)) {
+      if (step) DriveAlongEdge(motions_[i], budget);
+      continue;
+    }
+    const auto id = static_cast<vehicle::VehicleId>(i);
+    events_.push_back(id);
+    if (!system_->fleet().at(id).tree().empty()) {
+      serving_events_.push_back(id);
+    }
+  }
+  report.move_advance_seconds += timer.ElapsedSeconds();
+}
+
+void Simulator::RunAdvance(double now, double budget,
+                           SimulationReport& report) {
+  util::WallTimer timer;
+  advances_.resize(system_->fleet().size());
+  const size_t events = serving_events_.size();
+  if (move_pool_ != nullptr && events >= kParallelAdvanceMin) {
     // Contiguous shards: id-adjacent vehicles were placed together at
     // fleet init and drift slowly, so their routes tend to share each
     // worker's distance cache.
     const size_t chunk =
-        std::max<size_t>(1, n / (4 * move_pool_->num_threads()));
+        std::max<size_t>(1, events / (4 * move_pool_->num_threads()));
     move_pool_->ParallelFor(
-        n,
-        [&](size_t i, dispatch::WorkerContext& context) {
-          advances_[i] = AdvanceVehicle(
-              *system_, static_cast<vehicle::VehicleId>(i), motions_[i],
-              now, budget, context.oracle());
+        events,
+        [&](size_t k, dispatch::WorkerContext& context) {
+          const vehicle::VehicleId id = serving_events_[k];
+          const auto i = static_cast<size_t>(id);
+          advances_[i] = AdvanceVehicle(*system_, id, motions_[i], now,
+                                        budget, context.oracle());
         },
         chunk);
   } else {
-    for (size_t i = 0; i < n; ++i) {
-      advances_[i] =
-          AdvanceVehicle(*system_, static_cast<vehicle::VehicleId>(i),
-                         motions_[i], now, budget, system_->oracle());
+    for (const vehicle::VehicleId id : serving_events_) {
+      const auto i = static_cast<size_t>(id);
+      advances_[i] = AdvanceVehicle(*system_, id, motions_[i], now, budget,
+                                    system_->oracle());
     }
   }
   report.move_advance_seconds += timer.ElapsedSeconds();
@@ -334,11 +368,14 @@ void Simulator::RedoAdvance(double now, double budget,
   // order advances AFTER the dispatch, so vehicles the window's commits
   // touched (new stops via ChooseOption, re-targeted motion via
   // ReplanMotion) must be re-advanced. AdvanceVehicle is a pure
-  // function of one vehicle's state, so exactly these slots differ.
+  // function of one vehicle's state, so exactly these slots differ. A
+  // vehicle that now passes through needs no advance: the listing that
+  // precedes the commit re-evaluates the check and takes its step.
   util::WallTimer timer;
   for (const core::BatchItem& item : items) {
     if (!item.assigned) continue;
     const size_t i = static_cast<size_t>(item.chosen.vehicle);
+    if (PassesThrough(motions_[i], budget)) continue;
     advances_[i] =
         AdvanceVehicle(*system_, item.chosen.vehicle, motions_[i], now,
                        budget, system_->oracle());
@@ -346,31 +383,39 @@ void Simulator::RedoAdvance(double now, double budget,
   report.move_advance_seconds += timer.ElapsedSeconds();
 }
 
-util::Status Simulator::CommitMove(double now, SimulationReport& report) {
-  const size_t n = system_->fleet().size();
+util::Status Simulator::CommitMove(double now, double budget,
+                                   SimulationReport& report) {
   util::WallTimer timer;
-  // Commit in vehicle-id order: install scratch state, fold arrival
-  // events into the report with exactly the sequential loop's
-  // accounting, then finish idle remainders (the only rng_ consumers).
-  // Index re-registration is deferred: the commit loop only marks moved
-  // vehicles dirty, and the reindex pass below applies their
-  // end-of-tick registrations once per vehicle — nothing reads the
-  // index until the next tick's submissions.
-  move_dirty_.assign(n, 0);
+  // Commit the events in vehicle-id order (pass-through vehicles took
+  // their step in ListEvents): serving events install their scratch
+  // state and fold arrival events into the report with exactly the
+  // sequential loop's accounting, and idle events (plus idle
+  // remainders) walk through the RNG — the only rng_ consumers, so the
+  // draw order is the id order at every setting. Index
+  // re-registration is deferred: the commit loop only records moved
+  // vehicles, and the reindex pass below applies their end-of-tick
+  // registrations once per vehicle — nothing reads the index until the
+  // next tick's submissions.
+  moved_.clear();
   // An error aborts the loop but not the reindex pass below: vehicles
   // committed before the failure must still reach the index, or a
   // caller keeping the system alive would match against stale lists.
   util::Status commit_status;
-  for (size_t i = 0; i < n && commit_status.ok(); ++i) {
+  for (const vehicle::VehicleId id : events_) {
+    if (!commit_status.ok()) break;
+    const auto i = static_cast<size_t>(id);
+    if (system_->fleet().at(id).tree().empty()) {
+      commit_status = MoveIdleVehicle(id, now, budget, /*hops=*/0);
+      continue;
+    }
     MovementOutcome& a = advances_[i];
     commit_status = a.status;
     if (!commit_status.ok()) break;
-    const auto id = static_cast<vehicle::VehicleId>(i);
     if (a.vehicle.has_value()) {
       commit_status = system_->CommitAdvancedVehicle(
           id, *std::move(a.vehicle), a.stops, /*reindex=*/false);
       if (!commit_status.ok()) break;
-      move_dirty_[i] = 1;
+      MarkMoved(id);
       motions_[i] = std::move(a.motion);
       for (const core::AdvanceStop& s : a.stops) {
         const core::StopEvent& event = s.event;
@@ -405,11 +450,8 @@ void Simulator::PrepareReindex(SimulationReport& report) {
   util::WallTimer timer;
   pending_reindex_.clear();
   vehicle::VehicleIndex& index = system_->vehicle_index();
-  const size_t n = move_dirty_.size();
-  for (size_t i = 0; i < n; ++i) {
-    if (!move_dirty_[i]) continue;
-    pending_reindex_.push_back(index.Prepare(
-        system_->fleet().at(static_cast<vehicle::VehicleId>(i))));
+  for (const vehicle::VehicleId id : moved_) {
+    pending_reindex_.push_back(index.Prepare(system_->fleet().at(id)));
   }
   report.index_update_seconds += timer.ElapsedSeconds();
 }
@@ -572,16 +614,16 @@ util::Status Simulator::MoveIdleVehicle(vehicle::VehicleId id, double now,
 
     const roadnet::VertexId from = m.path[m.next - 1];
     const roadnet::VertexId to = m.path[m.next];
-    const roadnet::Weight edge_len = graph.EdgeWeight(from, to);
-    if (edge_len == roadnet::kInfWeight) {
-      return util::Status::Internal(util::StrFormat(
-          "vehicle %d routed over missing edge v%d->v%d", id, from, to));
+    if (m.edge_progress_m == 0.0) {
+      m.edge_len_m = graph.EdgeWeight(from, to);  // entering the edge
+      if (m.edge_len_m == roadnet::kInfWeight) {
+        return util::Status::Internal(util::StrFormat(
+            "vehicle %d routed over missing edge v%d->v%d", id, from, to));
+      }
     }
-    const double remaining = edge_len - m.edge_progress_m;
+    const double remaining = m.edge_len_m - m.edge_progress_m;
     if (budget < remaining) {
-      m.edge_progress_m += budget;
-      m.meters_since_update += budget;
-      budget = 0.0;
+      DriveAlongEdge(m, budget);
       break;
     }
     // Reach the next vertex.
@@ -591,7 +633,7 @@ util::Status Simulator::MoveIdleVehicle(vehicle::VehicleId id, double now,
     ++m.next;
     PTRIDER_RETURN_IF_ERROR(system_->UpdateVehicleLocation(
         id, to, m.meters_since_update, now, {}, /*reindex=*/false));
-    move_dirty_[static_cast<size_t>(id)] = 1;
+    MarkMoved(id);
     m.meters_since_update = 0.0;
     if (m.next >= m.path.size()) {
       m.path.clear();

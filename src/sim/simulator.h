@@ -42,12 +42,14 @@ struct SimulatorOptions {
   /// tick it arrives.
   double batch_window_s = 0.0;
   /// Threads for the per-tick vehicle-movement advance phase (the
-  /// calling thread included; clamped to >= 1). The advance walks every
-  /// vehicle's tick against the frozen pre-tick state on per-thread
-  /// DistanceOracle clones; a sequential commit applies the results in
-  /// vehicle-id order, so the SimulationReport is item-for-item
-  /// identical at every setting (DESIGN.md section 6) — threads only
-  /// buy movement latency at large fleet counts.
+  /// calling thread included; clamped to >= 1). The advance walks each
+  /// serving event's tick (a vehicle with a schedule that does more
+  /// than pass through its current edge) against the frozen pre-tick
+  /// state on per-thread DistanceOracle clones, fanning out only for
+  /// ticks with enough such events; a sequential commit applies the
+  /// results in vehicle-id order, so the SimulationReport is
+  /// item-for-item identical at every setting (DESIGN.md section 6) —
+  /// threads only buy movement latency at large fleet counts.
   int move_jobs = 1;
   /// Stage-pipelining depth of the batched tick engine (DESIGN.md
   /// section 15). 1 = the strictly sequential loop (the reference: same
@@ -199,39 +201,54 @@ class Simulator {
                              const core::MatchResult& match,
                              const core::Option* chosen, double now,
                              SimulationReport& report);
-  /// One tick of fleet movement (`budget` meters per vehicle): parallel
-  /// advance over the frozen tick, then sequential commit in vehicle-id
-  /// order (install scratch state, fold arrival events into `report`,
-  /// finish idle remainders through the RNG). Index re-registrations are
-  /// deferred out of the commit loop: every vehicle that moved is
-  /// re-registered once at the end of the tick, in vehicle-id order per
-  /// shard, shard-concurrently when move_jobs > 1 (DESIGN.md
-  /// section 10).
+  /// One tick of fleet movement (`budget` meters per vehicle). Vehicles
+  /// that stay inside their current edge only take that step; the rest
+  /// are events: serving events advance over the frozen tick (on the
+  /// pool when there are enough of them), then a sequential commit in
+  /// vehicle-id order installs their scratch state, folds arrival events
+  /// into `report` and runs idle events through the RNG (DESIGN.md
+  /// section 6.1). Index re-registrations are deferred out of the commit
+  /// loop: every vehicle that moved is re-registered once at the end of
+  /// the tick, in vehicle-id order per shard, shard-concurrently when
+  /// move_jobs > 1 (DESIGN.md section 10).
   util::Status MovePhase(double now, double budget,
                          SimulationReport& report);
   // --- MovePhase decomposed into pipeline stages ---------------------------
-  // MovePhase is exactly RunAdvance + CommitMove + PrepareReindex +
-  // ApplyReindexNow, in that order with the same timers — the depth-1
-  // composition. The pipelined driver re-assembles the same stages
-  // around overlapped work instead.
-  /// Stage kAdvance: fills advances_ against the frozen tick (parallel
-  /// on move_pool_ when configured). Reads fleet/graph/motions_ only —
-  /// safe concurrently with a read-only match stage.
+  // MovePhase is exactly ListEvents (stepping) + RunAdvance +
+  // CommitMove + PrepareReindex + ApplyReindexNow, in that order — the
+  // depth-1 composition. The pipelined driver re-assembles the same
+  // stages around overlapped work instead.
+  /// The pass-through check over the whole fleet, in id order: fills
+  /// events_ (every vehicle that does not pass through) and
+  /// serving_events_ (those of them with a schedule). With `step`,
+  /// pass-through vehicles take their step here, so this one pass is
+  /// all the tick spends on them; that is valid only when the commit
+  /// follows with no state change in between (after a commit error,
+  /// vehicles past the failure have still taken their step). The
+  /// overlapped window lists without stepping (read-only, beside its
+  /// match) and lists again, stepping, after the match commit.
+  void ListEvents(double budget, bool step, SimulationReport& report);
+  /// Stage kAdvance: fills the advances_ slots of serving_events_
+  /// against the frozen tick, on move_pool_ when there are at least
+  /// kParallelAdvanceMin of them. Reads fleet/graph/motions_ only — safe
+  /// concurrently with a read-only match stage.
   void RunAdvance(double now, double budget, SimulationReport& report);
-  /// Stage kCommitMove: sequential vehicle-id-order commit of advances_
-  /// plus idle walks (the only rng_ consumers), folding arrival events
-  /// into `report` and marking move_dirty_.
-  util::Status CommitMove(double now, SimulationReport& report);
-  /// Recomputes advances_ slots of this window's assigned vehicles:
-  /// their schedules/motions changed in the match commit AFTER the
-  /// overlapped advance ran, and the depth-1 order computes advances
-  /// post-commit. AdvanceVehicle is a pure per-vehicle function, so
-  /// redoing exactly these slots restores bit-identity.
+  /// Stage kCommitMove: sequential vehicle-id-order commit of events_:
+  /// serving events' advances_ and idle walks (the only rng_
+  /// consumers), folding arrival events into `report` and recording
+  /// moved_.
+  util::Status CommitMove(double now, double budget,
+                          SimulationReport& report);
+  /// Recomputes advances_ slots of this window's assigned vehicles that
+  /// do not pass through: their schedules/motions changed in the match
+  /// commit AFTER the overlapped advance ran, and the depth-1 order
+  /// computes advances post-commit. AdvanceVehicle is a pure per-vehicle
+  /// function, so redoing exactly these slots restores bit-identity.
   void RedoAdvance(double now, double budget,
                    const std::vector<core::BatchItem>& items,
                    SimulationReport& report);
-  /// Builds pending_reindex_ (one end-of-tick registration per
-  /// move_dirty_ vehicle, vehicle-id order) for stage kReindex.
+  /// Builds pending_reindex_ (one end-of-tick registration per moved_
+  /// vehicle, vehicle-id order) for stage kReindex.
   void PrepareReindex(SimulationReport& report);
   /// Applies pending_reindex_ inline (the depth < 3 / sequential path).
   void ApplyReindexNow(SimulationReport& report);
@@ -265,6 +282,11 @@ class Simulator {
   /// rng_ consumption in vehicle-id order at every move_jobs setting.
   util::Status MoveIdleVehicle(vehicle::VehicleId id, double now,
                                double budget, int hops);
+  /// Records that `id` changed state this tick. Commits run in id order,
+  /// so moved_ stays ascending and a repeat is always its last entry.
+  void MarkMoved(vehicle::VehicleId id) {
+    if (moved_.empty() || moved_.back() != id) moved_.push_back(id);
+  }
 
   core::PTRider* system_;
   SimulatorOptions options_;
@@ -279,12 +301,18 @@ class Simulator {
   /// clones persist across ticks, created lazily in Run).
   std::unique_ptr<dispatch::WorkerPool> move_pool_;
   /// Per-tick advance results (the outer n-slot vector persists across
-  /// ticks; each slot's buffers are rebuilt by its vehicle's advance).
+  /// ticks; only this tick's serving events' slots are rebuilt, and only
+  /// theirs are read by the commit).
   std::vector<MovementOutcome> advances_;
+  /// This tick's events and, among them, its serving events, ascending
+  /// (ListEvents output).
+  std::vector<vehicle::VehicleId> events_;
+  std::vector<vehicle::VehicleId> serving_events_;
   /// Per-tick movement-commit scratch: which vehicles changed state this
-  /// tick (commit or idle walk) and their end-of-tick registrations,
-  /// applied via dispatch::ApplyReindex after the commit loop.
-  std::vector<char> move_dirty_;
+  /// tick (commit or idle walk), ascending, and their end-of-tick
+  /// registrations, applied via dispatch::ApplyReindex after the commit
+  /// loop.
+  std::vector<vehicle::VehicleId> moved_;
   std::vector<vehicle::PendingUpdate> pending_reindex_;
 
   // --- Pipelined tick engine (pipeline_depth > 1, batched mode) ------------

@@ -52,41 +52,80 @@ void VehicleIndex::Rebalance() {
   // Re-bucket registrations under the new ownership. The per-cell lists
   // and position handles are never touched: each vehicle's full sorted
   // registration is gathered from the old shards (ascending contiguous
-  // ranges, so shard-order concatenation stays sorted) and re-split into
-  // runs along the new boundaries. Iterating the id-dense presence
-  // bitmap — not the unordered maps — keeps the walk deterministic.
-  std::vector<Shard> next(shards);
+  // ranges, so shard-order concatenation stays sorted), its records are
+  // released, and it is re-split into runs along the new boundaries.
+  // Iterating the id-dense presence bitmap keeps the walk, and so every
+  // shard's free-list order, deterministic.
+  struct Gathered {
+    VehicleId id;
+    bool is_empty;
+    size_t begin;
+    size_t end;
+  };
+  std::vector<Gathered> gathered;
+  std::vector<Entry> entries;
   for (size_t slot = 0; slot < registered_.size(); ++slot) {
     if (!registered_[slot]) continue;
-    const VehicleId id = static_cast<VehicleId>(slot);
-    ShardRegistration full;
+    Gathered g{static_cast<VehicleId>(slot), true, entries.size(), 0};
     for (Shard& sh : shards_) {
-      const auto it = sh.reg.find(id);
-      if (it == sh.reg.end()) continue;
-      full.is_empty = it->second.is_empty;
-      full.cells.insert(full.cells.end(), it->second.cells.begin(),
-                        it->second.cells.end());
-      full.pos.insert(full.pos.end(), it->second.pos.begin(),
-                      it->second.pos.end());
+      const ShardRegistration* reg = sh.Find(g.id);
+      if (reg == nullptr) continue;
+      g.is_empty = reg->is_empty;
+      const std::span<const Entry> run = reg->entries();
+      entries.insert(entries.end(), run.begin(), run.end());
+      sh.Release(g.id);
     }
-    size_t i = 0;
-    while (i < full.cells.size()) {
-      const uint32_t s = ShardOfCell(full.cells[i]);
+    g.end = entries.size();
+    gathered.push_back(g);
+  }
+  std::vector<Entry> part;
+  for (const Gathered& g : gathered) {
+    size_t i = g.begin;
+    while (i < g.end) {
+      const uint32_t s = ShardOfCell(entries[i].cell);
       size_t j = i;
-      while (j < full.cells.size() && ShardOfCell(full.cells[j]) == s) {
-        ++j;
-      }
-      ShardRegistration part;
-      part.is_empty = full.is_empty;
-      part.cells.assign(full.cells.begin() + static_cast<ptrdiff_t>(i),
-                        full.cells.begin() + static_cast<ptrdiff_t>(j));
-      part.pos.assign(full.pos.begin() + static_cast<ptrdiff_t>(i),
-                      full.pos.begin() + static_cast<ptrdiff_t>(j));
-      next[s].reg.emplace(id, std::move(part));
+      while (j < g.end && ShardOfCell(entries[j].cell) == s) ++j;
+      ShardRegistration& reg = shards_[s].Acquire(g.id);
+      reg.is_empty = g.is_empty;
+      part.assign(entries.begin() + static_cast<ptrdiff_t>(i),
+                  entries.begin() + static_cast<ptrdiff_t>(j));
+      reg.Assign(part);
       i = j;
     }
   }
-  shards_ = std::move(next);
+}
+
+void VehicleIndex::ShardRegistration::Assign(std::vector<Entry>& next) {
+  size = static_cast<uint32_t>(next.size());
+  if (size == 1) {
+    single = next.front();
+    spill.clear();
+  } else {
+    spill.swap(next);
+  }
+}
+
+VehicleIndex::ShardRegistration& VehicleIndex::Shard::Acquire(VehicleId id) {
+  const auto i = static_cast<size_t>(id);
+  if (i >= slot.size()) slot.resize(i + 1, kNoRecord);
+  assert(slot[i] == kNoRecord);
+  if (free.empty()) {
+    slot[i] = static_cast<uint32_t>(pool.size());
+    pool.emplace_back();
+  } else {
+    slot[i] = free.back();
+    free.pop_back();
+  }
+  return pool[slot[i]];
+}
+
+void VehicleIndex::Shard::Release(VehicleId id) {
+  const auto i = static_cast<size_t>(id);
+  ShardRegistration& reg = pool[slot[i]];
+  reg.size = 0;
+  reg.spill.clear();  // capacity kept for the record's next owner
+  free.push_back(slot[i]);
+  slot[i] = kNoRecord;
 }
 
 void VehicleIndex::MaybeRebalance() {
@@ -155,11 +194,12 @@ void VehicleIndex::RemoveEntry(std::vector<std::vector<VehicleId>>& lists,
     // Fix the moved entry's handle. Its owner is registered in this very
     // shard (the entry lives in a cell this shard owns), so no
     // cross-shard state is touched.
-    ShardRegistration& mr = shards_[shard].reg.at(moved);
-    const auto it =
-        std::lower_bound(mr.cells.begin(), mr.cells.end(), cell);
-    assert(it != mr.cells.end() && *it == cell);
-    mr.pos[static_cast<size_t>(it - mr.cells.begin())] = pos;
+    ShardRegistration* mr = shards_[shard].Find(moved);
+    assert(mr != nullptr);
+    const std::span<Entry> run = mr->entries();
+    const auto it = std::ranges::lower_bound(run, cell, {}, &Entry::cell);
+    assert(it != run.end() && it->cell == cell);
+    it->pos = pos;
   }
 }
 
@@ -188,60 +228,64 @@ void VehicleIndex::ApplyShard(const PendingUpdate& u, uint32_t shard) {
     ++last;
   }
 
-  const auto old_it = sh.reg.find(u.id);
-  if (old_it == sh.reg.end() && first == last) return;  // shard untouched
-
-  ShardRegistration next;
-  next.is_empty = u.is_empty;
-  next.cells.assign(u.cells.begin() + static_cast<ptrdiff_t>(first),
-                    u.cells.begin() + static_cast<ptrdiff_t>(last));
-  next.pos.resize(next.cells.size());
-
-  if (old_it == sh.reg.end()) {
+  const std::span<const roadnet::CellId> cells(u.cells.data() + first,
+                                               last - first);
+  std::vector<Entry>& next = sh.next;
+  next.clear();
+  ShardRegistration* old = sh.Find(u.id);
+  if (old == nullptr) {
+    if (cells.empty()) return;  // shard untouched
     auto& lists = u.is_empty ? empty_lists_ : non_empty_lists_;
-    for (size_t j = 0; j < next.cells.size(); ++j) {
-      next.pos[j] = AppendEntry(lists, next.cells[j], u.id);
+    for (const roadnet::CellId c : cells) {
+      next.push_back({c, AppendEntry(lists, c, u.id)});
     }
-    sh.reg.emplace(u.id, std::move(next));
+    ShardRegistration& reg = sh.Acquire(u.id);
+    reg.is_empty = u.is_empty;
+    reg.Assign(next);
     return;
   }
-
-  ShardRegistration& old = old_it->second;
-  const bool kind_changed = old.is_empty != u.is_empty;
-  auto& old_lists = old.is_empty ? empty_lists_ : non_empty_lists_;
+  const std::span<const Entry> prev = old->entries();
+  const bool kind_changed = old->is_empty != u.is_empty;
+  if (!kind_changed && std::ranges::equal(prev, cells, {}, &Entry::cell)) {
+    // Same kind, same cells: the merge below would keep every entry at
+    // its position, so returning leaves identical lists.
+    return;
+  }
+  auto& old_lists = old->is_empty ? empty_lists_ : non_empty_lists_;
   auto& new_lists = u.is_empty ? empty_lists_ : non_empty_lists_;
 
-  // Merge-walk the sorted old and new in-shard cell runs: entries only
-  // in the old registration are removed, only in the new one appended,
-  // and unchanged ones keep their list position (unless the vehicle
-  // switched list kinds, which moves every entry).
+  // Merge-walk the sorted old entries and new in-shard cells into the
+  // shard's scratch: entries only in the old registration are removed,
+  // only in the new one appended, and unchanged ones keep their list
+  // position (unless the vehicle switched list kinds, which moves every
+  // entry). RemoveEntry fixes other vehicles' records only — this
+  // vehicle has one entry per list — and nothing here grows the pool, so
+  // `old` and `prev` stay valid throughout.
   size_t i = 0;
   size_t j = 0;
-  while (i < old.cells.size() || j < next.cells.size()) {
-    if (j == next.cells.size() ||
-        (i < old.cells.size() && old.cells[i] < next.cells[j])) {
-      RemoveEntry(old_lists, old.cells[i], old.pos[i], shard);
+  while (i < prev.size() || j < cells.size()) {
+    if (j == cells.size() ||
+        (i < prev.size() && prev[i].cell < cells[j])) {
+      RemoveEntry(old_lists, prev[i].cell, prev[i].pos, shard);
       ++i;
-    } else if (i == old.cells.size() || next.cells[j] < old.cells[i]) {
-      next.pos[j] = AppendEntry(new_lists, next.cells[j], u.id);
+    } else if (i == prev.size() || cells[j] < prev[i].cell) {
+      next.push_back({cells[j], AppendEntry(new_lists, cells[j], u.id)});
       ++j;
     } else {
       if (kind_changed) {
-        RemoveEntry(old_lists, old.cells[i], old.pos[i], shard);
-        next.pos[j] = AppendEntry(new_lists, next.cells[j], u.id);
+        RemoveEntry(old_lists, prev[i].cell, prev[i].pos, shard);
+        next.push_back({cells[j], AppendEntry(new_lists, cells[j], u.id)});
       } else {
-        next.pos[j] = old.pos[i];
+        next.push_back(prev[i]);
       }
       ++i;
       ++j;
     }
   }
 
-  if (next.cells.empty()) {
-    sh.reg.erase(old_it);
-  } else {
-    old_it->second = std::move(next);
-  }
+  old->is_empty = u.is_empty;
+  old->Assign(next);
+  if (old->size == 0) sh.Release(u.id);
 }
 
 void VehicleIndex::Remove(VehicleId id) {
@@ -250,14 +294,13 @@ void VehicleIndex::Remove(VehicleId id) {
   if (slot >= registered_.size() || !registered_[slot]) return;
   for (uint32_t s = 0; s < shards_.size(); ++s) {
     Shard& sh = shards_[s];
-    const auto it = sh.reg.find(id);
-    if (it == sh.reg.end()) continue;
-    ShardRegistration& reg = it->second;
-    auto& lists = reg.is_empty ? empty_lists_ : non_empty_lists_;
-    for (size_t i = 0; i < reg.cells.size(); ++i) {
-      RemoveEntry(lists, reg.cells[i], reg.pos[i], s);
+    const ShardRegistration* reg = sh.Find(id);
+    if (reg == nullptr) continue;
+    auto& lists = reg->is_empty ? empty_lists_ : non_empty_lists_;
+    for (const Entry& e : reg->entries()) {
+      RemoveEntry(lists, e.cell, e.pos, s);
     }
-    sh.reg.erase(it);
+    sh.Release(id);
   }
   registered_[slot] = 0;
   --num_registered_;
@@ -269,10 +312,9 @@ std::vector<roadnet::CellId> VehicleIndex::RegisteredCells(
   // Shards own ascending contiguous cell ranges, so concatenating the
   // per-shard sorted runs in shard order keeps the result sorted.
   for (const Shard& sh : shards_) {
-    const auto it = sh.reg.find(id);
-    if (it == sh.reg.end()) continue;
-    cells.insert(cells.end(), it->second.cells.begin(),
-                 it->second.cells.end());
+    const ShardRegistration* reg = sh.Find(id);
+    if (reg == nullptr) continue;
+    for (const Entry& e : reg->entries()) cells.push_back(e.cell);
   }
   return cells;
 }

@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "roadnet/grid_index.h"
@@ -43,7 +42,7 @@ struct PendingUpdate {
 ///
 /// The index is sharded by grid region: cells are partitioned into
 /// `num_shards` contiguous ranges, and all mutable state (registration
-/// maps, position handles, the per-cell lists themselves) is owned by
+/// records, position handles, the per-cell lists themselves) is owned by
 /// exactly one shard. ApplyShard calls for DISTINCT shards touch disjoint
 /// state and may run concurrently; calls within one shard must be
 /// serialized and issued in the same update order on every shard, which
@@ -85,7 +84,10 @@ class VehicleIndex {
 
   /// Applies the part of `u` owned by `shard`: diffs the vehicle's old
   /// in-shard registration against u's in-shard cells, removing, adding
-  /// or keeping entries (kept entries keep their list positions).
+  /// or keeping entries (kept entries keep their list positions). An
+  /// update whose kind and in-shard cells are unchanged returns before
+  /// touching anything — the diff would keep every entry in place. Never
+  /// hashes, and allocates only while a shard's arrays are still growing.
   /// Thread-safe across DISTINCT shards; within a shard, calls must be
   /// serialized and ordered like the sequential reference.
   void ApplyShard(const PendingUpdate& u, uint32_t shard);
@@ -141,16 +143,63 @@ class VehicleIndex {
   size_t size() const { return num_registered_; }
 
  private:
-  /// Per-shard slice of one vehicle's registration. `pos[i]` is the
-  /// index of the vehicle's entry in cells[i]'s list — O(1) unregister.
+  /// One list entry of a registration: the cell, and the index of the
+  /// vehicle's entry in that cell's list — the O(1) unregister handle.
+  struct Entry {
+    roadnet::CellId cell;
+    uint32_t pos;
+  };
+  /// Per-shard slice of one vehicle's registration: its in-shard
+  /// entries, sorted by cell. A lone entry — an empty vehicle's whole
+  /// registration — is stored inline, so the common update reads no heap
+  /// block beyond the record; longer runs live in `spill`.
   struct ShardRegistration {
     bool is_empty = true;
-    std::vector<roadnet::CellId> cells;  // sorted, all owned by the shard
-    std::vector<uint32_t> pos;           // aligned with cells
+    uint32_t size = 0;
+    Entry single{};
+    std::vector<Entry> spill;  // the entries iff size > 1
+
+    std::span<Entry> entries() {
+      return size == 1 ? std::span<Entry>(&single, 1)
+                       : std::span<Entry>(spill);
+    }
+    std::span<const Entry> entries() const {
+      return const_cast<ShardRegistration*>(this)->entries();
+    }
+    /// Installs `next` as the entries. `next` receives the old spill
+    /// storage, so neither side allocates once capacities have grown.
+    void Assign(std::vector<Entry>& next);
   };
-  struct Shard {
-    std::unordered_map<VehicleId, ShardRegistration> reg;
+  /// One shard's registrations: `slot[id]` names the vehicle's record in
+  /// `pool` (kNoRecord: no cell in this shard). Released records go on
+  /// `free` with their capacity kept, and ApplyShard builds the next
+  /// registration in the `next` scratch and swaps it into the record, so
+  /// a steady-state update allocates nothing. All of it belongs to this
+  /// shard alone (cache-line aligned, so neighbouring shards do not even
+  /// share lines): ApplyShard calls on different shards touch disjoint
+  /// memory.
+  struct alignas(64) Shard {
+    std::vector<uint32_t> slot;
+    std::vector<ShardRegistration> pool;
+    std::vector<uint32_t> free;
+    std::vector<Entry> next;
+
+    /// `id`'s record in this shard, or null.
+    ShardRegistration* Find(VehicleId id) {
+      const auto i = static_cast<size_t>(id);
+      return i < slot.size() && slot[i] != kNoRecord ? &pool[slot[i]]
+                                                     : nullptr;
+    }
+    const ShardRegistration* Find(VehicleId id) const {
+      return const_cast<Shard*>(this)->Find(id);
+    }
+    /// A record for `id`, which must have none here; it has no entries.
+    /// May grow `pool`, invalidating record pointers.
+    ShardRegistration& Acquire(VehicleId id);
+    /// Returns `id`'s record to the free list.
+    void Release(VehicleId id);
   };
+  static constexpr uint32_t kNoRecord = UINT32_MAX;
 
   /// Swap-with-back removal of `id` at `pos` in `cell`'s list, fixing
   /// the moved entry's handle (the moved vehicle is registered in the

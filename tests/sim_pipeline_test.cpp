@@ -169,7 +169,10 @@ INSTANTIATE_TEST_SUITE_P(
 // concurrently — the pipelined engine's commit rule. This drives two
 // genuinely concurrent ApplyShard lanes through the vehicle index
 // (under TSan in CI) and then proves the lists equal a sequential
-// application on a twin index.
+// application on a twin index. A first round registers the vehicles; a
+// second round moves every one of them within its lane's shards, so the
+// lanes also run the merge, the drop of a record from a shard and the
+// re-use of freed records concurrently.
 TEST(PipelineShardCommitTest, DisjointShardBatchesCommitConcurrently) {
   roadnet::CityGridOptions gopts;
   gopts.rows = 10;
@@ -222,8 +225,6 @@ TEST(PipelineShardCommitTest, DisjointShardBatchesCommitConcurrently) {
   // Concurrent: per-batch bookkeeping on this thread, then one thread
   // per batch applying only its own shards — exactly the floated-lane
   // shape. The ownership tokens assert if the lanes ever collide.
-  concurrent.BeginBatch(low);
-  concurrent.BeginBatch(high);
   const auto lane = [&](const std::vector<vehicle::PendingUpdate>& batch,
                         uint64_t mask) {
     for (uint32_t s = 0; s < concurrent.num_shards(); ++s) {
@@ -235,16 +236,63 @@ TEST(PipelineShardCommitTest, DisjointShardBatchesCommitConcurrently) {
   };
   const uint64_t low_mask = dispatch::ReindexShardMask(concurrent, low);
   const uint64_t high_mask = dispatch::ReindexShardMask(concurrent, high);
-  std::thread t1([&] { lane(low, low_mask); });
-  std::thread t2([&] { lane(high, high_mask); });
-  t1.join();
-  t2.join();
+  const auto run_lanes = [&](const std::vector<vehicle::PendingUpdate>& a,
+                             const std::vector<vehicle::PendingUpdate>& b) {
+    concurrent.BeginBatch(a);
+    concurrent.BeginBatch(b);
+    std::thread t1([&] { lane(a, low_mask); });
+    std::thread t2([&] { lane(b, high_mask); });
+    t1.join();
+    t2.join();
+  };
+  const auto expect_lists_equal = [&] {
+    for (roadnet::CellId c = 0; c < (*sys)->grid().NumCells(); ++c) {
+      SCOPED_TRACE("cell " + std::to_string(c));
+      EXPECT_EQ(concurrent.EmptyVehicles(c), sequential.EmptyVehicles(c));
+      EXPECT_EQ(concurrent.NonEmptyVehicles(c),
+                sequential.NonEmptyVehicles(c));
+    }
+  };
+  run_lanes(low, high);
+  expect_lists_equal();
 
+  // Second round: every vehicle moves to another cell of its lane's
+  // shards. Even positions switch to the lane's other shard — the old
+  // shard drops the vehicle's record onto its free list, and a vehicle
+  // entering that shard later in the batch re-registers into it — and
+  // odd positions move to another cell of their own shard (the merge).
+  std::vector<std::vector<roadnet::CellId>> cells_of_shard(4);
   for (roadnet::CellId c = 0; c < (*sys)->grid().NumCells(); ++c) {
-    SCOPED_TRACE("cell " + std::to_string(c));
-    EXPECT_EQ(concurrent.EmptyVehicles(c), sequential.EmptyVehicles(c));
-    EXPECT_EQ(concurrent.NonEmptyVehicles(c),
-              sequential.NonEmptyVehicles(c));
+    cells_of_shard[concurrent.ShardOfCell(c)].push_back(c);
+  }
+  const auto move_lane = [&](const std::vector<vehicle::PendingUpdate>& batch,
+                             uint32_t first_shard) {
+    std::vector<vehicle::PendingUpdate> moved;
+    for (size_t k = 0; k < batch.size(); ++k) {
+      const roadnet::CellId from = batch[k].cells.front();
+      const uint32_t shard = concurrent.ShardOfCell(from);
+      const uint32_t target =
+          k % 2 == 0 ? first_shard + (shard == first_shard ? 1 : 0) : shard;
+      const std::vector<roadnet::CellId>& options = cells_of_shard[target];
+      roadnet::CellId to = options[(7 * k + 3) % options.size()];
+      if (to == from) to = options[(7 * k + 4) % options.size()];
+      moved.push_back(vehicle::PendingUpdate{batch[k].id, true, {to}});
+    }
+    return moved;
+  };
+  const std::vector<vehicle::PendingUpdate> low2 = move_lane(low, 0);
+  const std::vector<vehicle::PendingUpdate> high2 = move_lane(high, 2);
+  ASSERT_EQ(dispatch::ReindexShardMask(concurrent, low2) & ~low_mask, 0u);
+  ASSERT_EQ(dispatch::ReindexShardMask(concurrent, high2) & ~high_mask, 0u);
+  sequential.ApplyBatch(low2);
+  sequential.ApplyBatch(high2);
+  run_lanes(low2, high2);
+  expect_lists_equal();
+  for (const auto* batch : {&low2, &high2}) {
+    for (const vehicle::PendingUpdate& u : *batch) {
+      EXPECT_EQ(concurrent.RegisteredCells(u.id), u.cells)
+          << "vehicle " << u.id;
+    }
   }
 }
 

@@ -149,7 +149,83 @@ TEST_F(VehicleIndexTest, ShardMappingIsContiguousAndCoversAllShards) {
 // headline: every shard count produces bit-identical lists for the same
 // operation sequence (the per-cell operation order is shard-independent,
 // DESIGN.md section 10). Exercised over random fleets of teleporting,
-// committing and vanishing vehicles across several seeds.
+// committing, vanishing, re-registered and unchanged re-submitted
+// vehicles across several seeds — and every index must equal a plain
+// per-cell reference model element for element, so an optimization that
+// reorders a list (say, a wrong early return) fails even when all shard
+// counts agree with each other.
+
+/// The list semantics spelled out with nothing but vectors: removal is
+/// swap-with-back at the entry's position, a new cell appends, and a kept
+/// entry (same cell, same list kind) stays where it is.
+class ReferenceLists {
+ public:
+  explicit ReferenceLists(size_t cells)
+      : empty_(cells), non_empty_(cells) {}
+
+  void Update(const PendingUpdate& u) {
+    const auto it = reg_.find(u.id);
+    if (it != reg_.end()) {
+      const Registration& old = it->second;
+      const bool kind_changed = old.is_empty != u.is_empty;
+      for (const roadnet::CellId c : old.cells) {
+        if (kind_changed || !Contains(u.cells, c)) {
+          Erase(Lists(old.is_empty)[static_cast<size_t>(c)], u.id);
+        }
+      }
+      for (const roadnet::CellId c : u.cells) {
+        if (kind_changed || !Contains(old.cells, c)) {
+          Lists(u.is_empty)[static_cast<size_t>(c)].push_back(u.id);
+        }
+      }
+    } else {
+      for (const roadnet::CellId c : u.cells) {
+        Lists(u.is_empty)[static_cast<size_t>(c)].push_back(u.id);
+      }
+    }
+    reg_[u.id] = Registration{u.is_empty, u.cells};
+  }
+
+  void Remove(VehicleId id) {
+    const auto it = reg_.find(id);
+    if (it == reg_.end()) return;
+    for (const roadnet::CellId c : it->second.cells) {
+      Erase(Lists(it->second.is_empty)[static_cast<size_t>(c)], id);
+    }
+    reg_.erase(it);
+  }
+
+  const std::vector<VehicleId>& EmptyVehicles(roadnet::CellId c) const {
+    return empty_[static_cast<size_t>(c)];
+  }
+  const std::vector<VehicleId>& NonEmptyVehicles(roadnet::CellId c) const {
+    return non_empty_[static_cast<size_t>(c)];
+  }
+
+ private:
+  struct Registration {
+    bool is_empty = true;
+    std::vector<roadnet::CellId> cells;
+  };
+
+  static bool Contains(const std::vector<roadnet::CellId>& cells,
+                       roadnet::CellId c) {
+    return std::find(cells.begin(), cells.end(), c) != cells.end();
+  }
+  static void Erase(std::vector<VehicleId>& list, VehicleId id) {
+    const auto it = std::find(list.begin(), list.end(), id);
+    ASSERT_NE(it, list.end());
+    *it = list.back();
+    list.pop_back();
+  }
+  std::vector<std::vector<VehicleId>>& Lists(bool is_empty) {
+    return is_empty ? empty_ : non_empty_;
+  }
+
+  std::vector<std::vector<VehicleId>> empty_;
+  std::vector<std::vector<VehicleId>> non_empty_;
+  std::map<VehicleId, Registration> reg_;
+};
 
 class VehicleIndexChurnTest : public ::testing::TestWithParam<uint64_t> {};
 
@@ -173,6 +249,7 @@ TEST_P(VehicleIndexChurnTest, ConsistencyAndShardedEqualsUnsharded) {
   std::vector<VehicleIndex> indexes;
   indexes.reserve(shard_counts.size());
   for (const size_t s : shard_counts) indexes.emplace_back(*grid, s);
+  ReferenceLists reference(static_cast<size_t>(grid->NumCells()));
 
   constexpr int kVehicles = 16;
   std::vector<std::optional<Vehicle>> fleet(kVehicles);
@@ -238,18 +315,49 @@ TEST_P(VehicleIndexChurnTest, ConsistencyAndShardedEqualsUnsharded) {
     }
   };
 
+  // Every index, at every shard count, against the reference model.
+  const auto check_reference = [&] {
+    for (size_t k = 0; k < indexes.size(); ++k) {
+      SCOPED_TRACE("shards " + std::to_string(shard_counts[k]));
+      for (roadnet::CellId c = 0; c < grid->NumCells(); ++c) {
+        ASSERT_EQ(indexes[k].EmptyVehicles(c), reference.EmptyVehicles(c))
+            << "cell " << c;
+        ASSERT_EQ(indexes[k].NonEmptyVehicles(c),
+                  reference.NonEmptyVehicles(c))
+            << "cell " << c;
+      }
+    }
+  };
+
   for (int step = 0; step < 400; ++step) {
     SCOPED_TRACE("step " + std::to_string(step));
     const auto id =
         static_cast<VehicleId>(rng.UniformInt(0, kVehicles - 1));
-    const int64_t op = rng.UniformInt(0, 9);
+    const int64_t op = rng.UniformInt(0, 11);
+    Vehicle* v = fleet[static_cast<size_t>(id)].has_value()
+                     ? &*fleet[static_cast<size_t>(id)]
+                     : nullptr;
     if (op < 2) {
       for (VehicleIndex& index : indexes) index.Remove(id);
+      reference.Remove(id);
       fleet[static_cast<size_t>(id)].reset();
+    } else if (op >= 10 && v != nullptr) {
+      if (op == 11) {
+        // Remove and register again: the index must hand the vehicle a
+        // record from its shards' free lists.
+        for (VehicleIndex& index : indexes) index.Remove(id);
+        reference.Remove(id);
+      }
+      // Register `v` again. After op 10 this re-submits an unchanged
+      // registration: it still counts as an update, and must leave
+      // every list exactly as it was.
+      for (VehicleIndex& index : indexes) {
+        const uint64_t before = index.update_count();
+        index.Update(*v);
+        EXPECT_EQ(index.update_count(), before + 1);
+      }
+      reference.Update(indexes[0].Prepare(*v));
     } else {
-      Vehicle* v = fleet[static_cast<size_t>(id)].has_value()
-                       ? &*fleet[static_cast<size_t>(id)]
-                       : nullptr;
       if (op < 8 || v == nullptr) {
         // Teleport: fresh empty vehicle at a random vertex (also the
         // empty -> non-empty -> empty kind flips).
@@ -279,7 +387,10 @@ TEST_P(VehicleIndexChurnTest, ConsistencyAndShardedEqualsUnsharded) {
       for (VehicleIndex& index : indexes) {
         index.Update(*fleet[static_cast<size_t>(id)]);
       }
+      reference.Update(
+          indexes[0].Prepare(*fleet[static_cast<size_t>(id)]));
     }
+    check_reference();
     if (step % 40 == 0) {
       for (const VehicleIndex& index : indexes) check_consistency(index);
       check_shard_equality();
