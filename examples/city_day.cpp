@@ -6,7 +6,7 @@
 //
 // Usage:  ./build/examples/example_city_day [taxis] [trips] [hours]
 //             [--jobs N] [--batch-window S] [--move-jobs N]
-//             [--index-shards N] [--pipeline-depth N]
+//             [--index-shards N]
 //             [--sp-algo dijkstra|bidirectional|astar|ch]
 //             [--snapshot FILE]
 // Defaults: 150 taxis, 2000 trips, 4 hours, sequential per-request
@@ -18,12 +18,8 @@
 // commit-side re-registrations apply shard-concurrently; `--sp-algo`
 // picks the distance oracle's point-to-point engine (`ch` preprocesses
 // a contraction hierarchy once, shared by every worker thread's oracle
-// clone); `--pipeline-depth` stage-pipelines the tick engine (2 overlaps
-// window matching with movement, 3 also floats reindex batches across
-// ticks — DESIGN.md section 15). Results are identical for every
-// `--jobs` / `--move-jobs` /
-// `--index-shards` / `--pipeline-depth` value — only the wall clock
-// moves — and for every
+// clone). Results are identical for every `--jobs` / `--move-jobs` /
+// `--index-shards` value — only the wall clock moves — and for every
 // `--sp-algo` except `bidirectional`, whose half-path sums can differ
 // in the last float bit (DESIGN.md section 7). `--snapshot FILE` skips
 // city generation and all index preprocessing by memory-mapping a file
@@ -53,7 +49,6 @@ int main(int argc, char** argv) {
   int jobs = 0;
   int move_jobs = 1;
   int index_shards = 1;
-  int pipeline_depth = 1;
   double batch_window_s = 0.0;
   std::string snapshot_path;
   roadnet::SpAlgorithm sp_algo = roadnet::SpAlgorithm::kAStar;
@@ -70,7 +65,6 @@ int main(int argc, char** argv) {
     const bool is_jobs = std::strcmp(argv[i], "--jobs") == 0;
     const bool is_move_jobs = std::strcmp(argv[i], "--move-jobs") == 0;
     const bool is_shards = std::strcmp(argv[i], "--index-shards") == 0;
-    const bool is_depth = std::strcmp(argv[i], "--pipeline-depth") == 0;
     const bool is_window = std::strcmp(argv[i], "--batch-window") == 0;
     if (std::strcmp(argv[i], "--sp-algo") == 0) {
       if (i + 1 >= argc) {
@@ -86,7 +80,7 @@ int main(int argc, char** argv) {
       }
       continue;
     }
-    if (is_jobs || is_move_jobs || is_shards || is_depth || is_window) {
+    if (is_jobs || is_move_jobs || is_shards || is_window) {
       if (i + 1 >= argc) {
         std::fprintf(stderr, "%s needs a value\n", argv[i]);
         return 1;
@@ -100,15 +94,12 @@ int main(int argc, char** argv) {
         move_jobs = static_cast<int>(std::strtol(value, &end, 10));
       } else if (is_shards) {
         index_shards = static_cast<int>(std::strtol(value, &end, 10));
-      } else if (is_depth) {
-        pipeline_depth = static_cast<int>(std::strtol(value, &end, 10));
       } else {
         batch_window_s = std::strtod(value, &end);
       }
       if (end == value || *end != '\0' || (is_jobs && jobs < 0) ||
           (is_move_jobs && move_jobs < 1) ||
           (is_shards && index_shards < 1) ||
-          (is_depth && pipeline_depth < 1) ||
           (is_window && batch_window_s < 0.0)) {
         std::fprintf(stderr, "%s: bad value '%s'\n", flag, value);
         return 1;
@@ -212,20 +203,14 @@ int main(int argc, char** argv) {
   } else {
     std::printf("Dispatch: per-request (seed behavior)\n");
   }
-  std::printf("Movement: %d thread(s), vehicle index in %zu shard(s)\n",
+  std::printf("Movement: %d thread(s), vehicle index in %zu shard(s)\n\n",
               move_jobs, pt.vehicle_index().num_shards());
-  std::printf("Pipeline: depth %d%s\n\n", pipeline_depth,
-              pipeline_depth >= 3
-                  ? " (overlapped match, floated reindex)"
-                  : (pipeline_depth == 2 ? " (overlapped match)"
-                                         : " (sequential tick loop)"));
 
   sim::SimulatorOptions sopts;
   sopts.verbose = true;
   sopts.choice.model = sim::RiderChoiceModel::kWeightedUtility;
   sopts.batch_window_s = batch_window_s;
   sopts.move_jobs = move_jobs;
-  sopts.pipeline_depth = pipeline_depth;
   sim::Simulator simulator(pt, sopts);
   auto report = simulator.Run(*trace);
   if (!report.ok()) {

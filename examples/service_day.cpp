@@ -7,7 +7,6 @@
 //
 // Usage:  ./build/examples/example_service_day [taxis] [rate_per_min] [minutes]
 //             [--wall-clock] [--virtual-clock] [--jobs N] [--move-jobs N]
-//             [--pipeline-depth N]
 //             [--queue-cap N] [--deadline S] [--assign-cost S]
 //             [--quote-cost S] [--window S] [--speedup X] [--verbose]
 //             [--snapshot FILE]
@@ -76,8 +75,6 @@ int main(int argc, char** argv) {
       dispatch_jobs = static_cast<int>(next());
     } else if (arg == "--move-jobs") {
       opts.move_jobs = static_cast<int>(next());
-    } else if (arg == "--pipeline-depth") {
-      opts.pipeline_depth = static_cast<int>(next());
     } else if (arg == "--queue-cap") {
       opts.queue_capacity = static_cast<size_t>(next());
     } else if (arg == "--deadline") {
@@ -211,12 +208,12 @@ int main(int argc, char** argv) {
 
   std::printf(
       "service_day: %zu taxis, %.0f req/min for %.0f min, window %.1fs, "
-      "queue %zu, deadline %.1fs, %s clock, pipeline depth %d, "
-      "ladder %s, zones %zu, retries %d\n",
+      "queue %zu, deadline %.1fs, %s clock, ladder %s, zones %zu, "
+      "retries %d\n",
       taxis, rate_per_min, minutes, opts.batch_window_s, opts.queue_capacity,
       opts.shed_deadline_s, opts.virtual_clock ? "virtual" : "wall",
-      opts.pipeline_depth, opts.ladder.enabled ? "on" : "off",
-      opts.zone_admission.zones, opts.ingest_retry.max_attempts);
+      opts.ladder.enabled ? "on" : "off", opts.zone_admission.zones,
+      opts.ingest_retry.max_attempts);
 
   service::DispatchService server(*system, opts);
 

@@ -221,10 +221,9 @@ class PTRider {
   /// Vehicle currently serving `id`, or kInvalidVehicle.
   vehicle::VehicleId AssignedVehicle(vehicle::RequestId id) const;
 
-  /// The const capability view the pipelined tick engine hands its
-  /// overlapped match stage (DESIGN.md section 15). Valid only while no
-  /// mutating call overlaps — the pipeline driver guarantees that by
-  /// joining the stage before any commit.
+  /// The const capability view the parallel dispatcher's match phase
+  /// reads through (DESIGN.md section 5.2). Valid only while no mutating
+  /// call overlaps — the dispatcher's phase 1 ends before its commits.
   SnapshotView Frozen() const;
 
  private:
@@ -255,13 +254,13 @@ class PTRider {
   std::unordered_map<vehicle::RequestId, Assignment> assignments_;
 };
 
-/// A const capability view over the system: exactly what a concurrently
-/// running match stage may read, and nothing it could mutate. The
-/// pipelined tick engine (DESIGN.md section 15) overlaps a window's
-/// sharded match with the same tick's movement advance; stage code that
-/// holds only a SnapshotView cannot call ChooseOption, vehicle updates
-/// or any other mutator by construction, so the frozen-snapshot contract
-/// of the overlap is a compile-time fact rather than a comment. The view
+/// A const capability view over the system: exactly what concurrently
+/// running matches may read, and nothing they could mutate. The
+/// parallel dispatcher's phase 1 (DESIGN.md section 5.2) matches a whole
+/// window on worker threads against the frozen pre-batch state; code
+/// that holds only a SnapshotView cannot call ChooseOption, vehicle
+/// updates or any other mutator by construction, so the frozen-snapshot
+/// contract is a compile-time fact rather than a comment. The view
 /// borrows the system; the caller keeps it alive and un-mutated for the
 /// view's lifetime.
 class SnapshotView {

@@ -16,41 +16,40 @@ ParallelDispatcher::ParallelDispatcher(core::PTRider& system,
                                        size_t num_threads)
     : system_(&system), sequential_(system), pool_(system, num_threads) {}
 
+namespace {
+
+/// Id corner cases (a request id already assigned, or the same id twice
+/// in one batch) make SubmitRequest's AlreadyExists screen depend on
+/// which earlier batch members committed — state phase 1 cannot see.
+bool HasDegenerateIds(const core::PTRider& system,
+                      const std::vector<vehicle::Request>& batch) {
+  std::unordered_set<vehicle::RequestId> ids;
+  ids.reserve(batch.size());
+  for (const vehicle::Request& r : batch) {
+    if (system.IsAssigned(r.id) || !ids.insert(r.id).second) return true;
+  }
+  return false;
+}
+
+}  // namespace
+
 util::Result<std::vector<core::BatchItem>> ParallelDispatcher::Dispatch(
     std::vector<vehicle::Request> batch, double now_s,
     const core::BatchChooser& chooser) {
   if (!chooser) {
     return util::Status::InvalidArgument("batch dispatch needs a chooser");
   }
-  if (PrepareMatch(std::move(batch), now_s)) RunMatch();
-  return CommitMatch(chooser);
-}
-
-bool ParallelDispatcher::PrepareMatch(std::vector<vehicle::Request> batch,
-                                      double now_s) {
-  staged_ = Staged{};
-  staged_.now_s = now_s;
   core::Dispatcher::SortBySubmitOrder(batch);
   const size_t n = batch.size();
 
-  // Id corner cases (a request id already assigned, or the same id twice
-  // in one batch) make SubmitRequest's AlreadyExists screen depend on
-  // which earlier batch members committed — state phase 1 cannot see.
-  // They cannot occur in normal operation (the simulator issues unique
-  // ids); route such batches through the sequential reference wholesale.
-  // Checked before any pricing mutation so the fallback replays the
-  // exact sequence the reference would have.
-  {
-    std::unordered_set<vehicle::RequestId> ids;
-    ids.reserve(n);
-    for (const vehicle::Request& r : batch) {
-      if (system_->IsAssigned(r.id) || !ids.insert(r.id).second) {
-        staged_.batch = std::move(batch);
-        staged_.fallback = true;
-        staged_.armed = true;
-        return false;
-      }
-    }
+  // Degenerate ids cannot occur in normal operation (the simulator
+  // issues unique ids); route such batches through the sequential
+  // reference wholesale. Checked before any pricing mutation so the
+  // fallback replays the exact sequence the reference would have.
+  if (HasDegenerateIds(*system_, batch)) {
+    ++sequential_fallbacks_;
+    sequential_.SetMatchObserver(observer_);
+    return sequential_.Dispatch(std::move(batch), now_s, chooser);
   }
 
   // --- Phase 0: validation, demand records, pricing snapshots -------------
@@ -65,36 +64,27 @@ bool ParallelDispatcher::PrepareMatch(std::vector<vehicle::Request> batch,
   // a stale surge. RecordRequest decays too, so the replay below is
   // unaffected.
   live_policy.Decay(now_s);
-  staged_.snapshot_pricing = live_policy.HasDemandState();
-  staged_.valid.resize(n);
-  staged_.snapshots.resize(staged_.snapshot_pricing ? n : 0);
+  const bool snapshot_pricing = live_policy.HasDemandState();
+  std::vector<util::Status> valid(n);
+  std::vector<std::unique_ptr<pricing::PricingPolicy>> snapshots(
+      snapshot_pricing ? n : 0);
   for (size_t i = 0; i < n; ++i) {
-    staged_.valid[i] = system_->ValidateRequest(batch[i]);
-    if (!staged_.valid[i].ok()) continue;
+    valid[i] = system_->ValidateRequest(batch[i]);
+    if (!valid[i].ok()) continue;
     live_policy.RecordRequest(now_s);
-    if (staged_.snapshot_pricing) {
-      staged_.snapshots[i] = live_policy.SnapshotForQuote();
-    }
+    if (snapshot_pricing) snapshots[i] = live_policy.SnapshotForQuote();
   }
-  staged_.matches.assign(n, core::MatchResult{});
-  staged_.batch = std::move(batch);
-  staged_.armed = true;
-  return true;
-}
-
-void ParallelDispatcher::RunMatch() {
-  if (!staged_.armed || staged_.fallback) return;
-  const size_t n = staged_.batch.size();
-  if (n == 0) return;
+  // Request i's sequential-order pricing view (valid requests only).
+  const auto pricing_of = [&](size_t i) -> const pricing::PricingPolicy& {
+    return snapshot_pricing ? *snapshots[i] : live_policy;
+  };
 
   // --- Phase 1: sharded match against the frozen fleet --------------------
-  // No system state mutates until CommitMatch, so the fleet/grid/index
-  // reads all observe the pre-batch snapshot — which is why the pipeline
-  // driver may run this stage concurrently with the movement advance
-  // (both read frozen state; DESIGN.md section 15). The stage holds only
-  // the const SnapshotView: it cannot mutate the system by construction.
+  // No system state mutates until phase 2, so the fleet/grid/index reads
+  // all observe the pre-batch snapshot. The workers hold only the const
+  // SnapshotView: they cannot mutate the system by construction.
+  std::vector<core::MatchResult> matches(n);
   const core::SnapshotView frozen = system_->Frozen();
-  const pricing::PricingPolicy* live_policy = &system_->pricing_policy();
   util::WallTimer phase_timer;
   // Contiguous chunks (~2 per thread): the batch is sorted by submit
   // time, so neighbors are often spatially close and their shortest
@@ -103,45 +93,14 @@ void ParallelDispatcher::RunMatch() {
   pool_.ParallelFor(
       n,
       [&](size_t i, WorkerContext& context) {
-        if (!staged_.valid[i].ok()) return;
-        const pricing::PricingPolicy* pricing =
-            staged_.snapshot_pricing ? staged_.snapshots[i].get()
-                                     : live_policy;
-        staged_.matches[i] =
-            frozen.MatchReadOnly(staged_.batch[i], staged_.now_s,
-                                 context.oracle(), pricing,
-                                 &degrade_.effort);
-        if (observer_) {
-          observer_(context.index(), staged_.batch[i], staged_.matches[i]);
-        }
+        if (!valid[i].ok()) return;
+        matches[i] = frozen.MatchReadOnly(batch[i], now_s, context.oracle(),
+                                          &pricing_of(i), &degrade_.effort);
+        if (observer_) observer_(context.index(), batch[i], matches[i]);
       },
       chunk);
   match_phase_seconds_ += phase_timer.ElapsedSeconds();
-}
-
-util::Result<std::vector<core::BatchItem>> ParallelDispatcher::CommitMatch(
-    const core::BatchChooser& chooser) {
-  if (!chooser) {
-    return util::Status::InvalidArgument("batch dispatch needs a chooser");
-  }
-  if (!staged_.armed) {
-    return util::Status::FailedPrecondition(
-        "CommitMatch without a PrepareMatch");
-  }
-  staged_.armed = false;
-  if (staged_.fallback) {
-    ++sequential_fallbacks_;
-    sequential_.SetMatchObserver(observer_);
-    return sequential_.Dispatch(std::move(staged_.batch), staged_.now_s,
-                                chooser);
-  }
-
-  const double now_s = staged_.now_s;
-  const size_t n = staged_.batch.size();
-  std::vector<vehicle::Request>& batch = staged_.batch;
-  std::vector<core::MatchResult>& matches = staged_.matches;
-  pricing::PricingPolicy& live_policy = system_->pricing_policy();
-  util::WallTimer phase_timer;
+  phase_timer.Restart();
 
   // --- Phase 2: sequential commit in (submit_time, id) order --------------
   const roadnet::GridIndex& grid = system_->grid();
@@ -180,7 +139,7 @@ util::Result<std::vector<core::BatchItem>> ParallelDispatcher::CommitMatch(
     return false;
   };
 
-  // The wavefront (DESIGN.md section 15): when request i's options went
+  // The wavefront (DESIGN.md section 5.3): when request i's options went
   // stale, every later not-yet-committed request whose options are stale
   // too will need the same full re-match at its own turn — their matches
   // are independent read-only computations against the same live state,
@@ -192,7 +151,7 @@ util::Result<std::vector<core::BatchItem>> ParallelDispatcher::CommitMatch(
     flush_reindex();  // the re-matches walk the vehicle index
     wave.clear();
     for (size_t j = i; j < n; ++j) {
-      if (!staged_.valid[j].ok()) continue;
+      if (!valid[j].ok()) continue;
       if (matches[j].direct_distance_m == roadnet::kInfWeight) continue;
       if (is_stale(j)) wave.push_back(j);
     }
@@ -200,12 +159,9 @@ util::Result<std::vector<core::BatchItem>> ParallelDispatcher::CommitMatch(
         wave.size(),
         [&](size_t k, WorkerContext& context) {
           const size_t j = wave[k];
-          const pricing::PricingPolicy* pricing =
-              staged_.snapshot_pricing ? staged_.snapshots[j].get()
-                                       : &live_policy;
           matches[j] =
               system_->MatchReadOnly(batch[j], now_s, context.oracle(),
-                                     pricing, &degrade_.effort);
+                                     &pricing_of(j), &degrade_.effort);
         },
         /*chunk=*/1);
     rematch_count_ += wave.size();
@@ -310,14 +266,12 @@ util::Result<std::vector<core::BatchItem>> ParallelDispatcher::CommitMatch(
   for (size_t i = 0; i < n; ++i) {
     core::BatchItem item;
     item.request = batch[i];
-    if (!staged_.valid[i].ok()) {
+    if (!valid[i].ok()) {
       // Invalid individual request: report it unassigned, keep going.
       out.push_back(std::move(item));
       continue;
     }
-    const pricing::PricingPolicy& pricing_view =
-        staged_.snapshot_pricing ? *staged_.snapshots[i] : live_policy;
-    if (dirty.size() > watermark[i]) reconcile(i, pricing_view);
+    if (dirty.size() > watermark[i]) reconcile(i, pricing_of(i));
     item.match = std::move(matches[i]);
     const std::optional<size_t> pick = chooser(batch[i], item.match);
     if (pick.has_value()) {

@@ -1,7 +1,5 @@
 #include "dispatch/reindex.h"
 
-#include <algorithm>
-
 namespace ptrider::dispatch {
 
 namespace {
@@ -35,18 +33,6 @@ void ApplyReindex(vehicle::VehicleIndex& index,
       },
       /*chunk=*/1);
   index.MaybeRebalance();
-}
-
-uint64_t ReindexShardMask(
-    const vehicle::VehicleIndex& index,
-    std::span<const vehicle::PendingUpdate> pending) {
-  uint64_t mask = 0;
-  for (const vehicle::PendingUpdate& u : pending) {
-    for (const roadnet::CellId c : u.cells) {
-      mask |= uint64_t{1} << std::min<uint32_t>(index.ShardOfCell(c), 63);
-    }
-  }
-  return mask;
 }
 
 }  // namespace ptrider::dispatch

@@ -25,17 +25,6 @@ void ApplyReindex(vehicle::VehicleIndex& index,
                   std::span<const vehicle::PendingUpdate> pending,
                   WorkerPool* pool);
 
-/// Bitmask of the shards `pending` touches: bit min(shard, 63) is set
-/// for every shard owning a cell of any update. Shard ids >= 64 saturate
-/// into bit 63, turning "unknown" into "conflicts with everything" — the
-/// conservative direction for the pipelined tick engine's
-/// disjoint-shard concurrent-commit test (two floated reindex batches
-/// may overlap iff their masks are disjoint, DESIGN.md section 15).
-/// Must be computed against the boundaries the batch will be applied
-/// under (i.e. before any intervening Rebalance).
-uint64_t ReindexShardMask(const vehicle::VehicleIndex& index,
-                          std::span<const vehicle::PendingUpdate> pending);
-
 }  // namespace ptrider::dispatch
 
 #endif  // PTRIDER_DISPATCH_REINDEX_H_

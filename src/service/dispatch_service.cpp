@@ -28,7 +28,6 @@ sim::SimulatorOptions MakeSimOptions(const ServiceOptions& o) {
   s.seed = o.seed;
   s.choice = o.choice;
   s.move_jobs = o.move_jobs;
-  s.pipeline_depth = o.pipeline_depth;
   s.verbose = false;  // The service emits its own progress lines.
   return s;
 }
@@ -214,11 +213,9 @@ util::Result<ServiceReport> DispatchService::Run(ArrivalProcess& process) {
       static_cast<int64_t>(std::ceil(end_time / opt.tick_s));
 
   // One batch-window drain at simulated instant `now_s`: admission,
-  // latency stamping, dispatch, outcome accounting. `with_tick` runs
-  // the boundary movement tick from `prev_s` as part of the same
-  // Simulator::StepWindow — which is what lets the pipelined tick
-  // engine overlap this window's match with the tick's advance
-  // (depth >= 2); without it the batch dispatches alone (the epilogue's
+  // latency stamping, dispatch, outcome accounting. `with_tick` then
+  // runs the boundary movement tick from `prev_s` (Simulator::
+  // StepWindow); without it the batch dispatches alone (the epilogue's
   // final partial window, which has no tick left to pair with).
   auto drain_and_dispatch = [&](double prev_s, double now_s,
                                 bool with_tick) -> util::Status {
@@ -388,8 +385,7 @@ util::Result<ServiceReport> DispatchService::Run(ArrivalProcess& process) {
     }
     ingress_faults(now);
     if (now + 1e-9 >= static_cast<double>(next_window) * opt.batch_window_s) {
-      // Boundary: window + movement tick as one StepWindow, so the
-      // pipelined tick engine can overlap them (depth >= 2).
+      // Boundary: dispatch the window, then the movement tick.
       PTRIDER_RETURN_IF_ERROR(drain_and_dispatch(prev, now,
                                                  /*with_tick=*/true));
       while (static_cast<double>(next_window) * opt.batch_window_s <=
@@ -400,9 +396,6 @@ util::Result<ServiceReport> DispatchService::Run(ArrivalProcess& process) {
       PTRIDER_RETURN_IF_ERROR(sim.AdvanceTick(prev, now, report.sim));
     }
     if (opt.verbose && now >= next_progress_log) {
-      // Everything logged here is final for the tick: stats and report
-      // counters fold on this thread; a floated reindex batch touches
-      // no logged field until its join.
       const RequestQueue::Counters qc = queue.counters();
       PTRIDER_LOG(kInfo) << util::StrFormat(
           "t=%.1fh offered=%llu shed=%llu assigned=%llu depth=%zu rung=%d",
@@ -424,8 +417,6 @@ util::Result<ServiceReport> DispatchService::Run(ArrivalProcess& process) {
   driver.GiveUpPending();
   PTRIDER_RETURN_IF_ERROR(drain_and_dispatch(now, now,
                                              /*with_tick=*/false));
-  // Land any still-floating pipeline stage before the report is sealed.
-  PTRIDER_RETURN_IF_ERROR(sim.FinishStepping(report.sim));
 
   if (!virt) {
     for (const util::Percentiles& p : worker_quotes) {

@@ -78,12 +78,6 @@ struct ServiceOptions {
 
   /// Threads for the per-tick vehicle-movement advance phase.
   int move_jobs = 1;
-  /// Stage-pipelining depth of the tick engine (SimulatorOptions::
-  /// pipeline_depth): the service drives the same stepping API the
-  /// simulator runs, so boundary windows go through Simulator::
-  /// StepWindow and inherit the overlapped match / floated reindex at
-  /// depth >= 2 / >= 3. Reports stay bit-identical across depths.
-  int pipeline_depth = 1;
   /// Rider choice model + its seed (same semantics as SimulatorOptions).
   sim::ChoiceContext choice;
   uint64_t seed = 7;

@@ -19,13 +19,6 @@ std::string SimulationReport::ToString() const {
       util::FormatDuration(move_advance_seconds).c_str(),
       util::FormatDuration(move_commit_seconds).c_str(),
       util::FormatDuration(index_update_seconds).c_str());
-  if (pipeline_fill_seconds > 0.0 || pipeline_stall_seconds > 0.0) {
-    os << util::StrFormat(
-        "pipeline                 %s overlapped, %s stalled (phases above "
-        "overlap; they exceed wall clock by the overlap)\n",
-        util::FormatDuration(pipeline_fill_seconds).c_str(),
-        util::FormatDuration(pipeline_stall_seconds).c_str());
-  }
   os << util::StrFormat(
       "requests                 %lld submitted, %lld assigned (%.1f%%), "
       "%lld unserved, %lld declined\n",

@@ -66,14 +66,7 @@ struct SimulationReport {
 
   // --- Phase split (wall clock; like wall_clock_seconds, excluded from
   // determinism comparisons) --------------------------------------------------
-  //
-  // With SimulatorOptions::pipeline_depth > 1 the phases OVERLAP — the
-  // sharded match runs concurrently with the movement advance, and
-  // floated reindex batches run under later ticks — so these per-phase
-  // sums measure per-phase occupancy and do NOT add up to
-  // wall_clock_seconds (the gap is exactly the overlap the pipeline
-  // bought; bench_e22_pipeline reports it as the phase-overlap split).
-  // At depth 1 they partition the loop like they always did.
+  // The phases run one after another, so they partition the loop.
   /// Request submission / batch dispatch, cumulative.
   double match_phase_seconds = 0.0;
   /// Vehicle-movement advance: the pass-through listing (which also
@@ -85,14 +78,9 @@ struct SimulationReport {
   /// End-of-tick vehicle-index re-registration (the shard-concurrent
   /// part of the movement commit; DESIGN.md section 10), cumulative.
   double index_update_seconds = 0.0;
-  /// Wall clock the pipelined tick engine spent doing BOTH a match stage
-  /// and driver-thread work at once (depth >= 2 overlap actually
-  /// realized); 0 at depth 1.
-  double pipeline_fill_seconds = 0.0;
-  /// Wall clock the driver spent blocked joining pipeline stages (match
-  /// join after the advance finished first, or a reindex join before an
-  /// index reader); 0 at depth 1.
-  double pipeline_stall_seconds = 0.0;
+  /// Always 0: no stage overlaps another. The constant remains because
+  /// bench/ptrider_bench reads it.
+  static constexpr double pipeline_stall_seconds = 0.0;
 
   /// Demo statistic: completed-and-shared / completed.
   double SharingRate() const {

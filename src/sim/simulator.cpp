@@ -123,15 +123,12 @@ std::optional<size_t> Simulator::PickOption(const vehicle::Request& request,
 util::Result<std::vector<core::BatchItem>> Simulator::DispatchBatch(
     std::vector<vehicle::Request> batch, double now,
     SimulationReport& report, core::Dispatcher* dispatcher) {
-  if (batch.empty()) return std::vector<core::BatchItem>{};
   if (dispatcher == nullptr) dispatcher = dispatcher_.get();
   if (dispatcher == nullptr) {
     return util::Status::FailedPrecondition(
         "DispatchBatch needs BeginStepping (or a batched Run) first");
   }
-  // The match walks the vehicle index; floated reindex batches must
-  // land first (no-op below depth 3).
-  JoinReindex(report);
+  if (batch.empty()) return std::vector<core::BatchItem>{};
   // The chooser runs in the dispatcher's sequential commit phase, in
   // (submit_time, id) order — rng_ consumption is identical for every
   // dispatch strategy, which is what makes sequential and parallel runs
@@ -148,7 +145,6 @@ util::Result<std::vector<core::BatchItem>> Simulator::DispatchBatch(
         item.request, item.match, item.assigned ? &item.chosen : nullptr,
         now, report));
   }
-  SyncAssignedMasks(*items);
   return items;
 }
 
@@ -164,9 +160,6 @@ util::Status Simulator::BeginStepping() {
   if (options_.tick_s <= 0.0) {
     return util::Status::InvalidArgument("tick must be positive");
   }
-  if (options_.pipeline_depth < 1) {
-    return util::Status::InvalidArgument("pipeline depth must be >= 1");
-  }
   if (system_->fleet().empty()) {
     return util::Status::FailedPrecondition("fleet is empty");
   }
@@ -177,18 +170,8 @@ util::Status Simulator::BeginStepping() {
     move_pool_ = std::make_unique<dispatch::WorkerPool>(
         *system_, static_cast<size_t>(options_.move_jobs));
   }
-  EnsurePipeline();
   motions_.assign(system_->fleet().size(), Motion{});
   return util::Status::Ok();
-}
-
-void Simulator::EnsurePipeline() {
-  if (options_.pipeline_depth <= 1 || pipeline_ != nullptr) return;
-  // One stage thread carries the overlapped match; a second one the
-  // floated reindex batches (depth >= 3) so a long match stage never
-  // delays an index commit behind it.
-  pipeline_ = std::make_unique<dispatch::PipelineExecutor>(
-      options_.pipeline_depth >= 3 ? 2 : 1);
 }
 
 util::Status Simulator::AdvanceTick(double prev, double now,
@@ -197,17 +180,12 @@ util::Status Simulator::AdvanceTick(double prev, double now,
     return util::Status::InvalidArgument("ticks must move forward");
   }
   const double budget = system_->config().speed_mps * (now - prev);
-  if (!FloatingReindex()) return MovePhase(now, budget, report);
-  // Depth >= 3: same stages, but the reindex floats onto a stage
-  // thread and overlaps the NEXT tick's advance/commit (movement never
-  // reads the index; DESIGN.md section 15).
-  ListEvents(budget, /*step=*/true, report);
+  ListEvents(budget, report);
   RunAdvance(now, budget, report);
   const util::Status moved = CommitMove(now, budget, report);
-  // Like MovePhase, reindex even after a commit error: vehicles
-  // committed before the failure must still reach the index.
-  PrepareReindex(report);
-  FloatReindex(report);
+  // Reindex even after a commit error: vehicles committed before the
+  // failure must still reach the index.
+  Reindex(report);
   return moved;
 }
 
@@ -217,109 +195,26 @@ util::Result<std::vector<core::BatchItem>> Simulator::StepWindow(
   if (now < prev) {
     return util::Status::InvalidArgument("ticks must move forward");
   }
-  core::Dispatcher* dispatcher =
-      route != nullptr ? route : dispatcher_.get();
-  if (dispatcher == nullptr) {
-    return util::Status::FailedPrecondition(
-        "StepWindow needs BeginStepping (or a batched Run) first");
-  }
-  core::StagedDispatcher* staged =
-      pipeline_ != nullptr && !batch.empty() ? dispatcher->staged()
-                                             : nullptr;
-  if (staged == nullptr) {
-    // Depth-1 order (also the route for unstaged dispatchers and empty
-    // windows, which today never touch the dispatcher): dispatch the
-    // window, then run the boundary movement tick.
-    util::WallTimer phase_timer;
-    auto items = DispatchBatch(std::move(batch), now, report, dispatcher);
-    report.match_phase_seconds += phase_timer.ElapsedSeconds();
-    PTRIDER_RETURN_IF_ERROR(items.status());
-    PTRIDER_RETURN_IF_ERROR(AdvanceTick(prev, now, report));
-    return items;
-  }
-
-  // Pipelined boundary: the window's read-only match runs on a stage
-  // thread concurrently with this tick's movement advance — both read
-  // the frozen pre-window fleet/index/pricing snapshot (DESIGN.md
-  // section 15). Everything mutating stays on this thread, in the
-  // depth-1 order: match commit (rider rng), redo of assigned
-  // vehicles' advances, movement commit (idle rng), reindex.
-  JoinReindex(report);  // the match stage reads the index
-  const double budget = system_->config().speed_mps * (now - prev);
   util::WallTimer phase_timer;
-  const bool prepared = staged->PrepareMatch(std::move(batch), now);
-  report.match_phase_seconds += phase_timer.ElapsedSeconds();
-  double stage_seconds = 0.0;
-  if (prepared) {
-    pipeline_->Launch([staged] { staged->RunMatch(); }, &stage_seconds);
-  }
-  util::WallTimer driver_timer;
-  // Read-only listing: the match commit below may still re-target
-  // vehicles, so nothing takes its step yet.
-  ListEvents(budget, /*step=*/false, report);
-  RunAdvance(now, budget, report);
-  const double driver_seconds = driver_timer.ElapsedSeconds();
-  if (prepared) {
-    const double stall = pipeline_->AwaitAll();
-    report.pipeline_stall_seconds += stall;
-    report.pipeline_fill_seconds += std::min(stage_seconds, driver_seconds);
-    report.match_phase_seconds += stage_seconds;
-  }
-
-  phase_timer.Restart();
-  const core::BatchChooser chooser =
-      [this, now](const vehicle::Request& r,
-                  const core::MatchResult& match) {
-        return PickOption(r, match, now);
-      };
-  auto items = staged->CommitMatch(chooser);
+  auto items = DispatchBatch(std::move(batch), now, report, route);
   report.match_phase_seconds += phase_timer.ElapsedSeconds();
   PTRIDER_RETURN_IF_ERROR(items.status());
-  for (const core::BatchItem& item : *items) {
-    PTRIDER_RETURN_IF_ERROR(RecordOutcome(
-        item.request, item.match, item.assigned ? &item.chosen : nullptr,
-        now, report));
-  }
-  SyncAssignedMasks(*items);
-  RedoAdvance(now, budget, *items, report);
-  // The check again, on the post-commit state, now stepping.
-  ListEvents(budget, /*step=*/true, report);
-  const util::Status moved = CommitMove(now, budget, report);
-  PrepareReindex(report);
-  if (FloatingReindex()) {
-    FloatReindex(report);
-  } else {
-    ApplyReindexNow(report);
-  }
-  PTRIDER_RETURN_IF_ERROR(moved);
+  PTRIDER_RETURN_IF_ERROR(AdvanceTick(prev, now, report));
   return items;
 }
 
-util::Status Simulator::FinishStepping(SimulationReport& report) {
-  JoinReindex(report);
+util::Status Simulator::FinishStepping(SimulationReport& /*report*/) {
   return util::Status::Ok();
 }
 
-util::Status Simulator::MovePhase(double now, double budget,
-                                  SimulationReport& report) {
-  // The depth-1 composition of the movement stages.
-  ListEvents(budget, /*step=*/true, report);
-  RunAdvance(now, budget, report);
-  const util::Status moved = CommitMove(now, budget, report);
-  PrepareReindex(report);
-  ApplyReindexNow(report);
-  return moved;
-}
-
-void Simulator::ListEvents(double budget, bool step,
-                           SimulationReport& report) {
+void Simulator::ListEvents(double budget, SimulationReport& report) {
   const size_t n = system_->fleet().size();
   util::WallTimer timer;
   events_.clear();
   serving_events_.clear();
   for (size_t i = 0; i < n; ++i) {
     if (PassesThrough(motions_[i], budget)) {
-      if (step) DriveAlongEdge(motions_[i], budget);
+      DriveAlongEdge(motions_[i], budget);
       continue;
     }
     const auto id = static_cast<vehicle::VehicleId>(i);
@@ -361,28 +256,6 @@ void Simulator::RunAdvance(double now, double budget,
   report.move_advance_seconds += timer.ElapsedSeconds();
 }
 
-void Simulator::RedoAdvance(double now, double budget,
-                            const std::vector<core::BatchItem>& items,
-                            SimulationReport& report) {
-  // The overlapped advance ran against pre-commit state; the depth-1
-  // order advances AFTER the dispatch, so vehicles the window's commits
-  // touched (new stops via ChooseOption, re-targeted motion via
-  // ReplanMotion) must be re-advanced. AdvanceVehicle is a pure
-  // function of one vehicle's state, so exactly these slots differ. A
-  // vehicle that now passes through needs no advance: the listing that
-  // precedes the commit re-evaluates the check and takes its step.
-  util::WallTimer timer;
-  for (const core::BatchItem& item : items) {
-    if (!item.assigned) continue;
-    const size_t i = static_cast<size_t>(item.chosen.vehicle);
-    if (PassesThrough(motions_[i], budget)) continue;
-    advances_[i] =
-        AdvanceVehicle(*system_, item.chosen.vehicle, motions_[i], now,
-                       budget, system_->oracle());
-  }
-  report.move_advance_seconds += timer.ElapsedSeconds();
-}
-
 util::Status Simulator::CommitMove(double now, double budget,
                                    SimulationReport& report) {
   util::WallTimer timer;
@@ -393,11 +266,11 @@ util::Status Simulator::CommitMove(double now, double budget,
   // remainders) walk through the RNG — the only rng_ consumers, so the
   // draw order is the id order at every setting. Index
   // re-registration is deferred: the commit loop only records moved
-  // vehicles, and the reindex pass below applies their end-of-tick
-  // registrations once per vehicle — nothing reads the index until the
-  // next tick's submissions.
+  // vehicles, and Reindex then applies their end-of-tick registrations
+  // once per vehicle — nothing reads the index until the next tick's
+  // submissions.
   moved_.clear();
-  // An error aborts the loop but not the reindex pass below: vehicles
+  // An error aborts the loop but not the Reindex after it: vehicles
   // committed before the failure must still reach the index, or a
   // caller keeping the system alive would match against stale lists.
   util::Status commit_status;
@@ -444,144 +317,20 @@ util::Status Simulator::CommitMove(double now, double budget,
   return commit_status;
 }
 
-void Simulator::PrepareReindex(SimulationReport& report) {
-  // Deferred reindex: one end-of-tick registration per moved vehicle,
-  // prepared in vehicle-id order (the per-shard application order).
+void Simulator::Reindex(SimulationReport& report) {
+  // One end-of-tick registration per moved vehicle, prepared in
+  // vehicle-id order (the per-shard application order) and applied
+  // across shards — concurrently on the movement pool when the tick
+  // moved enough vehicles to pay the fan-out. Bit-identical lists at
+  // every move_jobs x index_shards setting (DESIGN.md section 10).
   util::WallTimer timer;
-  pending_reindex_.clear();
   vehicle::VehicleIndex& index = system_->vehicle_index();
   for (const vehicle::VehicleId id : moved_) {
     pending_reindex_.push_back(index.Prepare(system_->fleet().at(id)));
   }
-  report.index_update_seconds += timer.ElapsedSeconds();
-}
-
-void Simulator::ApplyReindexNow(SimulationReport& report) {
-  // Applied across shards — concurrently on the movement pool when the
-  // tick moved enough vehicles to pay the fan-out. Bit-identical lists
-  // at every move_jobs x index_shards setting (DESIGN.md section 10).
-  util::WallTimer timer;
-  dispatch::ApplyReindex(system_->vehicle_index(), pending_reindex_,
-                         move_pool_.get());
+  dispatch::ApplyReindex(index, pending_reindex_, move_pool_.get());
   pending_reindex_.clear();
   report.index_update_seconds += timer.ElapsedSeconds();
-}
-
-void Simulator::RefreshMasks() {
-  // Quiescent-index walk: every floated batch has been joined, so
-  // RegisteredCells and ShardOfCell are stable.
-  const vehicle::VehicleIndex& index = system_->vehicle_index();
-  const size_t n = system_->fleet().size();
-  reindex_mask_.assign(n, 0);
-  for (size_t i = 0; i < n; ++i) {
-    for (const roadnet::CellId c :
-         index.RegisteredCells(static_cast<vehicle::VehicleId>(i))) {
-      reindex_mask_[i] |=
-          uint64_t{1} << std::min<uint32_t>(index.ShardOfCell(c), 63);
-    }
-  }
-  masks_valid_ = true;
-  seen_rebalances_ = index.rebalance_count();
-}
-
-void Simulator::SyncAssignedMasks(
-    const std::vector<core::BatchItem>& items) {
-  // A dispatch commit re-registers assigned vehicles through the
-  // dispatcher's own (synchronous) reindex flush, bypassing the float
-  // path that normally maintains reindex_mask_. Every dispatch runs
-  // against a joined index (DispatchBatch / StepWindow join first and
-  // float nothing before the commit), so reading it here is safe.
-  if (!FloatingReindex() || !masks_valid_) return;
-  const vehicle::VehicleIndex& index = system_->vehicle_index();
-  for (const core::BatchItem& item : items) {
-    if (!item.assigned) continue;
-    const size_t slot = static_cast<size_t>(item.chosen.vehicle);
-    uint64_t mask = 0;
-    for (const roadnet::CellId c :
-         index.RegisteredCells(item.chosen.vehicle)) {
-      mask |= uint64_t{1} << std::min<uint32_t>(index.ShardOfCell(c), 63);
-    }
-    reindex_mask_[slot] = mask;
-  }
-}
-
-void Simulator::FloatReindex(SimulationReport& report) {
-  if (pending_reindex_.empty()) return;
-  vehicle::VehicleIndex& index = system_->vehicle_index();
-  if (!masks_valid_ || seen_rebalances_ != index.rebalance_count()) {
-    // Boundaries moved (or first float): rebuild the per-vehicle masks
-    // from the joined index. Rebalances only ever run on a quiescent
-    // index, so the join below is usually a no-op.
-    JoinReindex(report);
-    RefreshMasks();
-  }
-  util::WallTimer timer;
-  uint64_t mask = 0;
-  for (const vehicle::PendingUpdate& u : pending_reindex_) {
-    // New-registration shards plus the shards of the vehicle's current
-    // registration: ApplyShard must visit the latter to remove stale
-    // entries, so they count as touched for the conflict test too.
-    const uint64_t next = dispatch::ReindexShardMask(index, {&u, 1});
-    const size_t slot = static_cast<size_t>(u.id);
-    mask |= next | reindex_mask_[slot];
-    reindex_mask_[slot] = next;
-  }
-  if ((mask & inflight_shard_mask_) != 0) {
-    // Overlapping shards with an in-flight batch: updates must apply in
-    // tick order within a shard, so land everything first. Disjoint
-    // batches skip this and commit concurrently.
-    report.index_update_seconds += timer.ElapsedSeconds();
-    JoinReindex(report);
-    timer.Restart();
-  }
-  // Sequential bookkeeping on the driver (BeginBatch touches no state
-  // ApplyShard reads, so it may overlap in-flight shard application of
-  // earlier batches), then float the shard loops onto a stage thread.
-  index.BeginBatch(pending_reindex_);
-  floated_.push_back(
-      FloatedReindex{std::move(pending_reindex_), mask, 0.0});
-  pending_reindex_.clear();
-  inflight_shard_mask_ |= mask;
-  FloatedReindex& entry = floated_.back();
-  report.index_update_seconds += timer.ElapsedSeconds();
-  pipeline_->Launch(
-      [&entry, &index] {
-        // Only shards in the batch's mask: another in-flight batch with
-        // a disjoint mask may be applying its own shards right now, and
-        // even ApplyShard's early-out path reads the shard's
-        // registration map. Shards >= 64 share the saturated bit 63, so
-        // a set bit 63 conservatively visits them all (ApplyShard is a
-        // no-op on genuinely untouched shards).
-        const auto shards = static_cast<uint32_t>(index.num_shards());
-        for (uint32_t s = 0; s < shards; ++s) {
-          if (((entry.shard_mask >> std::min<uint32_t>(s, 63)) & 1) == 0) {
-            continue;
-          }
-          for (const vehicle::PendingUpdate& u : entry.batch) {
-            index.ApplyShard(u, s);
-          }
-        }
-      },
-      &entry.seconds);
-}
-
-void Simulator::JoinReindex(SimulationReport& report) {
-  if (floated_.empty()) return;
-  const double stall = pipeline_->AwaitAll();
-  report.pipeline_stall_seconds += stall;
-  double stage_seconds = 0.0;
-  vehicle::VehicleIndex& index = system_->vehicle_index();
-  while (!floated_.empty()) {
-    stage_seconds += floated_.front().seconds;
-    floated_.pop_front();
-    // Count the batch toward the density-rebalance cadence here, on the
-    // quiescent driver side — never on the stage thread, where a
-    // rebalance would race every concurrent reader.
-    index.MaybeRebalance();
-  }
-  report.index_update_seconds += stage_seconds;
-  report.pipeline_fill_seconds += std::max(0.0, stage_seconds - stall);
-  inflight_shard_mask_ = 0;
 }
 
 util::Status Simulator::MoveIdleVehicle(vehicle::VehicleId id, double now,
@@ -651,9 +400,6 @@ util::Result<SimulationReport> Simulator::Run(
   if (options_.batch_window_s < 0.0) {
     return util::Status::InvalidArgument("batch window must be >= 0");
   }
-  if (options_.pipeline_depth < 1) {
-    return util::Status::InvalidArgument("pipeline depth must be >= 1");
-  }
   const bool batched = options_.batch_window_s > 0.0;
   if (batched && dispatcher_ == nullptr) {
     dispatcher_ = dispatch::CreateDispatcher(*system_);
@@ -662,10 +408,6 @@ util::Result<SimulationReport> Simulator::Run(
     move_pool_ = std::make_unique<dispatch::WorkerPool>(
         *system_, static_cast<size_t>(options_.move_jobs));
   }
-  // Per-request mode matches against live state inside the tick — there
-  // is no read-only stage to overlap, so the pipeline only engages
-  // batched runs.
-  if (batched) EnsurePipeline();
   for (size_t i = 1; i < trips.size(); ++i) {
     if (trips[i].time_s < trips[i - 1].time_s) {
       return util::Status::InvalidArgument("trips must be time-sorted");
@@ -708,8 +450,7 @@ util::Result<SimulationReport> Simulator::Run(
       report.match_phase_seconds += phase_timer.ElapsedSeconds();
       if (now + 1e-9 >= static_cast<double>(next_window) *
                             options_.batch_window_s) {
-        // Window boundary: dispatch + boundary tick as one StepWindow,
-        // pipelined per options_.pipeline_depth.
+        // Window boundary: dispatch, then the boundary tick.
         std::vector<vehicle::Request> batch = std::move(pending_);
         pending_.clear();
         PTRIDER_RETURN_IF_ERROR(
@@ -730,10 +471,6 @@ util::Result<SimulationReport> Simulator::Run(
       PTRIDER_RETURN_IF_ERROR(AdvanceTick(prev, now, report));
     }
     if (options_.verbose && now >= next_progress_log) {
-      // Every field read here is final for this tick: counters and
-      // response stats are folded on this thread in the commit stages,
-      // and the only work possibly still in flight (a floated reindex
-      // batch) touches no report field until its join.
       PTRIDER_LOG(kInfo) << util::StrFormat(
           "t=%.0fh submitted=%lld assigned=%lld completed=%lld "
           "avg_rt=%.2fms",
@@ -753,9 +490,6 @@ util::Result<SimulationReport> Simulator::Run(
     PTRIDER_RETURN_IF_ERROR(DispatchPending(now, report));
     report.match_phase_seconds += phase_timer.ElapsedSeconds();
   }
-  // Land any still-floating reindex batch (and fold its stage seconds)
-  // before the report is sealed.
-  JoinReindex(report);
 
   for (const vehicle::Vehicle& v : system_->fleet().vehicles()) {
     report.fleet_total_distance_m += v.total_distance_m();

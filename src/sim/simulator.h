@@ -2,13 +2,11 @@
 #define PTRIDER_SIM_SIMULATOR_H_
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <vector>
 
 #include "core/batch.h"
 #include "core/ptrider.h"
-#include "dispatch/pipeline.h"
 #include "dispatch/worker_pool.h"
 #include "sim/choice.h"
 #include "sim/metrics.h"
@@ -51,52 +49,9 @@ struct SimulatorOptions {
   /// item-for-item identical at every setting (DESIGN.md section 6) —
   /// threads only buy movement latency at large fleet counts.
   int move_jobs = 1;
-  /// Stage-pipelining depth of the batched tick engine (DESIGN.md
-  /// section 15). 1 = the strictly sequential loop (the reference: same
-  /// code path, byte-identical behavior). 2 overlaps each window's
-  /// read-only sharded match with the boundary tick's movement advance
-  /// on a dispatch::PipelineExecutor stage thread. >= 3 additionally
-  /// floats end-of-tick index re-registration batches onto a stage
-  /// thread, overlapping subsequent ticks until an index reader joins
-  /// them — batches touching disjoint index shards stay concurrently in
-  /// flight. Reports are bit-identical across depths at every
-  /// dispatch_threads x index_shards x move_jobs x seed setting
-  /// (tests/sim_pipeline_test.cpp); depth only buys wall clock. Treated
-  /// as 1 in per-request mode (batch_window_s == 0), which matches each
-  /// request against live state and leaves nothing to overlap.
-  int pipeline_depth = 1;
-};
-
-/// The batched tick loop decomposed into its schedulable stages, in the
-/// depth-1 (sequential reference) execution order. StepWindow and
-/// AdvanceTick are the only drivers of these stages; the stage-order
-/// lint rule (tools/ptrider_lint.cpp) keeps it that way.
-enum class Stage {
-  kCollect,      ///< due-trip ingestion into the pending window
-  kMatch,        ///< the dispatcher's (possibly sharded) read-only match
-  kCommitMatch,  ///< sequential option commit + rider choice + outcome fold
-  kAdvance,      ///< per-vehicle movement advance against the frozen tick
-  kCommitMove,   ///< sequential movement commit + idle cruising
-  kReindex,      ///< shard-concurrent vehicle-index re-registration
-};
-
-/// One window's stage schedule, as planned by the pipeline driver:
-/// which stages run on a PipelineExecutor stage thread instead of
-/// inline, as a pure function of the configured depth and the
-/// dispatcher's staged() capability. Exposed mostly for tests and
-/// benches to assert the engine is doing what the depth asks.
-struct StagePlan {
-  /// kMatch launches onto a stage thread, overlapping kAdvance.
-  bool overlap_match = false;
-  /// kReindex floats onto a stage thread, overlapping later ticks.
-  bool float_reindex = false;
-
-  static StagePlan For(int pipeline_depth, bool staged_dispatcher) {
-    StagePlan plan;
-    plan.overlap_match = pipeline_depth >= 2 && staged_dispatcher;
-    plan.float_reindex = pipeline_depth >= 3;
-    return plan;
-  }
+  /// Not an option: the tick engine has one stage order. The constant
+  /// remains because bench/ptrider_bench prints it among its knobs.
+  static constexpr int pipeline_depth = 1;
 };
 
 /// Event-driven city simulation (Section 4's demonstration): feeds a trip
@@ -114,8 +69,9 @@ class Simulator {
   // The long-running dispatch service drives the same tick machinery Run
   // does, but its requests arrive through an ingestion queue on their own
   // open-loop schedule instead of from a pre-sorted trip vector — so it
-  // owns the outer clock loop and calls these three steps itself
-  // (DESIGN.md section 11).
+  // owns the outer clock loop and calls these steps itself (DESIGN.md
+  // section 11). Every driver runs one stage order: dispatch the window,
+  // then list, advance, commit and reindex the tick.
 
   /// Prepares stepping: validates options and fleet, resets motion state
   /// and creates the dispatcher / movement pool Run would create. Call
@@ -133,40 +89,33 @@ class Simulator {
   /// = the configured one) routes the batch through a caller-owned
   /// strategy instead — the service's degradation ladder dispatches
   /// degraded windows through its own thread-count-invariant dispatcher
-  /// while rng/report accounting stays identical.
+  /// while rng/report accounting stays identical. Fails with
+  /// FailedPrecondition, even for an empty batch, when neither a route
+  /// nor the dispatcher BeginStepping / a batched Run creates exists.
   util::Result<std::vector<core::BatchItem>> DispatchBatch(
       std::vector<vehicle::Request> batch, double now,
       SimulationReport& report, core::Dispatcher* dispatcher = nullptr);
   /// One movement tick from `prev` to `now` (fleet budget pro-rated to
-  /// the interval, exactly like Run's tick loop). At pipeline depth >= 3
-  /// the tick's index re-registration batch floats onto a stage thread
-  /// (joined before the next index reader) instead of applying inline.
+  /// the interval, exactly like Run's tick loop): the pass-through
+  /// listing, the serving events' advance (on the movement pool when
+  /// there are enough of them), a sequential commit in vehicle-id order
+  /// that folds arrival events into `report` and runs idle events
+  /// through the RNG (DESIGN.md section 6.1), then one end-of-tick
+  /// re-registration of every vehicle that moved, in vehicle-id order
+  /// per shard, shard-concurrently when move_jobs > 1 (DESIGN.md
+  /// section 10).
   util::Status AdvanceTick(double prev, double now,
                            SimulationReport& report);
-  /// One window boundary: dispatches `batch` at `now` AND runs the
-  /// boundary movement tick from `prev`, per the configured
-  /// StagePlan — at depth >= 2 with a staged dispatcher the window's
-  /// read-only match runs on a stage thread concurrently with the
-  /// tick's movement advance, then commit, movement commit and reindex
-  /// follow in the depth-1 order (assigned vehicles' advances are
-  /// recomputed so the commit sees exactly what dispatch-then-move
-  /// would have; DESIGN.md section 15). Reports and returned items are
-  /// bit-identical to the depth-1 sequence "DispatchBatch; AdvanceTick".
+  /// One window boundary: DispatchBatch at `now` (timed into
+  /// match_phase_seconds), then AdvanceTick from `prev` to `now`.
   /// `route` as in DispatchBatch.
   util::Result<std::vector<core::BatchItem>> StepWindow(
       std::vector<vehicle::Request> batch, double prev, double now,
       SimulationReport& report, core::Dispatcher* route = nullptr);
-  /// Joins every in-flight pipeline stage and folds their wall clock
-  /// into `report`. Call once after the last StepWindow / AdvanceTick
-  /// (Run does this itself); without it, floated reindex seconds are
-  /// missing from the report and index state may still be in flight.
+  /// Does nothing and returns Ok: every step finishes its work before it
+  /// returns. Kept because bench/ptrider_bench still calls it after its
+  /// last step.
   util::Status FinishStepping(SimulationReport& report);
-  /// The stage schedule the current options + dispatcher produce.
-  StagePlan plan() const {
-    return StagePlan::For(
-        options_.pipeline_depth,
-        dispatcher_ != nullptr && dispatcher_->staged() != nullptr);
-  }
   /// The dispatcher BeginStepping created (null before); the service
   /// installs its quote-latency MatchObserver here.
   core::Dispatcher* dispatcher() { return dispatcher_.get(); }
@@ -201,80 +150,25 @@ class Simulator {
                              const core::MatchResult& match,
                              const core::Option* chosen, double now,
                              SimulationReport& report);
-  /// One tick of fleet movement (`budget` meters per vehicle). Vehicles
-  /// that stay inside their current edge only take that step; the rest
-  /// are events: serving events advance over the frozen tick (on the
-  /// pool when there are enough of them), then a sequential commit in
-  /// vehicle-id order installs their scratch state, folds arrival events
-  /// into `report` and runs idle events through the RNG (DESIGN.md
-  /// section 6.1). Index re-registrations are deferred out of the commit
-  /// loop: every vehicle that moved is re-registered once at the end of
-  /// the tick, in vehicle-id order per shard, shard-concurrently when
-  /// move_jobs > 1 (DESIGN.md section 10).
-  util::Status MovePhase(double now, double budget,
-                         SimulationReport& report);
-  // --- MovePhase decomposed into pipeline stages ---------------------------
-  // MovePhase is exactly ListEvents (stepping) + RunAdvance +
-  // CommitMove + PrepareReindex + ApplyReindexNow, in that order — the
-  // depth-1 composition. The pipelined driver re-assembles the same
-  // stages around overlapped work instead.
+  // --- AdvanceTick's stages, in order -------------------------------------
   /// The pass-through check over the whole fleet, in id order: fills
   /// events_ (every vehicle that does not pass through) and
-  /// serving_events_ (those of them with a schedule). With `step`,
-  /// pass-through vehicles take their step here, so this one pass is
-  /// all the tick spends on them; that is valid only when the commit
-  /// follows with no state change in between (after a commit error,
-  /// vehicles past the failure have still taken their step). The
-  /// overlapped window lists without stepping (read-only, beside its
-  /// match) and lists again, stepping, after the match commit.
-  void ListEvents(double budget, bool step, SimulationReport& report);
-  /// Stage kAdvance: fills the advances_ slots of serving_events_
-  /// against the frozen tick, on move_pool_ when there are at least
-  /// kParallelAdvanceMin of them. Reads fleet/graph/motions_ only — safe
-  /// concurrently with a read-only match stage.
+  /// serving_events_ (those of them with a schedule). Pass-through
+  /// vehicles take their step here, so this one pass is all the tick
+  /// spends on them.
+  void ListEvents(double budget, SimulationReport& report);
+  /// Fills the advances_ slots of serving_events_ against the frozen
+  /// tick, on move_pool_ when there are at least kParallelAdvanceMin of
+  /// them. Reads fleet/graph/motions_ only.
   void RunAdvance(double now, double budget, SimulationReport& report);
-  /// Stage kCommitMove: sequential vehicle-id-order commit of events_:
-  /// serving events' advances_ and idle walks (the only rng_
-  /// consumers), folding arrival events into `report` and recording
-  /// moved_.
+  /// Sequential vehicle-id-order commit of events_: serving events'
+  /// advances_ and idle walks (the only rng_ consumers), folding arrival
+  /// events into `report` and recording moved_.
   util::Status CommitMove(double now, double budget,
                           SimulationReport& report);
-  /// Recomputes advances_ slots of this window's assigned vehicles that
-  /// do not pass through: their schedules/motions changed in the match
-  /// commit AFTER the overlapped advance ran, and the depth-1 order
-  /// computes advances post-commit. AdvanceVehicle is a pure per-vehicle
-  /// function, so redoing exactly these slots restores bit-identity.
-  void RedoAdvance(double now, double budget,
-                   const std::vector<core::BatchItem>& items,
-                   SimulationReport& report);
-  /// Builds pending_reindex_ (one end-of-tick registration per moved_
-  /// vehicle, vehicle-id order) for stage kReindex.
-  void PrepareReindex(SimulationReport& report);
-  /// Applies pending_reindex_ inline (the depth < 3 / sequential path).
-  void ApplyReindexNow(SimulationReport& report);
-  /// Depth >= 3: floats pending_reindex_ onto a stage thread. The batch
-  /// is first masked (dispatch::ReindexShardMask over new cells, OR'd
-  /// with each vehicle's tracked previous-registration mask so removal
-  /// shards are covered); a mask conflict with still-in-flight batches
-  /// joins them first, so concurrently floating batches always commit
-  /// disjoint shards — checkable via VehicleIndex's ownership tokens.
-  void FloatReindex(SimulationReport& report);
-  /// Joins every floated reindex batch (and any other in-flight stage),
-  /// folding stage wall clock into the report. Must run before anything
-  /// reads or synchronously writes the index.
-  void JoinReindex(SimulationReport& report);
-  /// Rebuilds reindex_mask_ from the quiescent index (initially and
-  /// after a shard rebalance moved the cell->shard boundaries).
-  void RefreshMasks();
-  /// Re-syncs assigned vehicles' tracked registration masks after a
-  /// dispatch commit re-registered them outside the float path.
-  void SyncAssignedMasks(const std::vector<core::BatchItem>& items);
-  /// True when this run floats reindex batches (depth >= 3, pipelined).
-  bool FloatingReindex() const {
-    return pipeline_ != nullptr && options_.pipeline_depth >= 3;
-  }
-  /// Creates pipeline_ per options_.pipeline_depth (no-op at depth 1).
-  void EnsurePipeline();
+  /// Re-registers every moved_ vehicle once (prepared in vehicle-id
+  /// order, applied across shards via dispatch::ApplyReindex).
+  void Reindex(SimulationReport& report);
   /// The idle-cruising walk of one vehicle's tick remainder, resumed at
   /// `budget` / `hops`: draws cruise segments from rng_ and flushes
   /// vertex crossings through the live system. Oracle-free (the tree is
@@ -314,36 +208,6 @@ class Simulator {
   /// loop.
   std::vector<vehicle::VehicleId> moved_;
   std::vector<vehicle::PendingUpdate> pending_reindex_;
-
-  // --- Pipelined tick engine (pipeline_depth > 1, batched mode) ------------
-  /// Stage threads for the overlapped match and floated reindex batches
-  /// (created lazily; null at depth 1 — the sequential code path runs
-  /// untouched). Cross-stage synchronization lives behind the
-  /// executor's annotated mutex (dispatch/pipeline.h).
-  std::unique_ptr<dispatch::PipelineExecutor> pipeline_;
-  /// One floated (in-flight or joined-pending) reindex batch. `seconds`
-  /// is written by the stage thread before the executor's join makes it
-  /// visible to the driver.
-  struct FloatedReindex {
-    std::vector<vehicle::PendingUpdate> batch;
-    uint64_t shard_mask = 0;
-    double seconds = 0.0;
-  };
-  /// In-flight floated batches, launch order. A deque so entries keep
-  /// stable addresses for the stage lambdas holding them.
-  std::deque<FloatedReindex> floated_;
-  /// Union of in-flight batches' shard masks; a new batch conflicting
-  /// with it joins everything before floating.
-  uint64_t inflight_shard_mask_ = 0;
-  /// Per-vehicle mask of the shards holding the vehicle's CURRENT
-  /// registration — the shards its next update must also touch (entry
-  /// removal). Maintained driver-side so float-time masking never reads
-  /// the possibly-in-flight index.
-  std::vector<uint64_t> reindex_mask_;
-  bool masks_valid_ = false;
-  /// VehicleIndex::rebalance_count() at the last mask refresh; a bump
-  /// means the cell->shard map moved and every mask is stale.
-  uint64_t seen_rebalances_ = 0;
 };
 
 }  // namespace ptrider::sim

@@ -77,9 +77,7 @@ class VehicleIndex {
   /// Sequential bookkeeping for a batch about to be applied via
   /// ApplyShard: registration presence and the update counter. Call once
   /// per batch, before any ApplyShard of it. Touches only registered_ /
-  /// num_registered_ / update_count_ — state no ApplyShard reads — so
-  /// the pipelined tick engine may run it concurrently with a PREVIOUS
-  /// batch's still-in-flight ApplyShard calls (DESIGN.md section 15).
+  /// num_registered_ / update_count_ — state no ApplyShard reads.
   void BeginBatch(std::span<const PendingUpdate> pending);
 
   /// Applies the part of `u` owned by `shard`: diffs the vehicle's old
@@ -126,15 +124,15 @@ class VehicleIndex {
   void Rebalance();
   /// Batch-boundary hook: counts reindex batches and triggers
   /// Rebalance() every kRebalanceInterval-th one. Called from
-  /// dispatch::ApplyReindex (and the simulator's floated-reindex join),
-  /// NOT from Update/ApplyBatch — per-update callers (e.g. the E11
-  /// bench) never pay for rebalances they didn't ask for.
+  /// dispatch::ApplyReindex, NOT from Update/ApplyBatch — per-update
+  /// callers (e.g. the E11 bench) never pay for rebalances they didn't
+  /// ask for.
   void MaybeRebalance();
   /// Reindex batches MaybeRebalance has observed.
   uint64_t reindex_batches() const { return reindex_batches_; }
   /// Times Rebalance() ran (the constructor's initial split included).
-  /// Readers caching cell->shard decisions (the pipelined tick engine's
-  /// float masks) compare this to detect moved boundaries.
+  /// Readers caching cell->shard decisions compare this to detect moved
+  /// boundaries.
   uint64_t rebalance_count() const { return rebalances_; }
 
   /// Total number of Update/Remove operations applied (experiment E11).
@@ -224,8 +222,8 @@ class VehicleIndex {
   /// (store 0, release) on every exit, asserting the claim found the
   /// token free. Two ApplyShard calls on DISTINCT shards therefore
   /// concurrently hold distinct tokens — the checkable form of the
-  /// disjoint-shard commit rule the pipelined tick engine relies on
-  /// (DESIGN.md section 15); a same-shard overlap trips the assert in
+  /// one-thread-per-shard rule dispatch::ApplyReindex relies on
+  /// (DESIGN.md section 10.2); a same-shard overlap trips the assert in
   /// debug builds and the TSan CI jobs.
   std::unique_ptr<std::atomic<uint32_t>[]> shard_owner_;
   uint64_t reindex_batches_ = 0;

@@ -1,7 +1,7 @@
 // Golden reports for the movement engine. The determinism matrices in
-// sim_movement_parallel_test, sim_movement_sharded_test and
-// sim_pipeline_test compare variants with each other, so an answer they
-// all share could move and every one of them would still pass. This file
+// sim_movement_parallel_test and sim_movement_sharded_test compare
+// variants with each other, so an answer they all share could move and
+// every one of them would still pass. This file
 // pins that shared answer: the values below were recorded from the
 // tick-by-tick movement loop (every vehicle advanced, committed and
 // re-registered on every tick) and must hold, bit for bit, for every
@@ -134,7 +134,7 @@ core::Config BusyConfig(int index_shards) {
   cfg.pricing_policy = core::PricingPolicyKind::kSurge;
   cfg.surge_baseline_rate_per_min = 1.0;
   cfg.index_shards = index_shards;
-  // The staged ParallelDispatcher, so depth >= 2 really overlaps.
+  // The 2-thread ParallelDispatcher.
   cfg.dispatch_threads = 2;
   return cfg;
 }
@@ -186,24 +186,20 @@ TEST(MovementGoldenTest, BusyBatchedCityAcrossKnobs) {
                               0x410677654bc51084ULL, 0x40ea8797e2b9e9cfULL,
                               109, 0x4087765455a72a3bULL, 109,
                               0x405dd7ffb2f84a7dULL};
-  for (const int depth : {1, 2, 3}) {
-    for (const int move_jobs : {1, 2}) {
-      for (const int shards : {1, 4}) {
-        SCOPED_TRACE("pipeline_depth " + std::to_string(depth) +
-                     " move_jobs " + std::to_string(move_jobs) +
-                     " index_shards " + std::to_string(shards));
-        auto sys = core::PTRider::Create(graph, BusyConfig(shards));
-        ASSERT_TRUE(sys.ok());
-        ASSERT_TRUE((*sys)->InitFleetUniform(30, /*seed=*/3).ok());
-        SimulatorOptions sopts = BusyOptions(3);
-        sopts.batch_window_s = 4.0;
-        sopts.pipeline_depth = depth;
-        sopts.move_jobs = move_jobs;
-        Simulator sim(**sys, sopts);
-        auto report = sim.Run(trips);
-        ASSERT_TRUE(report.ok()) << report.status().ToString();
-        ExpectGolden(*report, kGolden);
-      }
+  for (const int move_jobs : {1, 2}) {
+    for (const int shards : {1, 4}) {
+      SCOPED_TRACE("move_jobs " + std::to_string(move_jobs) +
+                   " index_shards " + std::to_string(shards));
+      auto sys = core::PTRider::Create(graph, BusyConfig(shards));
+      ASSERT_TRUE(sys.ok());
+      ASSERT_TRUE((*sys)->InitFleetUniform(30, /*seed=*/3).ok());
+      SimulatorOptions sopts = BusyOptions(3);
+      sopts.batch_window_s = 4.0;
+      sopts.move_jobs = move_jobs;
+      Simulator sim(**sys, sopts);
+      auto report = sim.Run(trips);
+      ASSERT_TRUE(report.ok()) << report.status().ToString();
+      ExpectGolden(*report, kGolden);
     }
   }
 }
@@ -245,8 +241,7 @@ TEST(MovementGoldenTest, FractionalTicksWithClampedEnd) {
 /// sub-second ones, and gaps long enough that every vehicle crosses at
 /// least one vertex. Every third step is a window boundary.
 SimulationReport RunStepped(const roadnet::RoadNetwork& graph,
-                            const std::vector<Trip>& trips,
-                            int pipeline_depth, int move_jobs) {
+                            const std::vector<Trip>& trips, int move_jobs) {
   static constexpr double kGaps[] = {1.0, 0.35, 2.6, 0.0, 7.9,
                                      1.3, 31.0, 0.05, 4.4};
   auto sys = core::PTRider::Create(graph, BusyConfig(4));
@@ -254,7 +249,6 @@ SimulationReport RunStepped(const roadnet::RoadNetwork& graph,
   EXPECT_TRUE((*sys)->InitFleetUniform(40, /*seed=*/29).ok());
   SimulatorOptions sopts = BusyOptions(29);
   sopts.batch_window_s = 4.0;
-  sopts.pipeline_depth = pipeline_depth;
   sopts.move_jobs = move_jobs;
   Simulator sim(**sys, sopts);
   EXPECT_TRUE(sim.BeginStepping().ok());
@@ -300,12 +294,9 @@ TEST(MovementGoldenTest, SteppingApiWithIrregularGaps) {
                               0x41058ee3abc17096ULL, 0x40f227bda07495a9ULL,
                               109, 0x4093181b6b984ef2ULL, 109,
                               0x405ee0a323c43b93ULL};
-  for (const int depth : {1, 2}) {
-    for (const int move_jobs : {1, 2}) {
-      SCOPED_TRACE("pipeline_depth " + std::to_string(depth) +
-                   " move_jobs " + std::to_string(move_jobs));
-      ExpectGolden(RunStepped(graph, trips, depth, move_jobs), kGolden);
-    }
+  for (const int move_jobs : {1, 2}) {
+    SCOPED_TRACE("move_jobs " + std::to_string(move_jobs));
+    ExpectGolden(RunStepped(graph, trips, move_jobs), kGolden);
   }
 }
 

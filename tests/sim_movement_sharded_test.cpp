@@ -6,16 +6,22 @@
 // shard-independent, so the lists (and everything matched off them) are
 // bit-identical (DESIGN.md section 10). Determinism is proven here, not
 // asserted — and the TSan CI job runs this file to certify the
-// concurrent shard application is race-free.
+// concurrent shard application is race-free. The last test drives two
+// genuinely concurrent ApplyShard lanes through the index directly, so
+// the shard-ownership tokens are exercised on every run.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "roadnet/graph_generator.h"
 #include "sim/simulator.h"
 #include "sim/workload.h"
+#include "vehicle/vehicle_index.h"
 
 namespace ptrider::sim {
 namespace {
@@ -159,6 +165,148 @@ TEST(ShardedIndexDeterminismTest, PerRequestModeIdenticalAcrossShards) {
       reference, RunCity(city, /*index_shards=*/4, /*move_jobs=*/4,
                          /*dispatch_threads=*/0, /*batch_window_s=*/0.0,
                          5));
+}
+
+// --- Disjoint-shard concurrent application ---------------------------------
+
+// ApplyShard calls on distinct shards may run concurrently — what
+// dispatch::ApplyReindex does on the movement pool. This drives two
+// genuinely concurrent lanes, each applying its batch to its own shards
+// only, through the vehicle index (under TSan in CI) and then proves the
+// lists equal a sequential application on a twin index. A first round
+// registers the vehicles; a second round moves every one of them within
+// its lane's shards, so the lanes also run the merge, the drop of a
+// record from a shard and the re-use of freed records concurrently.
+TEST(ConcurrentShardApplyTest, DisjointShardBatchesCommitConcurrently) {
+  roadnet::CityGridOptions gopts;
+  gopts.rows = 10;
+  gopts.cols = 10;
+  gopts.seed = 5;
+  auto g = roadnet::MakeCityGrid(gopts);
+  ASSERT_TRUE(g.ok());
+  const roadnet::RoadNetwork& graph = *g;
+
+  core::Config cfg;
+  cfg.index_shards = 4;
+  auto sys = core::PTRider::Create(graph, cfg);
+  ASSERT_TRUE(sys.ok());
+  ASSERT_TRUE((*sys)->InitFleetUniform(40, /*seed=*/9).ok());
+  const vehicle::Fleet& fleet = (*sys)->fleet();
+
+  vehicle::VehicleIndex concurrent((*sys)->grid(), 4);
+  vehicle::VehicleIndex sequential((*sys)->grid(), 4);
+
+  // Bit s is set for every shard s owning a cell of an update in `batch`.
+  const auto shard_mask =
+      [&](std::span<const vehicle::PendingUpdate> batch) {
+        uint64_t mask = 0;
+        for (const vehicle::PendingUpdate& u : batch) {
+          for (const roadnet::CellId c : u.cells) {
+            mask |= uint64_t{1} << concurrent.ShardOfCell(c);
+          }
+        }
+        return mask;
+      };
+
+  // Split the fleet's first-time registrations into two batches with
+  // provably disjoint shard sets (single-shard vehicles only); both
+  // indices start empty so every ApplyShard takes the mutating
+  // insertion path, not a same-state no-op.
+  std::vector<vehicle::PendingUpdate> all;
+  for (const vehicle::Vehicle& v : fleet.vehicles()) {
+    all.push_back(concurrent.Prepare(v));
+  }
+  std::vector<vehicle::PendingUpdate> low;
+  std::vector<vehicle::PendingUpdate> high;
+  for (vehicle::PendingUpdate& u : all) {
+    const uint64_t mask = shard_mask({&u, 1});
+    if ((mask & 0b0011u) != 0 && (mask & ~uint64_t{0b0011u}) == 0) {
+      low.push_back(std::move(u));
+    } else if ((mask & 0b1100u) != 0 &&
+               (mask & ~uint64_t{0b1100u}) == 0) {
+      high.push_back(std::move(u));
+    }
+  }
+  ASSERT_FALSE(low.empty());
+  ASSERT_FALSE(high.empty());
+  ASSERT_EQ(shard_mask(low) & shard_mask(high), 0u);
+
+  // Sequential reference: both batches in order, whole-index.
+  sequential.ApplyBatch(low);
+  sequential.ApplyBatch(high);
+
+  // Concurrent: per-batch bookkeeping on this thread, then one thread
+  // per batch applying only its own shards. The ownership tokens assert
+  // if the lanes ever collide.
+  const auto lane = [&](const std::vector<vehicle::PendingUpdate>& batch,
+                        uint64_t mask) {
+    for (uint32_t s = 0; s < concurrent.num_shards(); ++s) {
+      if (((mask >> s) & 1) == 0) continue;
+      for (const vehicle::PendingUpdate& u : batch) {
+        concurrent.ApplyShard(u, s);
+      }
+    }
+  };
+  const uint64_t low_mask = shard_mask(low);
+  const uint64_t high_mask = shard_mask(high);
+  const auto run_lanes = [&](const std::vector<vehicle::PendingUpdate>& a,
+                             const std::vector<vehicle::PendingUpdate>& b) {
+    concurrent.BeginBatch(a);
+    concurrent.BeginBatch(b);
+    std::thread t1([&] { lane(a, low_mask); });
+    std::thread t2([&] { lane(b, high_mask); });
+    t1.join();
+    t2.join();
+  };
+  const auto expect_lists_equal = [&] {
+    for (roadnet::CellId c = 0; c < (*sys)->grid().NumCells(); ++c) {
+      SCOPED_TRACE("cell " + std::to_string(c));
+      EXPECT_EQ(concurrent.EmptyVehicles(c), sequential.EmptyVehicles(c));
+      EXPECT_EQ(concurrent.NonEmptyVehicles(c),
+                sequential.NonEmptyVehicles(c));
+    }
+  };
+  run_lanes(low, high);
+  expect_lists_equal();
+
+  // Second round: every vehicle moves to another cell of its lane's
+  // shards. Even positions switch to the lane's other shard — the old
+  // shard drops the vehicle's record onto its free list, and a vehicle
+  // entering that shard later in the batch re-registers into it — and
+  // odd positions move to another cell of their own shard (the merge).
+  std::vector<std::vector<roadnet::CellId>> cells_of_shard(4);
+  for (roadnet::CellId c = 0; c < (*sys)->grid().NumCells(); ++c) {
+    cells_of_shard[concurrent.ShardOfCell(c)].push_back(c);
+  }
+  const auto move_lane = [&](const std::vector<vehicle::PendingUpdate>& batch,
+                             uint32_t first_shard) {
+    std::vector<vehicle::PendingUpdate> moved;
+    for (size_t k = 0; k < batch.size(); ++k) {
+      const roadnet::CellId from = batch[k].cells.front();
+      const uint32_t shard = concurrent.ShardOfCell(from);
+      const uint32_t target =
+          k % 2 == 0 ? first_shard + (shard == first_shard ? 1 : 0) : shard;
+      const std::vector<roadnet::CellId>& options = cells_of_shard[target];
+      roadnet::CellId to = options[(7 * k + 3) % options.size()];
+      if (to == from) to = options[(7 * k + 4) % options.size()];
+      moved.push_back(vehicle::PendingUpdate{batch[k].id, true, {to}});
+    }
+    return moved;
+  };
+  const std::vector<vehicle::PendingUpdate> low2 = move_lane(low, 0);
+  const std::vector<vehicle::PendingUpdate> high2 = move_lane(high, 2);
+  ASSERT_EQ(shard_mask(low2) & ~low_mask, 0u);
+  ASSERT_EQ(shard_mask(high2) & ~high_mask, 0u);
+  sequential.ApplyBatch(low2);
+  sequential.ApplyBatch(high2);
+  run_lanes(low2, high2);
+  expect_lists_equal();
+  for (const auto* batch : {&low2, &high2}) {
+    for (const vehicle::PendingUpdate& u : *batch) {
+      EXPECT_EQ(concurrent.RegisteredCells(u.id), u.cells)
+          << "vehicle " << u.id;
+    }
+  }
 }
 
 }  // namespace

@@ -429,8 +429,8 @@ TEST_F(VehicleIndexTest, DeferredApplyMatchesImmediateUpdate) {
 // Rebalance() moves shard *ownership* boundaries toward equal
 // registration load, but never touches the per-cell lists or position
 // handles — so a rebalanced sharded index must stay entry-for-entry
-// identical to an unsharded one, and the pipelined engine may rebalance
-// on whatever cadence it likes without perturbing reports.
+// identical to an unsharded one, and a caller may rebalance on whatever
+// cadence it likes without perturbing reports.
 
 TEST(VehicleIndexRebalanceTest, DensityShiftsBoundariesListsUnchanged) {
   roadnet::CityGridOptions gopts;
@@ -507,8 +507,7 @@ TEST(VehicleIndexRebalanceTest, DensityShiftsBoundariesListsUnchanged) {
   expect_lists_equal();
 
   // The batch-cadence trigger: every kRebalanceInterval-th counted batch
-  // rebalances (the pipelined engine calls this from its quiescent join
-  // points).
+  // rebalances (dispatch::ApplyReindex calls this after each batch).
   const uint64_t before = sharded.rebalance_count();
   for (int i = 0; i < 64; ++i) sharded.MaybeRebalance();
   EXPECT_EQ(sharded.rebalance_count(), before + 1);

@@ -37,14 +37,6 @@
 //                   offered/retried/gave-up accounting the admission
 //                   funnel invariants are audited against (DESIGN.md
 //                   section 14), silently unbalancing every funnel check.
-//   stage-order     direct `MovePhase` / `DispatchBatch` call sites
-//                   outside the tick engine (sim/simulator) and the
-//                   service's drain epilogue. The pipelined engine
-//                   (DESIGN.md section 15) owns stage order: callers
-//                   must step through Run / StepWindow / AdvanceTick, or
-//                   a hand-rolled loop silently skips the reindex joins
-//                   and mask bookkeeping that keep depth >= 2 reports
-//                   bit-identical.
 //
 // Escape hatch: a `// lint: allow(<rule>)` comment on the offending line
 // suppresses that rule for that line (policy in DESIGN.md section 13:
@@ -272,14 +264,6 @@ bool AllowedDirectPush(const std::string& rel) {
   return StartsWith(rel, "src/service/workload_driver.") ||
          rel == "src/service/dispatch_service.cpp" ||
          rel == "src/service/mpsc_queue.h";
-}
-
-bool AllowedStageOrder(const std::string& rel) {
-  // The tick engine itself (declaration + stage composition) and the
-  // service's drain epilogue, which dispatches one final window with no
-  // tick to advance. Everyone else steps via Run/StepWindow/AdvanceTick.
-  return rel == "src/sim/simulator.cpp" || rel == "src/sim/simulator.h" ||
-         rel == "src/service/dispatch_service.cpp";
 }
 
 /// Report-feeding directories: files here compute what lands in
@@ -545,22 +529,6 @@ void LintFile(const fs::path& path, std::vector<Finding>& findings,
       }
     }
 
-    // stage-order -----------------------------------------------------------
-    if (!AllowedStageOrder(rel)) {
-      for (const char* stage : {"MovePhase", "DispatchBatch"}) {
-        const size_t pos = FindToken(code, stage);
-        if (pos != std::string::npos &&
-            code.find('(', pos + std::strlen(stage)) ==
-                pos + std::strlen(stage)) {
-          emit(li, "stage-order",
-               std::string("direct ") + stage +
-                   " call bypasses the pipelined tick engine's stage "
-                   "ordering (reindex joins, mask bookkeeping); step via "
-                   "Simulator::Run / StepWindow / AdvanceTick");
-        }
-      }
-    }
-
     // unordered-iter -------------------------------------------------------
     if (!unordered_names.empty()) {
       size_t pos = 0;
@@ -617,7 +585,7 @@ int main(int argc, char** argv) {
       std::printf(
           "usage: ptrider_lint [--self-test] <dir-or-file>...\n"
           "rules: raw-rand wall-clock raw-thread unordered-iter "
-          "raw-mutex direct-push stage-order\n"
+          "raw-mutex direct-push\n"
           "escape: // lint: allow(<rule>) on the offending line\n");
       return 0;
     } else {
