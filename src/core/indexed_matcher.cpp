@@ -29,25 +29,45 @@ MatchResult IndexedMatcherBase::Match(const vehicle::Request& request,
   // leg TrialInsert reuses (DESIGN.md section 7.5).
   const roadnet::DistanceOracle::AnchorScope anchors(
       *ctx_.oracle, request.start, request.destination);
+  const uint64_t settles_before = ctx_.oracle->anchor_settles();
 
   IndexedDistanceProvider dist(*ctx_.oracle, *ctx_.grid);
-  const pricing::PricingPolicy& price = *ctx_.pricing;
   const roadnet::Weight direct =
       dist.Exact(request.start, request.destination);
   result.direct_distance_m = direct;
-  if (direct == roadnet::kInfWeight) {
-    result.match_seconds = timer.ElapsedSeconds();
-    return result;
+  Skyline skyline;
+  // Seat screen (DESIGN.md section 4.5): a group larger than every
+  // vehicle's capacity fails every schedule of every vehicle.
+  if (direct != roadnet::kInfWeight &&
+      request.num_riders <= ctx_.fleet->max_capacity()) {
+    SearchCells(request, ctx, dist, direct, skyline, result);
   }
+
+  result.options = skyline.TakeSorted();
+  result.distance_computations = ctx_.oracle->computed() - computed_before;
+  result.anchor_settles = ctx_.oracle->anchor_settles() - settles_before;
+  result.match_seconds = timer.ElapsedSeconds();
+  return result;
+}
+
+void IndexedMatcherBase::SearchCells(const vehicle::Request& request,
+                                     const vehicle::ScheduleContext& ctx,
+                                     vehicle::DistanceProvider& dist,
+                                     roadnet::Weight direct,
+                                     Skyline& skyline,
+                                     MatchResult& result) const {
+  const pricing::PricingPolicy& price = *ctx_.pricing;
   const roadnet::Weight radius = ctx_.config->MaxPickupRadiusM();
   const double price_floor = price.MinPrice(request.num_riders, direct);
   const roadnet::GridIndex& grid = *ctx_.grid;
   const vehicle::VehicleIndex& vindex = *ctx_.vehicle_index;
   const MatchEffort& effort = ctx_.effort;
 
-  Skyline skyline;
   util::VisitMarks& seen = ctx_.oracle->match_marks();
   seen.Reset(ctx_.fleet->size());
+  // Set once the skyline covers every empty vehicle in this and every
+  // later cell (the empty-vehicle cutoff, DESIGN.md section 4.5).
+  bool empty_cutoff = false;
 
   // Visits one cell; returns false once the search may stop entirely.
   auto process_cell = [&](roadnet::CellId cell,
@@ -56,21 +76,35 @@ MatchResult IndexedMatcherBase::Match(const vehicle::Request& request,
     if (skyline.CoveredBy(enter_lb, price_floor)) return false;
     ++result.cells_visited;
 
-    for (const vehicle::VehicleId id : vindex.EmptyVehicles(cell)) {
-      if (!seen.Mark(static_cast<size_t>(id))) continue;
-      const vehicle::Vehicle& v = ctx_.fleet->at(id);
-      // Empty-vehicle option is fully determined by the pick-up distance,
-      // and both coordinates grow with it: prune on the joint bound.
-      const roadnet::Weight t_lb = grid.LowerBound(v.location(),
-                                                   request.start);
-      if (t_lb > radius ||
-          skyline.CoveredBy(t_lb, price.EmptyVehiclePrice(
-                                      request.num_riders, t_lb, direct))) {
-        ++result.vehicles_pruned;
-        continue;
+    // Every empty vehicle from here on is at least enter_lb from s, so it
+    // quotes at least EmptyVehiclePrice(n, enter_lb, direct).
+    empty_cutoff = empty_cutoff ||
+                   skyline.CoveredBy(enter_lb, price.EmptyVehiclePrice(
+                                                   request.num_riders,
+                                                   enter_lb, direct));
+    if (empty_cutoff) {
+      // An empty vehicle is listed in one cell only: none counts twice.
+      result.vehicles_pruned += vindex.EmptyVehicles(cell).size();
+      // Under empty-vehicle-only matching no later vehicle can contribute.
+      if (effort.empty_vehicle_only) return false;
+    } else {
+      for (const vehicle::VehicleId id : vindex.EmptyVehicles(cell)) {
+        if (!seen.Mark(static_cast<size_t>(id))) continue;
+        const vehicle::Vehicle& v = ctx_.fleet->at(id);
+        // Empty-vehicle option is fully determined by the pick-up
+        // distance, and both coordinates grow with it: prune on the joint
+        // bound.
+        const roadnet::Weight t_lb = grid.LowerBound(v.location(),
+                                                     request.start);
+        if (t_lb > radius ||
+            skyline.CoveredBy(t_lb, price.EmptyVehiclePrice(
+                                        request.num_riders, t_lb, direct))) {
+          ++result.vehicles_pruned;
+          continue;
+        }
+        EvaluateVehicle(v, request, ctx, dist, price, direct, radius,
+                        skyline, result, effort.max_probe_branches);
       }
-      EvaluateVehicle(v, request, ctx, dist, price, direct, radius, skyline,
-                      result, effort.max_probe_branches);
     }
 
     // Deepest degradation rung before shedding: non-empty vehicles (the
@@ -114,11 +148,6 @@ MatchResult IndexedMatcherBase::Match(const vehicle::Request& request,
       if (!process_cell(cn.cell, enter_lb)) break;
     }
   }
-
-  result.options = skyline.TakeSorted();
-  result.distance_computations = ctx_.oracle->computed() - computed_before;
-  result.match_seconds = timer.ElapsedSeconds();
-  return result;
 }
 
 }  // namespace ptrider::core

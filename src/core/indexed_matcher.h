@@ -3,6 +3,7 @@
 
 #include <vector>
 
+#include "core/dominance.h"
 #include "core/matcher.h"
 
 namespace ptrider::core {
@@ -27,6 +28,10 @@ namespace ptrider::core {
 ///   * Termination. Cells arrive in ascending lower-bound order; stop when
 ///     the skyline covers (cell time LB, global price floor), or the lower
 ///     bound exceeds the pick-up radius.
+///   * Early exits (DESIGN.md 4.5). Once the skyline covers (cell time LB,
+///     empty-vehicle price at that LB), every remaining empty-vehicle list
+///     is skipped and counted as pruned; a group larger than every
+///     vehicle's capacity visits no cell at all.
 class IndexedMatcherBase : public Matcher {
  public:
   IndexedMatcherBase(const MatchContext& context, bool dual_side)
@@ -53,6 +58,15 @@ class IndexedMatcherBase : public Matcher {
 
   MatchContext ctx_;
   bool dual_side_;
+
+ private:
+  /// Expands cells outward from the request start, feeding every vehicle
+  /// the prunes cannot exclude into `skyline`. `direct` is dist(s, d),
+  /// finite.
+  void SearchCells(const vehicle::Request& request,
+                   const vehicle::ScheduleContext& ctx,
+                   vehicle::DistanceProvider& dist, roadnet::Weight direct,
+                   Skyline& skyline, MatchResult& result) const;
 };
 
 /// Single-side search: expands from the start location only; prunes with

@@ -28,12 +28,19 @@ struct MatchResult {
   // --- Diagnostics ---------------------------------------------------------
   /// Vehicles whose kinetic tree was actually searched.
   size_t vehicles_examined = 0;
-  /// Vehicles skipped by index-based pruning before any exact work.
+  /// Vehicles skipped by index-based pruning before any exact work: one by
+  /// one on their own bounds, or a whole cell's empty-vehicle list at once
+  /// once the empty-vehicle cutoff holds (DESIGN.md section 4.5). Oversized
+  /// groups skip the fleet without pruning anyone (0).
   size_t vehicles_pruned = 0;
   /// Grid cells the search visited (0 for the naive matcher).
   size_t cells_visited = 0;
   /// Exact shortest-path computations performed during this match.
   uint64_t distance_computations = 0;
+  /// Vertices the two request-anchor searches settled during this match
+  /// (0 for the naive matcher). Anchors persist per oracle, so the count
+  /// depends on which request the oracle matched before.
+  uint64_t anchor_settles = 0;
   /// Wall-clock matching latency — the demo's "average response time"
   /// aggregates this.
   double match_seconds = 0.0;

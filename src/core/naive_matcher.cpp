@@ -17,18 +17,16 @@ MatchResult NaiveMatcher::Match(const vehicle::Request& request,
   const roadnet::Weight direct =
       dist.Exact(request.start, request.destination);
   result.direct_distance_m = direct;
-  if (direct == roadnet::kInfWeight) {
-    result.match_seconds = timer.ElapsedSeconds();
-    return result;  // destination unreachable: no qualified options
-  }
-  const roadnet::Weight radius = ctx_.config->MaxPickupRadiusM();
-
   Skyline skyline;
-  const MatchEffort& effort = ctx_.effort;
-  for (const vehicle::Vehicle& v : ctx_.fleet->vehicles()) {
-    if (effort.empty_vehicle_only && !v.tree().empty()) continue;
-    EvaluateVehicle(v, request, ctx, dist, price, direct, radius, skyline,
-                    result, effort.max_probe_branches);
+  // Destination unreachable: no qualified options.
+  if (direct != roadnet::kInfWeight) {
+    const roadnet::Weight radius = ctx_.config->MaxPickupRadiusM();
+    const MatchEffort& effort = ctx_.effort;
+    for (const vehicle::Vehicle& v : ctx_.fleet->vehicles()) {
+      if (effort.empty_vehicle_only && !v.tree().empty()) continue;
+      EvaluateVehicle(v, request, ctx, dist, price, direct, radius, skyline,
+                      result, effort.max_probe_branches);
+    }
   }
   result.options = skyline.TakeSorted();
   result.distance_computations = ctx_.oracle->computed() - computed_before;

@@ -54,9 +54,13 @@ class PriceModel {
 
   /// Price of an empty vehicle at pick-up distance `pickup`. Increases in
   /// `pickup`, so a lower bound on pickup gives a lower bound on price.
+  /// Evaluated as the quote itself is (new_total = pickup + direct,
+  /// current_total = 0): `pickup + 2 * direct` can round one ulp above
+  /// `(pickup + direct) + direct`, and a bound above the quote would
+  /// prune a vehicle whose option ties a kept one.
   double EmptyVehiclePrice(int num_riders, roadnet::Weight pickup,
                            roadnet::Weight direct) const {
-    return Fn(num_riders) * (pickup + 2.0 * direct) / unit_m_;
+    return Price(num_riders, pickup + direct, 0.0, direct);
   }
 
   /// Price floor given a lower bound on the added detour Delta.

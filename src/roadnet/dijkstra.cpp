@@ -74,6 +74,7 @@ void DijkstraEngine::Run(
     if (top.dist > opts.radius) break;
     settled_[u] = 1;
     ++last_settled_;
+    ++total_settled_;
     if (targets_remaining > 0 && is_target(u)) {
       // Count distinct settled targets.
       size_t still_pending = 0;
@@ -128,6 +129,7 @@ Weight DijkstraEngine::SettleUntil(VertexId target) {
     if (settled_[u] || top.dist > dist_[u]) continue;  // stale entry
     settled_[u] = 1;
     ++last_settled_;
+    ++total_settled_;
     // Relax before returning so the next call resumes a consistent
     // frontier; a one-shot run would stop here, having settled the
     // same vertices in the same order.

@@ -81,7 +81,9 @@ class DijkstraEngine {
   size_t last_settled() const { return last_settled_; }
   /// Cumulative heap pops across all runs (pruning-effect metric).
   uint64_t total_pops() const { return total_pops_; }
-  void ResetStats() { total_pops_ = 0; }
+  /// Cumulative vertices settled across all runs and resumptions.
+  uint64_t total_settled() const { return total_settled_; }
+  void ResetStats() { total_pops_ = total_settled_ = 0; }
 
   const RoadNetwork& graph() const { return *graph_; }
 
@@ -112,6 +114,7 @@ class DijkstraEngine {
   uint32_t generation_ = 0;
   size_t last_settled_ = 0;
   uint64_t total_pops_ = 0;
+  uint64_t total_settled_ = 0;
 };
 
 }  // namespace ptrider::roadnet

@@ -200,6 +200,14 @@ uint64_t DistanceOracle::heap_pops() const {
   return pops;
 }
 
+uint64_t DistanceOracle::anchor_settles() const {
+  uint64_t settles = 0;
+  for (const std::unique_ptr<Anchor>& a : anchors_) {
+    if (a) settles += a->search.total_settled();
+  }
+  return settles;
+}
+
 void DistanceOracle::ResetStats() {
   queries_ = 0;
   cache_hits_ = 0;

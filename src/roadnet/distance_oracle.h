@@ -115,6 +115,8 @@ class DistanceOracle {
   /// first lookups in an anchor search (queries - cache_hits - trivial).
   uint64_t computed() const { return computed_; }
   uint64_t heap_pops() const;
+  /// Vertices settled by the two request-anchor searches, cumulative.
+  uint64_t anchor_settles() const;
   void ResetStats();
 
   /// Per-thread matcher scratch (vehicles seen in one match). It lives

@@ -44,6 +44,8 @@ std::string SimulationReport::ToString() const {
                         util::FormatDuration(submit_delay_s.mean()).c_str());
   os << util::StrFormat("avg options/request      %.2f\n",
                         options_per_request.mean());
+  os << util::StrFormat("avg anchor settles       %.1f/request\n",
+                        anchor_settles.mean());
   os << util::StrFormat("avg pickup wait          %s\n",
                         util::FormatDuration(pickup_wait_s.mean()).c_str());
   os << util::StrFormat("avg detour ratio         %.3f\n",

@@ -38,6 +38,10 @@ struct SimulationReport {
   util::RunningStats options_per_request;
   util::RunningStats vehicles_examined;
   util::RunningStats distance_computations;
+  /// Vertices the request-anchor searches settled per match
+  /// (MatchResult::anchor_settles). Exact at one dispatch thread; with
+  /// more it depends on which worker's oracle matched the request.
+  util::RunningStats anchor_settles;
 
   // --- Service quality --------------------------------------------------------
   util::RunningStats pickup_wait_s;   // actual minus planned at pick-up

@@ -54,6 +54,7 @@ util::Status Simulator::RecordOutcome(const vehicle::Request& request,
       static_cast<double>(match.vehicles_examined));
   report.distance_computations.Add(
       static_cast<double>(match.distance_computations));
+  report.anchor_settles.Add(static_cast<double>(match.anchor_settles));
   if (match.options.empty()) {
     ++report.requests_unserved;
     return util::Status::Ok();

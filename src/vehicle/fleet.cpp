@@ -1,5 +1,7 @@
 #include "vehicle/fleet.h"
 
+#include <algorithm>
+
 namespace ptrider::vehicle {
 
 util::Result<Fleet> Fleet::UniformRandom(const roadnet::RoadNetwork& graph,
@@ -26,6 +28,7 @@ VehicleId Fleet::Add(roadnet::VertexId location, int capacity,
                      size_t max_branches) {
   const auto id = static_cast<VehicleId>(vehicles_.size());
   vehicles_.emplace_back(id, location, capacity, max_branches);
+  max_capacity_ = std::max(max_capacity_, capacity);
   return id;
 }
 

@@ -23,12 +23,16 @@ class Fleet {
                                            util::Rng& rng,
                                            size_t max_branches = 0);
 
-  /// Adds one vehicle, returning its id.
+  /// Adds one vehicle, returning its id. The only way a vehicle enters a
+  /// fleet.
   VehicleId Add(roadnet::VertexId location, int capacity,
                 size_t max_branches = 0);
 
   size_t size() const { return vehicles_.size(); }
   bool empty() const { return vehicles_.empty(); }
+  /// Largest capacity passed to Add (0 for an empty fleet). A group larger
+  /// than this fits no vehicle, which lets matching skip the fleet.
+  int max_capacity() const { return max_capacity_; }
   bool IsValid(VehicleId id) const {
     return id >= 0 && static_cast<size_t>(id) < vehicles_.size();
   }
@@ -42,6 +46,7 @@ class Fleet {
 
  private:
   std::vector<Vehicle> vehicles_;
+  int max_capacity_ = 0;
 };
 
 }  // namespace ptrider::vehicle

@@ -157,17 +157,76 @@ TEST(MatcherValidationTest, NoVehiclesMeansNoOptions) {
 }
 
 TEST(MatcherValidationTest, GroupLargerThanCapacityGetsNoOptions) {
+  // The seat screen: a group no vehicle can seat skips the fleet in the
+  // indexed matchers (no cell, no vehicle) and still reports dist(s, d).
+  // The naive matcher stays the unscreened full scan.
   const PaperExampleNetwork ex = MakePaperExampleNetwork();
   Config cfg = PaperConfig();
   cfg.vehicle_capacity = 2;
   auto sys = PTRider::Create(ex.graph, cfg);
   ASSERT_TRUE(sys.ok());
   ASSERT_TRUE((*sys)->AddVehicle(ex.v(13)).ok());
+  ASSERT_TRUE((*sys)->AddVehicle(ex.v(1)).ok());
+  EXPECT_EQ((*sys)->fleet().max_capacity(), 2);
   vehicle::Request r = PaperR2(ex);
   r.num_riders = 3;
-  const auto result = (*sys)->SubmitRequest(r, 0.0);
-  ASSERT_TRUE(result.ok());
-  EXPECT_TRUE(result->options.empty());
+
+  (*sys)->set_matcher(MatcherAlgorithm::kNaive);
+  const auto naive = (*sys)->SubmitRequest(r, 0.0);
+  ASSERT_TRUE(naive.ok());
+  EXPECT_TRUE(naive->options.empty());
+  EXPECT_EQ(naive->vehicles_examined, 2u);
+  for (const MatcherAlgorithm algo :
+       {MatcherAlgorithm::kSingleSide, MatcherAlgorithm::kDualSide}) {
+    SCOPED_TRACE(MatcherAlgorithmName(algo));
+    (*sys)->set_matcher(algo);
+    const auto result = (*sys)->SubmitRequest(r, 0.0);
+    ASSERT_TRUE(result.ok());
+    EXPECT_TRUE(result->options.empty());
+    EXPECT_EQ(result->vehicles_examined, 0u);
+    EXPECT_EQ(result->vehicles_pruned, 0u);
+    EXPECT_EQ(result->cells_visited, 0u);
+    EXPECT_EQ(result->direct_distance_m, naive->direct_distance_m);
+  }
+}
+
+TEST(MatcherValidationTest, UnreachableDestinationCountsItsLookup) {
+  // Two components: {0, 1} and {2, 3}. Every matcher's one exact lookup,
+  // dist(s, d), is counted although the match ends right after it.
+  roadnet::GraphBuilder b;
+  for (int i = 0; i < 4; ++i) {
+    b.AddVertex({100.0 * i, 0.0});
+  }
+  ASSERT_TRUE(b.AddUndirectedEdge(0, 1, 100.0).ok());
+  ASSERT_TRUE(b.AddUndirectedEdge(2, 3, 100.0).ok());
+  auto graph = b.Build();
+  ASSERT_TRUE(graph.ok());
+  vehicle::Request r;
+  r.id = 1;
+  r.start = 0;
+  r.destination = 3;
+  r.num_riders = 1;
+  r.max_wait_s = 300.0;
+  r.service_sigma = 0.5;
+  for (const MatcherAlgorithm algo :
+       {MatcherAlgorithm::kNaive, MatcherAlgorithm::kSingleSide,
+        MatcherAlgorithm::kDualSide}) {
+    SCOPED_TRACE(MatcherAlgorithmName(algo));
+    Config cfg;
+    cfg.matcher = algo;
+    roadnet::GridIndexOptions gopts;
+    gopts.cells_x = 2;
+    gopts.cells_y = 1;
+    auto sys = PTRider::Create(*graph, cfg, gopts);
+    ASSERT_TRUE(sys.ok());
+    ASSERT_TRUE((*sys)->AddVehicle(1).ok());
+    const auto result = (*sys)->SubmitRequest(r, 0.0);
+    ASSERT_TRUE(result.ok());
+    EXPECT_TRUE(result->options.empty());
+    EXPECT_EQ(result->direct_distance_m, roadnet::kInfWeight);
+    EXPECT_EQ(result->distance_computations, 1u);
+    EXPECT_EQ(result->vehicles_examined, 0u);
+  }
 }
 
 TEST(MatcherValidationTest, PickupRadiusTruncatesFarOptions) {
@@ -229,7 +288,9 @@ TEST_P(MatcherEquivalenceTest, AllMatchersAgree) {
     r.start = random_vertex();
     r.destination = random_vertex();
     if (r.start == r.destination) continue;
-    r.num_riders = static_cast<int>(rng.UniformInt(1, 2));
+    // Up to one rider more than any taxi seats: oversized groups occur
+    // at every capacity.
+    r.num_riders = static_cast<int>(rng.UniformInt(1, param.capacity + 1));
     r.max_wait_s = cfg.default_max_wait_s;
     r.service_sigma = cfg.default_service_sigma;
     r.submit_time_s = now;
@@ -260,6 +321,27 @@ TEST_P(MatcherEquivalenceTest, AllMatchersAgree) {
     // Dual-side prunes at least as much as single-side.
     EXPECT_GE(results[2].vehicles_pruned, results[1].vehicles_pruned);
 
+    // The deepest degradation rung (empty vehicles only), where the
+    // empty-vehicle cutoff also ends the cell loop.
+    MatchEffort empty_only;
+    empty_only.empty_vehicle_only = true;
+    MatchResult degraded[3];
+    for (int a = 0; a < 3; ++a) {
+      (*sys)->set_matcher(algos[a]);
+      degraded[a] =
+          (*sys)->MatchReadOnly(r, now, (*sys)->oracle(), nullptr, &empty_only);
+    }
+    for (int a = 1; a < 3; ++a) {
+      ASSERT_EQ(degraded[a].options.size(), degraded[0].options.size())
+          << "step " << step << " empty-only "
+          << MatcherAlgorithmName(algos[a]);
+      for (size_t i = 0; i < degraded[0].options.size(); ++i) {
+        EXPECT_EQ(degraded[a].options[i].vehicle,
+                  degraded[0].options[i].vehicle);
+        EXPECT_EQ(degraded[a].options[i].price, degraded[0].options[i].price);
+      }
+    }
+
     // Commit a random option (rider choice) to evolve vehicle state.
     if (!results[0].options.empty()) {
       const size_t pick = static_cast<size_t>(rng.UniformInt(
@@ -277,7 +359,161 @@ INSTANTIATE_TEST_SUITE_P(
                       EquivalenceParam{2, 60, 4},
                       EquivalenceParam{3, 15, 2},
                       EquivalenceParam{4, 100, 3},
-                      EquivalenceParam{5, 45, 6}));
+                      EquivalenceParam{5, 45, 6},
+                      // Dense idle fleet: the empty-vehicle cutoff fires
+                      // on most requests.
+                      EquivalenceParam{6, 400, 3}));
+
+/// The empty-vehicle cutoff at its boundary. On a 2 km ladder street
+/// (cells 200 m wide), a busy taxi next to s offers an early but pricey
+/// pick-up: its rider rides on to the far end, so the detour is long. An
+/// empty taxi one cell farther is later but cheaper, so both options are
+/// non-dominated. When the empty taxi's cell is entered, the busy option
+/// covers the cell's time bound but not the empty price at that bound, so
+/// the cutoff must not fire; any bound looser by more than 300 m of
+/// pick-up would skip the empty taxi.
+TEST(MatcherValidationTest, EmptyCutoffKeepsCheaperFartherEmptyTaxi) {
+  constexpr int kN = 21;  // vertices per row, 100 m apart
+  roadnet::GraphBuilder b;
+  for (int row = 0; row < 2; ++row) {
+    for (int i = 0; i < kN; ++i) b.AddVertex({100.0 * i, 100.0 * row});
+  }
+  for (int i = 0; i < kN; ++i) {
+    if (i + 1 < kN) {
+      ASSERT_TRUE(b.AddUndirectedEdge(i, i + 1, 100.0).ok());
+      ASSERT_TRUE(b.AddUndirectedEdge(kN + i, kN + i + 1, 100.0).ok());
+    }
+    ASSERT_TRUE(b.AddUndirectedEdge(i, kN + i, 100.0).ok());
+  }
+  auto graph = b.Build();
+  ASSERT_TRUE(graph.ok());
+
+  for (const MatcherAlgorithm algo :
+       {MatcherAlgorithm::kNaive, MatcherAlgorithm::kSingleSide,
+        MatcherAlgorithm::kDualSide}) {
+    SCOPED_TRACE(MatcherAlgorithmName(algo));
+    Config cfg;
+    cfg.matcher = algo;
+    cfg.default_max_wait_s = 1e4;
+    cfg.default_service_sigma = 1.0;
+    roadnet::GridIndexOptions gopts;
+    gopts.cells_x = 10;
+    gopts.cells_y = 1;
+    auto sys = PTRider::Create(*graph, cfg, gopts);
+    ASSERT_TRUE(sys.ok());
+    const auto busy = (*sys)->AddVehicle(11);
+    const auto empty = (*sys)->AddVehicle(13);
+    ASSERT_TRUE(busy.ok());
+    ASSERT_TRUE(empty.ok());
+    vehicle::Request ride;  // boards the busy taxi where it stands
+    ride.id = 1;
+    ride.start = 11;
+    ride.destination = kN - 1;
+    ride.num_riders = 1;
+    ride.max_wait_s = cfg.default_max_wait_s;
+    ride.service_sigma = cfg.default_service_sigma;
+    auto m = (*sys)->SubmitRequest(ride, 0.0);
+    ASSERT_TRUE(m.ok());
+    const Option* board = nullptr;
+    for (const Option& o : m->options) {
+      if (o.vehicle == *busy) board = &o;
+    }
+    ASSERT_NE(board, nullptr);
+    ASSERT_TRUE((*sys)->ChooseOption(ride, *board, 0.0).ok());
+
+    vehicle::Request r = ride;
+    r.id = 2;
+    r.start = 10;
+    r.destination = 8;
+    const auto result = (*sys)->SubmitRequest(r, 0.0);
+    ASSERT_TRUE(result.ok());
+    ASSERT_EQ(result->options.size(), 2u);
+    EXPECT_EQ(result->options[0].vehicle, *busy);
+    EXPECT_DOUBLE_EQ(result->options[0].pickup_distance, 100.0);
+    EXPECT_EQ(result->options[1].vehicle, *empty);
+    EXPECT_DOUBLE_EQ(result->options[1].pickup_distance, 300.0);
+    EXPECT_LT(result->options[1].price, result->options[0].price);
+  }
+}
+
+/// Skipped empty-vehicle lists are counted, not lost: on an all-idle fleet
+/// whose pick-up radius covers the city, the price floor never ends the
+/// search (an empty vehicle quotes above it), so every vehicle is either
+/// examined or pruned.
+TEST(MatcherAccountingTest, IdleFleetExaminedPlusPrunedIsFleetSize) {
+  roadnet::CityGridOptions gopts;
+  gopts.rows = 14;
+  gopts.cols = 14;
+  gopts.seed = 8;
+  auto graph = roadnet::MakeCityGrid(gopts);
+  ASSERT_TRUE(graph.ok());
+  constexpr size_t kFleet = 500;
+  for (const MatcherAlgorithm algo :
+       {MatcherAlgorithm::kSingleSide, MatcherAlgorithm::kDualSide}) {
+    SCOPED_TRACE(MatcherAlgorithmName(algo));
+    Config cfg;
+    cfg.matcher = algo;
+    cfg.max_planned_pickup_s = 1e6;  // radius far beyond the city
+    roadnet::GridIndexOptions gridopts;
+    gridopts.cells_x = 6;
+    gridopts.cells_y = 6;
+    auto sys = PTRider::Create(*graph, cfg, gridopts);
+    ASSERT_TRUE(sys.ok());
+    ASSERT_TRUE((*sys)->InitFleetUniform(kFleet, 8).ok());
+    util::Rng rng(17);
+    for (vehicle::RequestId id = 1; id <= 20; ++id) {
+      vehicle::Request r;
+      r.id = id;
+      r.start = static_cast<roadnet::VertexId>(rng.UniformInt(
+          0, static_cast<int64_t>(graph->NumVertices()) - 1));
+      r.destination = static_cast<roadnet::VertexId>(rng.UniformInt(
+          0, static_cast<int64_t>(graph->NumVertices()) - 1));
+      if (r.start == r.destination) continue;
+      r.num_riders = static_cast<int>(rng.UniformInt(1, 3));
+      r.max_wait_s = cfg.default_max_wait_s;
+      r.service_sigma = cfg.default_service_sigma;
+      const auto result = (*sys)->QuoteRequest(r, 0.0);
+      ASSERT_TRUE(result.ok());
+      EXPECT_EQ(result->vehicles_examined + result->vehicles_pruned, kFleet)
+          << "request " << id;
+    }
+  }
+}
+
+/// The anchor-settle counter: a per-match delta of the two anchor
+/// searches' settled vertices. Matching the same request again resumes
+/// both anchors with every lookup already answered, so it settles
+/// nothing; two identical systems report identical counts.
+TEST(MatcherAccountingTest, AnchorSettlesArePerMatchAndResume) {
+  roadnet::CityGridOptions gopts;
+  gopts.rows = 14;
+  gopts.cols = 14;
+  gopts.seed = 9;
+  auto graph = roadnet::MakeCityGrid(gopts);
+  ASSERT_TRUE(graph.ok());
+  Config cfg;
+  cfg.default_service_sigma = 0.5;
+  auto sys = PTRider::Create(*graph, cfg);
+  ASSERT_TRUE(sys.ok());
+  ASSERT_TRUE((*sys)->InitFleetUniform(40, 9).ok());
+  vehicle::Request r;
+  r.id = 1;
+  r.start = 3;
+  r.destination = static_cast<roadnet::VertexId>(graph->NumVertices() - 5);
+  r.num_riders = 1;
+  r.max_wait_s = cfg.default_max_wait_s;
+  r.service_sigma = cfg.default_service_sigma;
+
+  const MatchResult first = (*sys)->MatchReadOnly(r, 0.0, (*sys)->oracle());
+  EXPECT_GT(first.anchor_settles, 0u);
+  const MatchResult again = (*sys)->MatchReadOnly(r, 0.0, (*sys)->oracle());
+  EXPECT_EQ(again.anchor_settles, 0u);
+  EXPECT_EQ(again.options.size(), first.options.size());
+
+  (*sys)->set_matcher(MatcherAlgorithm::kNaive);
+  EXPECT_EQ((*sys)->MatchReadOnly(r, 0.0, (*sys)->oracle()).anchor_settles,
+            0u);
+}
 
 /// Busy-fleet reference. The indexed matchers read every distance that
 /// touches s or d from anchored searches, TrialInsert reuses the cached

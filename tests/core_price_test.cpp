@@ -59,6 +59,24 @@ TEST(PriceModelTest, EmptyVehiclePriceIncreasesWithPickup) {
             price.EmptyVehiclePrice(2, 6.0, 7.0));
 }
 
+// The empty-vehicle prune compares this bound against kept quotes with
+// strict dominance, so it must never exceed an empty vehicle's quote at
+// the same pick-up, not even by an ulp: two co-located empty vehicles
+// tie, and both options are kept.
+TEST(PriceModelTest, EmptyVehiclePriceIsTheEmptyQuoteBitForBit) {
+  const PriceModel price(0.3, 0.1, 250.0);
+  util::Rng rng(11);
+  for (int i = 0; i < 2000; ++i) {
+    const double pickup = rng.UniformDouble(0.0, 5000.0);
+    const double direct = rng.UniformDouble(1.0, 10000.0);
+    const int n = static_cast<int>(rng.UniformInt(1, 4));
+    // An empty schedule sums legs from 0: new_total = pickup + direct.
+    EXPECT_EQ(price.EmptyVehiclePrice(n, pickup, direct),
+              price.Price(n, 0.0 + pickup + direct, 0.0, direct))
+        << "pickup " << pickup << " direct " << direct << " n " << n;
+  }
+}
+
 TEST(PriceModelTest, ConfigConstructor) {
   Config cfg;
   cfg.price_base_ratio = 0.5;

@@ -214,6 +214,87 @@ TEST(DispatchParallelTest, ContendedFleetAllMatchers) {
   }
 }
 
+// Groups no taxi can seat end their match at the seat screen, but in the
+// commit phase they still reconcile against vehicles earlier batch
+// members committed (the re-probe path, which TrialInserts and finds
+// nothing). Items must equal the sequential dispatcher's either way.
+TEST(DispatchParallelTest, OversizedGroupsReconcileLikeSequential) {
+  const roadnet::RoadNetwork graph = TestCity();
+  core::Config cfg = ContendedConfig(core::PricingPolicyKind::kPaper);
+  for (const size_t threads : {1u, 2u}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    auto seq_sys = core::PTRider::Create(graph, cfg);
+    auto par_sys = core::PTRider::Create(graph, cfg);
+    ASSERT_TRUE(seq_sys.ok());
+    ASSERT_TRUE(par_sys.ok());
+    ASSERT_TRUE((*seq_sys)->InitFleetUniform(12, 4).ok());
+    ASSERT_TRUE((*par_sys)->InitFleetUniform(12, 4).ok());
+    core::BatchDispatcher sequential(**seq_sys);
+    ParallelDispatcher parallel(**par_sys, threads);
+
+    std::vector<vehicle::Request> batch =
+        MakeBatch(graph, cfg, /*count=*/30, /*seed=*/6, /*first_id=*/1);
+    core::Dispatcher::SortBySubmitOrder(batch);
+    for (size_t i = 2; i < batch.size(); i += 3) {
+      batch[i].num_riders = cfg.vehicle_capacity + 1;
+    }
+    auto seq = sequential.Dispatch(batch, 50.0,
+                                   core::Dispatcher::ChooseEarliest);
+    auto par = parallel.Dispatch(batch, 50.0,
+                                 core::Dispatcher::ChooseEarliest);
+    ASSERT_TRUE(seq.ok());
+    ASSERT_TRUE(par.ok());
+    ExpectItemsEqual(*seq, *par);
+    ExpectSystemsEqual(**seq_sys, **par_sys);
+
+    // The scenario is the intended one: oversized members got nothing,
+    // some of them after earlier members committed, and the parallel
+    // side reconciled at least one of them by re-probing.
+    size_t committed = 0;
+    size_t oversized_after_commit = 0;
+    for (const BatchItem& item : *seq) {
+      if (item.request.num_riders > cfg.vehicle_capacity) {
+        EXPECT_TRUE(item.match.options.empty());
+        EXPECT_FALSE(item.assigned);
+        if (committed > 0) ++oversized_after_commit;
+      }
+      if (item.assigned) ++committed;
+    }
+    EXPECT_GT(oversized_after_commit, 0u);
+    EXPECT_GT(parallel.reprobe_count(), 0u);
+  }
+}
+
+// MatchResult::anchor_settles is exact at one dispatch thread: the one
+// worker's anchors see the same request sequence in both runs.
+TEST(DispatchParallelTest, AnchorSettlesRepeatAtOneThread) {
+  const roadnet::RoadNetwork graph = TestCity();
+  const core::Config cfg = ContendedConfig(core::PricingPolicyKind::kPaper);
+  std::vector<std::vector<uint64_t>> settles(2);
+  for (std::vector<uint64_t>& run : settles) {
+    auto sys = core::PTRider::Create(graph, cfg);
+    ASSERT_TRUE(sys.ok());
+    ASSERT_TRUE((*sys)->InitFleetUniform(25, 3).ok());
+    ParallelDispatcher dispatcher(**sys, 1);
+    vehicle::RequestId next_id = 1;
+    for (int round = 0; round < 3; ++round) {
+      std::vector<vehicle::Request> batch =
+          MakeBatch(graph, cfg, /*count=*/20, 40 + round, next_id);
+      next_id += static_cast<vehicle::RequestId>(batch.size());
+      auto out = dispatcher.Dispatch(batch, 100.0 * (round + 1),
+                                     core::Dispatcher::ChooseEarliest);
+      ASSERT_TRUE(out.ok());
+      for (const BatchItem& item : *out) {
+        run.push_back(item.match.anchor_settles);
+      }
+    }
+  }
+  EXPECT_EQ(settles[0], settles[1]);
+  uint64_t total = 0;
+  for (const uint64_t n : settles[0]) total += n;
+  EXPECT_GT(total, 0u);
+}
+
 TEST(DispatchParallelTest, DecliningChooserCommitsNothing) {
   const roadnet::RoadNetwork graph = TestCity();
   core::Config cfg;

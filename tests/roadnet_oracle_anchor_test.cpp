@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <string>
@@ -241,6 +242,44 @@ TEST(OracleAnchorTest, CountersFollowPairLookupSemantics) {
   }
   oracle.ResetStats();
   EXPECT_EQ(oracle.heap_pops(), 0u);
+}
+
+// anchor_settles() counts what the two anchor searches settle: as many
+// vertices as a one-shot search to the farthest lookup so far, and
+// nothing for a lookup the resumed search already passed.
+TEST(OracleAnchorTest, AnchorSettlesCountResumedSearches) {
+  CityGridOptions city;
+  city.rows = 10;
+  city.cols = 10;
+  auto g = MakeCityGrid(city);
+  ASSERT_TRUE(g.ok());
+  DistanceOracle oracle(*g);
+  DijkstraEngine one_shot(*g);
+  EXPECT_EQ(oracle.anchor_settles(), 0u);
+  {
+    const DistanceOracle::AnchorScope scope(oracle, 10, 50);
+    EXPECT_EQ(oracle.anchor_settles(), 0u);  // seeding settles nothing
+    (void)oracle.Distance(10, 70);
+    (void)one_shot.Distance(10, 70);
+    const uint64_t to_70 = one_shot.last_settled();
+    EXPECT_EQ(oracle.anchor_settles(), to_70);
+    (void)oracle.Distance(50, 10);  // read from s's search: a lookup
+    (void)one_shot.Distance(10, 50);
+    EXPECT_EQ(oracle.anchor_settles(),
+              std::max<uint64_t>(to_70, one_shot.last_settled()));
+  }
+  const uint64_t settled = oracle.anchor_settles();
+  {
+    // Same anchors, same lookups: both searches resume past them.
+    const DistanceOracle::AnchorScope scope(oracle, 10, 50);
+    (void)oracle.Distance(10, 70);
+    (void)oracle.Distance(50, 10);
+    EXPECT_EQ(oracle.anchor_settles(), settled);
+  }
+  (void)oracle.Distance(3, 5);  // unanchored searches are not counted
+  EXPECT_EQ(oracle.anchor_settles(), settled);
+  oracle.ResetStats();
+  EXPECT_EQ(oracle.anchor_settles(), 0u);
 }
 
 TEST(OracleAnchorTest, ClonesStartUnanchored) {
