@@ -6,22 +6,19 @@
 //
 // Usage:  ./build/examples/example_city_day [taxis] [trips] [hours]
 //             [--jobs N] [--batch-window S] [--move-jobs N]
-//             [--index-shards N]
 //             [--sp-algo dijkstra|bidirectional|astar|ch]
 //             [--snapshot FILE]
 // Defaults: 150 taxis, 2000 trips, 4 hours, sequential per-request
 // dispatch. `--jobs N` matches arrivals in parallel on N worker threads
 // (src/dispatch/), which implies batched arrivals; `--batch-window S`
 // sets the arrival window (default 2 s when batching); `--move-jobs N`
-// runs the per-tick vehicle-movement advance on N threads;
-// `--index-shards N` splits the vehicle index into N grid regions so
-// commit-side re-registrations apply shard-concurrently; `--sp-algo`
+// runs the per-tick vehicle-movement advance on N threads; `--sp-algo`
 // picks the distance oracle's point-to-point engine (`ch` preprocesses
 // a contraction hierarchy once, shared by every worker thread's oracle
-// clone). Results are identical for every `--jobs` / `--move-jobs` /
-// `--index-shards` value — only the wall clock moves — and for every
-// `--sp-algo` except `bidirectional`, whose half-path sums can differ
-// in the last float bit (DESIGN.md section 7). `--snapshot FILE` skips
+// clone). Results are identical for every `--jobs` / `--move-jobs`
+// value — only the wall clock moves — and for every `--sp-algo` except
+// `bidirectional`, whose half-path sums can differ in the last float
+// bit (DESIGN.md section 7). `--snapshot FILE` skips
 // city generation and all index preprocessing by memory-mapping a file
 // written by tools/snapshot_build — same simulation results, startup in
 // milliseconds (DESIGN.md section 12).
@@ -48,7 +45,6 @@ int main(int argc, char** argv) {
 
   int jobs = 0;
   int move_jobs = 1;
-  int index_shards = 1;
   double batch_window_s = 0.0;
   std::string snapshot_path;
   roadnet::SpAlgorithm sp_algo = roadnet::SpAlgorithm::kAStar;
@@ -64,7 +60,6 @@ int main(int argc, char** argv) {
     }
     const bool is_jobs = std::strcmp(argv[i], "--jobs") == 0;
     const bool is_move_jobs = std::strcmp(argv[i], "--move-jobs") == 0;
-    const bool is_shards = std::strcmp(argv[i], "--index-shards") == 0;
     const bool is_window = std::strcmp(argv[i], "--batch-window") == 0;
     if (std::strcmp(argv[i], "--sp-algo") == 0) {
       if (i + 1 >= argc) {
@@ -80,7 +75,7 @@ int main(int argc, char** argv) {
       }
       continue;
     }
-    if (is_jobs || is_move_jobs || is_shards || is_window) {
+    if (is_jobs || is_move_jobs || is_window) {
       if (i + 1 >= argc) {
         std::fprintf(stderr, "%s needs a value\n", argv[i]);
         return 1;
@@ -92,18 +87,18 @@ int main(int argc, char** argv) {
         jobs = static_cast<int>(std::strtol(value, &end, 10));
       } else if (is_move_jobs) {
         move_jobs = static_cast<int>(std::strtol(value, &end, 10));
-      } else if (is_shards) {
-        index_shards = static_cast<int>(std::strtol(value, &end, 10));
       } else {
         batch_window_s = std::strtod(value, &end);
       }
       if (end == value || *end != '\0' || (is_jobs && jobs < 0) ||
           (is_move_jobs && move_jobs < 1) ||
-          (is_shards && index_shards < 1) ||
           (is_window && batch_window_s < 0.0)) {
         std::fprintf(stderr, "%s: bad value '%s'\n", flag, value);
         return 1;
       }
+    } else if (std::strncmp(argv[i], "--", 2) == 0) {
+      std::fprintf(stderr, "unknown flag '%s'\n", argv[i]);
+      return 1;
     } else {
       positional.push_back(argv[i]);
     }
@@ -119,7 +114,6 @@ int main(int argc, char** argv) {
   core::Config cfg;  // defaults: 48 km/h, capacity 3, w = 5 min
   cfg.matcher = core::MatcherAlgorithm::kDualSide;
   cfg.dispatch_threads = jobs;
-  cfg.index_shards = index_shards;
   cfg.sp_algorithm = sp_algo;
   cfg.snapshot_path = snapshot_path;
 
@@ -203,8 +197,7 @@ int main(int argc, char** argv) {
   } else {
     std::printf("Dispatch: per-request (seed behavior)\n");
   }
-  std::printf("Movement: %d thread(s), vehicle index in %zu shard(s)\n\n",
-              move_jobs, pt.vehicle_index().num_shards());
+  std::printf("Movement: %d thread(s)\n\n", move_jobs);
 
   sim::SimulatorOptions sopts;
   sopts.verbose = true;

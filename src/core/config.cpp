@@ -56,10 +56,6 @@ util::Status Config::Validate() const {
     return util::Status::InvalidArgument(
         "dispatch threads must be >= 0");
   }
-  if (index_shards < 1) {
-    return util::Status::InvalidArgument(
-        "vehicle-index shards must be >= 1");
-  }
   if (!(surge_window_s > 0.0)) {
     return util::Status::InvalidArgument("surge window must be positive");
   }

@@ -114,12 +114,8 @@ struct Config {
   /// (DESIGN.md section 5); this only trades cores for latency.
   int dispatch_threads = 0;
 
-  /// Region shards of the vehicle index (vehicle::VehicleIndex): the
-  /// grid's cells are partitioned into this many contiguous ranges, and
-  /// deferred index re-registrations apply shard-concurrently in the
-  /// movement commit and the batch dispatcher's commit phase. Every
-  /// shard count >= 1 produces a bit-identical SimulationReport
-  /// (DESIGN.md section 10); > 1 only enables commit-side concurrency.
+  /// Not read: the vehicle index is one table (DESIGN.md section 10).
+  /// The field remains because bench/ptrider_bench assigns it.
   int index_shards = 1;
 
   /// Planned pick-up radius in meters implied by the horizon.

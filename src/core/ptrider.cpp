@@ -26,7 +26,7 @@ PTRider::PTRider(const roadnet::RoadNetwork& graph, Config config,
       config_(config),
       grid_(std::move(grid)),
       oracle_(graph, OracleOptions(config), std::move(shared_ch)),
-      vehicle_index_(grid_, static_cast<size_t>(config.index_shards)),
+      vehicle_index_(grid_),
       pricing_(std::move(pricing)) {
   match_context_.graph = graph_;
   match_context_.grid = &grid_;
@@ -88,6 +88,12 @@ Matcher& PTRider::matcher() {
 }
 
 util::Status PTRider::InitFleetUniform(size_t count, uint64_t seed) {
+  // Replacing a live fleet would strand the old vehicles' index entries
+  // and assignments under ids the new fleet may not have.
+  if (fleet_.size() > 0) {
+    return util::Status::FailedPrecondition(
+        "InitFleetUniform needs a system without vehicles");
+  }
   util::Rng rng(seed);
   PTRIDER_ASSIGN_OR_RETURN(
       fleet_, vehicle::Fleet::UniformRandom(
@@ -184,9 +190,7 @@ util::Result<MatchResult> PTRider::QuoteRequest(
 }
 
 util::Status PTRider::ChooseOption(const vehicle::Request& request,
-                                   const Option& option, double now_s,
-                                   std::vector<vehicle::PendingUpdate>*
-                                       deferred_reindex) {
+                                   const Option& option, double now_s) {
   if (!fleet_.IsValid(option.vehicle)) {
     return util::Status::InvalidArgument("option names an unknown vehicle");
   }
@@ -199,11 +203,7 @@ util::Status PTRider::ChooseOption(const vehicle::Request& request,
       request, option.pickup_distance, option.price,
       MakeScheduleContext(now_s), dist));
   assignments_[request.id] = {option.vehicle, false};
-  if (deferred_reindex != nullptr) {
-    deferred_reindex->push_back(vehicle_index_.Prepare(v));
-  } else {
-    vehicle_index_.Update(v);
-  }
+  vehicle_index_.Update(v);
   return util::Status::Ok();
 }
 

@@ -87,7 +87,8 @@ class PTRider {
   PTRider& operator=(const PTRider&) = delete;
 
   // --- Fleet ----------------------------------------------------------------
-  /// Places `count` vehicles uniformly at random (Section 4).
+  /// Places `count` vehicles uniformly at random (Section 4). Fails with
+  /// FailedPrecondition when the system already has vehicles.
   util::Status InitFleetUniform(size_t count, uint64_t seed);
   /// Adds one vehicle at `location` with the configured capacity.
   util::Result<vehicle::VehicleId> AddVehicle(roadnet::VertexId location);
@@ -127,7 +128,7 @@ class PTRider {
   /// roadnet::DistanceOracle::Clone) and `pricing` view (null = the
   /// system's policy), any number of MatchReadOnly calls may run
   /// concurrently, provided no mutating call (ChooseOption, vehicle
-  /// updates, ...) overlaps them. This is the sharded-match phase of
+  /// updates, ...) overlaps them. This is the parallel match phase of
   /// dispatch::ParallelDispatcher. `effort` (null = the context's
   /// default, i.e. full effort) applies the service ladder's reduced
   /// matching effort to this call only.
@@ -137,18 +138,9 @@ class PTRider {
                             const MatchEffort* effort = nullptr) const;
 
   /// Step (iii): the rider chose `option`; commits the request to the
-  /// option's vehicle and updates the vehicle index. When
-  /// `deferred_reindex` is non-null the index re-registration is
-  /// recorded there (vehicle::VehicleIndex::Prepare) instead of applied
-  /// — the batch dispatcher's commit phase queues registrations between
-  /// its re-match points and applies them shard-concurrently
-  /// (DESIGN.md section 10). Callers owning a deferred queue must flush
-  /// it (vehicle_index().ApplyBatch or dispatch::ApplyReindex) before
-  /// anything reads the index.
+  /// option's vehicle and updates the vehicle index.
   util::Status ChooseOption(const vehicle::Request& request,
-                            const Option& option, double now_s,
-                            std::vector<vehicle::PendingUpdate>*
-                                deferred_reindex = nullptr);
+                            const Option& option, double now_s);
 
   /// Rider cancellation: removes an assigned, not-yet-picked-up request
   /// from its vehicle's schedules and updates the index. Fails for
@@ -160,9 +152,9 @@ class PTRider {
   /// `new_location`. `executing` is the stop sequence it is driving
   /// (empty for idle cruising). `reindex = false` skips the vehicle-index
   /// re-registration — the simulator's movement commit marks the vehicle
-  /// dirty instead and re-registers every moved vehicle once, at the end
-  /// of the tick, shard-concurrently (DESIGN.md section 10); nothing may
-  /// read the index until that deferred pass ran.
+  /// moved instead and re-registers every moved vehicle once, in id
+  /// order, at the end of the tick (DESIGN.md section 10); nothing may
+  /// read the index until that pass ran.
   util::Status UpdateVehicleLocation(vehicle::VehicleId id,
                                      roadnet::VertexId new_location,
                                      double meters_moved, double now_s,
@@ -202,6 +194,9 @@ class PTRider {
   vehicle::Fleet& fleet() { return fleet_; }
   const vehicle::Fleet& fleet() const { return fleet_; }
   vehicle::VehicleIndex& vehicle_index() { return vehicle_index_; }
+  const vehicle::VehicleIndex& vehicle_index() const {
+    return vehicle_index_;
+  }
 
   void set_matcher(MatcherAlgorithm algorithm) {
     config_.matcher = algorithm;

@@ -7,7 +7,6 @@
 #include "core/distance_providers.h"
 #include "core/dominance.h"
 #include "core/matcher.h"
-#include "dispatch/reindex.h"
 #include "util/timer.h"
 
 namespace ptrider::dispatch {
@@ -119,17 +118,6 @@ util::Result<std::vector<core::BatchItem>> ParallelDispatcher::Dispatch(
   std::vector<size_t> watermark(n, 0);
   std::vector<size_t> wave;
 
-  // Commit-side index re-registrations are queued (in commit order) and
-  // applied shard-concurrently at the next point something reads the
-  // index: a wavefront re-match below, or the end of the batch. The
-  // local re-probe path reads the fleet directly, so runs of
-  // re-probe-only commits never force a flush (DESIGN.md section 10).
-  std::vector<vehicle::PendingUpdate> pending_reindex;
-  const auto flush_reindex = [&] {
-    ApplyReindex(system_->vehicle_index(), pending_reindex, &pool_);
-    pending_reindex.clear();
-  };
-
   const auto is_stale = [&](size_t j) {
     for (const core::Option& o : matches[j].options) {
       if (dirty_epoch[static_cast<size_t>(o.vehicle)] > watermark[j]) {
@@ -146,9 +134,9 @@ util::Result<std::vector<core::BatchItem>> ParallelDispatcher::Dispatch(
   // so issue them all in one parallel sweep instead of one at a time.
   // Each member's watermark advances to the current log length: commits
   // made after the sweep are reconciled incrementally at its turn, like
-  // any phase-1 result.
+  // any phase-1 result. Every commit updated the vehicle index at once,
+  // so the re-matches read current lists.
   const auto wavefront = [&](size_t i) {
-    flush_reindex();  // the re-matches walk the vehicle index
     wave.clear();
     for (size_t j = i; j < n; ++j) {
       if (!valid[j].ok()) continue;
@@ -276,23 +264,14 @@ util::Result<std::vector<core::BatchItem>> ParallelDispatcher::Dispatch(
     const std::optional<size_t> pick = chooser(batch[i], item.match);
     if (pick.has_value()) {
       if (*pick >= item.match.options.size()) {
-        // Error exits still flush: earlier commits in this batch
-        // mutated fleet state, and the index must not outlive the call
-        // disagreeing with it.
-        flush_reindex();
         return util::Status::OutOfRange("chooser returned a bad index");
       }
       const core::Option& option = item.match.options[*pick];
       // The option was computed against the exact live schedule of its
       // vehicle (watermark-snapshot result only when no later commit
       // touched it), so the commitment cannot race; surface any failure.
-      const util::Status chosen =
-          system_->ChooseOption(batch[i], option, now_s,
-                                &pending_reindex);
-      if (!chosen.ok()) {
-        flush_reindex();
-        return chosen;
-      }
+      PTRIDER_RETURN_IF_ERROR(
+          system_->ChooseOption(batch[i], option, now_s));
       item.assigned = true;
       item.chosen = option;
       dirty.push_back(option.vehicle);
@@ -301,7 +280,6 @@ util::Result<std::vector<core::BatchItem>> ParallelDispatcher::Dispatch(
     }
     out.push_back(std::move(item));
   }
-  flush_reindex();
   commit_phase_seconds_ += phase_timer.ElapsedSeconds();
   return out;
 }

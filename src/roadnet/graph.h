@@ -77,8 +77,7 @@ class RoadNetwork {
 };
 
 /// True when every directed edge has a reverse edge of equal weight
-/// (distance-based travel costs). Required by the grid and landmark
-/// indexes.
+/// (distance-based travel costs). Required by the grid index.
 bool IsSymmetric(const RoadNetwork& graph);
 
 /// Incremental builder for `RoadNetwork`. Vertices get dense ids in insert

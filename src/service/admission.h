@@ -53,8 +53,8 @@ struct LadderOptions {
 
 /// Per-grid-zone fair-share admission: one hot zone must not starve the
 /// rest of the city. Zones partition grid cells contiguously (zone =
-/// cell * zones / num_cells — the same contiguous-range scheme the
-/// vehicle index shards by). While the service is behind (min start
+/// cell * zones / num_cells; consecutive cell ids are row neighbors, so
+/// a zone is a band of the city). While the service is behind (min start
 /// delay above the trigger), each zone present in a drain may admit at
 /// most fair_factor x its equal share of the window's modeled capacity;
 /// beyond that its requests shed as kZone.

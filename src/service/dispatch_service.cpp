@@ -91,8 +91,8 @@ util::Result<ServiceReport> DispatchService::Run(ArrivalProcess& process) {
   WorkloadDriver driver(process, queue, opt.ingest_retry);
   FaultInjector* injector = opt.fault_injector;
 
-  // Zone partition: contiguous grid-cell ranges, exactly the scheme the
-  // vehicle index shards by, so one hot neighborhood maps to one zone.
+  // Zone partition: contiguous grid-cell ranges (bands of neighboring
+  // rows), so one hot neighborhood maps to one zone.
   const roadnet::GridIndex& grid = impl_->system->grid();
   const size_t num_cells = grid.NumCells();
   const size_t zones =

@@ -79,8 +79,8 @@ struct SimulationReport {
   double move_advance_seconds = 0.0;
   /// Vehicle-movement commit + idle cruising (sequential), cumulative.
   double move_commit_seconds = 0.0;
-  /// End-of-tick vehicle-index re-registration (the shard-concurrent
-  /// part of the movement commit; DESIGN.md section 10), cumulative.
+  /// End-of-tick vehicle-index re-registration of the tick's moved
+  /// vehicles (DESIGN.md section 10), cumulative.
   double index_update_seconds = 0.0;
   /// Always 0: no stage overlaps another. The constant remains because
   /// bench/ptrider_bench reads it.

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "dispatch/parallel_dispatcher.h"
-#include "dispatch/reindex.h"
 #include "util/logging.h"
 #include "util/string_util.h"
 #include "util/timer.h"
@@ -15,7 +14,7 @@ namespace {
 /// Below this many serving events a tick's advance runs inline: waking
 /// the movement pool costs more than the events it would spread. Both
 /// paths give identical outcomes (AdvanceVehicle is pure), so the
-/// threshold is a latency constant, like dispatch::ApplyReindex's.
+/// threshold is a latency constant.
 constexpr size_t kParallelAdvanceMin = 16;
 }  // namespace
 
@@ -319,18 +318,15 @@ util::Status Simulator::CommitMove(double now, double budget,
 }
 
 void Simulator::Reindex(SimulationReport& report) {
-  // One end-of-tick registration per moved vehicle, prepared in
-  // vehicle-id order (the per-shard application order) and applied
-  // across shards — concurrently on the movement pool when the tick
-  // moved enough vehicles to pay the fan-out. Bit-identical lists at
-  // every move_jobs x index_shards setting (DESIGN.md section 10).
+  // One end-of-tick registration per moved vehicle, in vehicle-id order.
+  // Re-registering at every vertex crossing instead would add
+  // swap-with-back removals that reorder the lists, and with them the
+  // match's candidate order (DESIGN.md section 10).
   util::WallTimer timer;
   vehicle::VehicleIndex& index = system_->vehicle_index();
   for (const vehicle::VehicleId id : moved_) {
-    pending_reindex_.push_back(index.Prepare(system_->fleet().at(id)));
+    index.Update(system_->fleet().at(id));
   }
-  dispatch::ApplyReindex(index, pending_reindex_, move_pool_.get());
-  pending_reindex_.clear();
   report.index_update_seconds += timer.ElapsedSeconds();
 }
 

@@ -102,8 +102,7 @@ class Simulator {
   /// that folds arrival events into `report` and runs idle events
   /// through the RNG (DESIGN.md section 6.1), then one end-of-tick
   /// re-registration of every vehicle that moved, in vehicle-id order
-  /// per shard, shard-concurrently when move_jobs > 1 (DESIGN.md
-  /// section 10).
+  /// (DESIGN.md section 10).
   util::Status AdvanceTick(double prev, double now,
                            SimulationReport& report);
   /// One window boundary: DispatchBatch at `now` (timed into
@@ -166,8 +165,7 @@ class Simulator {
   /// events into `report` and recording moved_.
   util::Status CommitMove(double now, double budget,
                           SimulationReport& report);
-  /// Re-registers every moved_ vehicle once (prepared in vehicle-id
-  /// order, applied across shards via dispatch::ApplyReindex).
+  /// Re-registers every moved_ vehicle once, in vehicle-id order.
   void Reindex(SimulationReport& report);
   /// The idle-cruising walk of one vehicle's tick remainder, resumed at
   /// `budget` / `hops`: draws cruise segments from rng_ and flushes
@@ -203,11 +201,8 @@ class Simulator {
   std::vector<vehicle::VehicleId> events_;
   std::vector<vehicle::VehicleId> serving_events_;
   /// Per-tick movement-commit scratch: which vehicles changed state this
-  /// tick (commit or idle walk), ascending, and their end-of-tick
-  /// registrations, applied via dispatch::ApplyReindex after the commit
-  /// loop.
+  /// tick (commit or idle walk), ascending; Reindex re-registers them.
   std::vector<vehicle::VehicleId> moved_;
-  std::vector<vehicle::PendingUpdate> pending_reindex_;
 };
 
 }  // namespace ptrider::sim

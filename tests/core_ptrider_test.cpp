@@ -69,6 +69,26 @@ TEST_F(PTRiderFacadeTest, InitFleetUniformRegistersAll) {
   EXPECT_EQ(sys_->vehicle_index().size(), 10u);
 }
 
+// Re-initializing would replace the fleet but strand the old vehicles'
+// index entries under ids the new fleet may not have.
+TEST_F(PTRiderFacadeTest, InitFleetUniformRejectsNonEmptySystem) {
+  for (int label = 1; label <= 6; ++label) {
+    ASSERT_TRUE(sys_->AddVehicle(ex_.v(label)).ok());
+  }
+  EXPECT_EQ(sys_->InitFleetUniform(2, 1).code(),
+            util::StatusCode::kFailedPrecondition);
+  EXPECT_EQ(sys_->fleet().size(), 6u);
+  EXPECT_EQ(sys_->vehicle_index().size(), 6u);
+
+  auto fresh = PTRider::Create(ex_.graph, UnitConfig());
+  ASSERT_TRUE(fresh.ok());
+  ASSERT_TRUE((*fresh)->InitFleetUniform(5, 3).ok());
+  EXPECT_EQ((*fresh)->InitFleetUniform(2, 1).code(),
+            util::StatusCode::kFailedPrecondition);
+  EXPECT_EQ((*fresh)->fleet().size(), 5u);
+  EXPECT_EQ((*fresh)->vehicle_index().size(), 5u);
+}
+
 TEST_F(PTRiderFacadeTest, ChooseOptionRejectsUnknownVehicle) {
   Option o;
   o.vehicle = 42;

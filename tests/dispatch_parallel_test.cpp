@@ -58,8 +58,17 @@ void ExpectItemsEqual(const std::vector<BatchItem>& seq,
 }
 
 /// Post-dispatch system state must agree too: same assignments, same
-/// committed schedules.
+/// committed schedules, and the same vehicle-index lists, entry for entry
+/// and in order (the order is the match's candidate order).
 void ExpectSystemsEqual(const core::PTRider& a, const core::PTRider& b) {
+  ASSERT_EQ(a.grid().NumCells(), b.grid().NumCells());
+  for (roadnet::CellId c = 0; c < a.grid().NumCells(); ++c) {
+    SCOPED_TRACE("cell " + std::to_string(c));
+    EXPECT_EQ(a.vehicle_index().EmptyVehicles(c),
+              b.vehicle_index().EmptyVehicles(c));
+    EXPECT_EQ(a.vehicle_index().NonEmptyVehicles(c),
+              b.vehicle_index().NonEmptyVehicles(c));
+  }
   ASSERT_EQ(a.fleet().size(), b.fleet().size());
   for (size_t i = 0; i < a.fleet().size(); ++i) {
     const vehicle::Vehicle& va =
@@ -384,6 +393,43 @@ TEST(DispatchParallelTest, BadChooserIndexSurfaces) {
                     })
           .status();
   EXPECT_EQ(status.code(), util::StatusCode::kOutOfRange);
+}
+
+// A chooser error ends the batch after earlier members committed. Those
+// commits updated the index as they happened, so the index the call
+// leaves behind registers every vehicle exactly as its state says.
+TEST(DispatchParallelTest, BadChooserIndexLeavesIndexCurrent) {
+  const roadnet::RoadNetwork graph = TestCity();
+  core::Config cfg;
+  auto sys = core::PTRider::Create(graph, cfg);
+  ASSERT_TRUE(sys.ok());
+  ASSERT_TRUE((*sys)->InitFleetUniform(10, 1).ok());
+  ParallelDispatcher dispatcher(**sys, 2);
+  std::vector<vehicle::Request> batch =
+      MakeBatch(graph, cfg, 6, /*seed=*/8, /*first_id=*/1);
+  int accepted = 0;
+  const auto status =
+      dispatcher
+          .Dispatch(batch, 5.0,
+                    [&](const vehicle::Request&,
+                        const core::MatchResult& match) {
+                      if (accepted < 2 && !match.options.empty()) {
+                        ++accepted;
+                        return std::optional<size_t>{0};
+                      }
+                      return std::optional<size_t>{match.options.size()};
+                    })
+          .status();
+  EXPECT_EQ(status.code(), util::StatusCode::kOutOfRange);
+  ASSERT_EQ(accepted, 2);
+  size_t busy = 0;
+  const vehicle::VehicleIndex& index = (*sys)->vehicle_index();
+  for (const vehicle::Vehicle& v : (*sys)->fleet().vehicles()) {
+    SCOPED_TRACE("vehicle " + std::to_string(v.id()));
+    if (!v.IsEmpty()) ++busy;
+    EXPECT_EQ(index.RegisteredCells(v.id()), index.Prepare(v).cells);
+  }
+  EXPECT_GE(busy, 1u);
 }
 
 TEST(DispatchParallelTest, RequiresChooser) {

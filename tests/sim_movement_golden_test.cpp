@@ -1,11 +1,11 @@
-// Golden reports for the movement engine. The determinism matrices in
-// sim_movement_parallel_test and sim_movement_sharded_test compare
-// variants with each other, so an answer they all share could move and
-// every one of them would still pass. This file
-// pins that shared answer: the values below were recorded from the
-// tick-by-tick movement loop (every vehicle advanced, committed and
-// re-registered on every tick) and must hold, bit for bit, for every
-// later movement engine and at every concurrency setting.
+// Golden reports for the movement engine. The determinism matrix in
+// sim_movement_parallel_test compares variants with each other, so an
+// answer they all share could move and every one of them would still
+// pass. This file pins that shared answer: the values below were
+// recorded from the tick-by-tick movement loop (every vehicle advanced,
+// committed and re-registered on every tick) and must hold, bit for
+// bit, for every later movement engine and at every concurrency
+// setting.
 //
 // Doubles are compared as raw bits, so a change that only reorders a
 // floating-point sum fails here. The scenarios cover an idle-only fleet
@@ -124,7 +124,7 @@ std::vector<Trip> MakeTrips(const roadnet::RoadNetwork& graph,
   return std::move(trips).value();
 }
 
-core::Config BusyConfig(int index_shards) {
+core::Config BusyConfig() {
   core::Config cfg;
   cfg.matcher = core::MatcherAlgorithm::kDualSide;
   cfg.vehicle_capacity = 3;
@@ -133,7 +133,6 @@ core::Config BusyConfig(int index_shards) {
   cfg.max_planned_pickup_s = 600.0;
   cfg.pricing_policy = core::PricingPolicyKind::kSurge;
   cfg.surge_baseline_rate_per_min = 1.0;
-  cfg.index_shards = index_shards;
   // The 2-thread ParallelDispatcher.
   cfg.dispatch_threads = 2;
   return cfg;
@@ -187,20 +186,17 @@ TEST(MovementGoldenTest, BusyBatchedCityAcrossKnobs) {
                               109, 0x4087765455a72a3bULL, 109,
                               0x405dd7ffb2f84a7dULL};
   for (const int move_jobs : {1, 2}) {
-    for (const int shards : {1, 4}) {
-      SCOPED_TRACE("move_jobs " + std::to_string(move_jobs) +
-                   " index_shards " + std::to_string(shards));
-      auto sys = core::PTRider::Create(graph, BusyConfig(shards));
-      ASSERT_TRUE(sys.ok());
-      ASSERT_TRUE((*sys)->InitFleetUniform(30, /*seed=*/3).ok());
-      SimulatorOptions sopts = BusyOptions(3);
-      sopts.batch_window_s = 4.0;
-      sopts.move_jobs = move_jobs;
-      Simulator sim(**sys, sopts);
-      auto report = sim.Run(trips);
-      ASSERT_TRUE(report.ok()) << report.status().ToString();
-      ExpectGolden(*report, kGolden);
-    }
+    SCOPED_TRACE("move_jobs " + std::to_string(move_jobs));
+    auto sys = core::PTRider::Create(graph, BusyConfig());
+    ASSERT_TRUE(sys.ok());
+    ASSERT_TRUE((*sys)->InitFleetUniform(30, /*seed=*/3).ok());
+    SimulatorOptions sopts = BusyOptions(3);
+    sopts.batch_window_s = 4.0;
+    sopts.move_jobs = move_jobs;
+    Simulator sim(**sys, sopts);
+    auto report = sim.Run(trips);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    ExpectGolden(*report, kGolden);
   }
 }
 
@@ -219,7 +215,7 @@ TEST(MovementGoldenTest, FractionalTicksWithClampedEnd) {
                               0x4052f83e473fddc8ULL};
   for (const int move_jobs : {1, 2}) {
     SCOPED_TRACE("move_jobs " + std::to_string(move_jobs));
-    auto sys = core::PTRider::Create(graph, BusyConfig(1));
+    auto sys = core::PTRider::Create(graph, BusyConfig());
     ASSERT_TRUE(sys.ok());
     ASSERT_TRUE((*sys)->InitFleetUniform(26, /*seed=*/17).ok());
     SimulatorOptions sopts = BusyOptions(17);
@@ -244,7 +240,7 @@ SimulationReport RunStepped(const roadnet::RoadNetwork& graph,
                             const std::vector<Trip>& trips, int move_jobs) {
   static constexpr double kGaps[] = {1.0, 0.35, 2.6, 0.0, 7.9,
                                      1.3, 31.0, 0.05, 4.4};
-  auto sys = core::PTRider::Create(graph, BusyConfig(4));
+  auto sys = core::PTRider::Create(graph, BusyConfig());
   EXPECT_TRUE(sys.ok());
   EXPECT_TRUE((*sys)->InitFleetUniform(40, /*seed=*/29).ok());
   SimulatorOptions sopts = BusyOptions(29);

@@ -1,11 +1,11 @@
 // The movement advance/commit split's headline guarantee: the
 // SimulationReport is item-for-item identical across move_jobs settings
-// — for every batch mode, matcher and seed. The advance phase walks
-// every vehicle's tick against the frozen pre-tick state; the sequential
-// commit applies results in vehicle-id order and keeps all idle-cruising
-// RNG draws on the sequential path, so threads can only buy latency,
-// never a different answer (DESIGN.md section 6). Determinism is proven
-// here, not asserted.
+// — for every batch mode, dispatcher, matcher and seed. The advance
+// phase walks every vehicle's tick against the frozen pre-tick state;
+// the sequential commit applies results in vehicle-id order and keeps
+// all idle-cruising RNG draws on the sequential path, so threads can
+// only buy latency, never a different answer (DESIGN.md section 6).
+// Determinism is proven here, not asserted.
 //
 // Also the regression home of the submission-path time-accounting fixes:
 // both submission paths stamp the trip's true arrival instant, and the
@@ -92,7 +92,8 @@ City MakeCity(uint64_t trip_seed, size_t num_trips = 110,
 
 SimulationReport RunCity(const City& city, int move_jobs,
                          double batch_window_s, uint64_t seed,
-                         size_t taxis = 30, double tick_s = 1.0) {
+                         size_t taxis = 30, double tick_s = 1.0,
+                         int dispatch_threads = 0) {
   core::Config cfg;
   cfg.matcher = core::MatcherAlgorithm::kDualSide;
   cfg.vehicle_capacity = 3;
@@ -102,6 +103,7 @@ SimulationReport RunCity(const City& city, int move_jobs,
   // Surge pricing keeps the demand window load-bearing across modes.
   cfg.pricing_policy = core::PricingPolicyKind::kSurge;
   cfg.surge_baseline_rate_per_min = 1.0;
+  cfg.dispatch_threads = dispatch_threads;
   auto sys = core::PTRider::Create(city.graph, cfg);
   EXPECT_TRUE(sys.ok());
   EXPECT_TRUE((*sys)->InitFleetUniform(taxis, seed).ok());
@@ -119,31 +121,36 @@ SimulationReport RunCity(const City& city, int move_jobs,
   return std::move(report).value();
 }
 
-// --- The determinism matrix: move_jobs x batch modes x seeds ----------------
+// --- The determinism matrix: move_jobs x batch modes x dispatch x seeds -----
 
 class MovementDeterminismTest
-    : public ::testing::TestWithParam<std::tuple<double, uint64_t>> {};
+    : public ::testing::TestWithParam<std::tuple<double, int, uint64_t>> {};
 
 TEST_P(MovementDeterminismTest, ReportIdenticalAcrossMoveJobs) {
-  const auto [batch_window_s, seed] = GetParam();
+  const auto [batch_window_s, dispatch_threads, seed] = GetParam();
   const City city = MakeCity(seed + 100);
-  const SimulationReport reference =
-      RunCity(city, /*move_jobs=*/1, batch_window_s, seed);
+  const auto run = [&](int move_jobs) {
+    return RunCity(city, move_jobs, batch_window_s, seed, /*taxis=*/30,
+                   /*tick_s=*/1.0, dispatch_threads);
+  };
+  const SimulationReport reference = run(/*move_jobs=*/1);
   ASSERT_GT(reference.requests_assigned, 30);
   ASSERT_GT(reference.requests_completed, 10);
   ASSERT_GT(reference.requests_shared, 0);
   for (const int move_jobs : {2, 4}) {
     SCOPED_TRACE("move_jobs " + std::to_string(move_jobs));
-    ExpectReportsIdentical(
-        reference, RunCity(city, move_jobs, batch_window_s, seed));
+    ExpectReportsIdentical(reference, run(move_jobs));
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    BatchModesAndSeeds, MovementDeterminismTest,
+    BatchModesDispatchersAndSeeds, MovementDeterminismTest,
     ::testing::Combine(
         // Per-request mode and a 5 s arrival window (batched mode).
-        ::testing::Values(0.0, 5.0), ::testing::Values<uint64_t>(3, 17)));
+        ::testing::Values(0.0, 5.0),
+        // The sequential BatchDispatcher and the 2-thread
+        // ParallelDispatcher (batched mode only reads it).
+        ::testing::Values(0, 2), ::testing::Values<uint64_t>(3, 17)));
 
 // Idle cruising is the only rng_ consumer inside movement; a fleet with
 // zero demand isolates it. Every thread count must consume the stream

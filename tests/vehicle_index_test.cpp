@@ -125,35 +125,14 @@ TEST_F(VehicleIndexTest, RemoveUnknownIsNoop) {
   EXPECT_EQ(index_->size(), 0u);
 }
 
-TEST_F(VehicleIndexTest, ShardMappingIsContiguousAndCoversAllShards) {
-  VehicleIndex sharded(*grid_, 4);
-  EXPECT_EQ(sharded.num_shards(), 4u);
-  uint32_t prev = 0;
-  std::vector<char> hit(4, 0);
-  for (roadnet::CellId c = 0; c < grid_->NumCells(); ++c) {
-    const uint32_t s = sharded.ShardOfCell(c);
-    ASSERT_LT(s, 4u);
-    EXPECT_GE(s, prev);  // contiguous ranges: non-decreasing in cell id
-    prev = s;
-    hit[s] = 1;
-  }
-  EXPECT_EQ(std::count(hit.begin(), hit.end(), 1), 4);
-  // Shard counts beyond the cell count clamp instead of exploding.
-  VehicleIndex tiny(*grid_, 10000);
-  EXPECT_LE(tiny.num_shards(), static_cast<size_t>(grid_->NumCells()));
-}
-
 // --- Churn under Update/Remove interleavings --------------------------------
 //
-// The registration <-> list consistency invariant, plus the sharding
-// headline: every shard count produces bit-identical lists for the same
-// operation sequence (the per-cell operation order is shard-independent,
-// DESIGN.md section 10). Exercised over random fleets of teleporting,
-// committing, vanishing, re-registered and unchanged re-submitted
-// vehicles across several seeds — and every index must equal a plain
-// per-cell reference model element for element, so an optimization that
-// reorders a list (say, a wrong early return) fails even when all shard
-// counts agree with each other.
+// The registration <-> list consistency invariant, exercised over random
+// fleets of teleporting, committing, vanishing, re-registered and
+// unchanged re-submitted vehicles across several seeds. After every step
+// the index must equal a plain per-cell reference model element for
+// element, so an optimization that reorders a list (say, a wrong early
+// return) fails.
 
 /// The list semantics spelled out with nothing but vectors: removal is
 /// swap-with-back at the entry's position, a new cell appends, and a kept
@@ -229,7 +208,7 @@ class ReferenceLists {
 
 class VehicleIndexChurnTest : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(VehicleIndexChurnTest, ConsistencyAndShardedEqualsUnsharded) {
+TEST_P(VehicleIndexChurnTest, ConsistentAndEqualToReferenceModel) {
   roadnet::CityGridOptions gopts;
   gopts.rows = 10;
   gopts.cols = 10;
@@ -245,10 +224,7 @@ TEST_P(VehicleIndexChurnTest, ConsistencyAndShardedEqualsUnsharded) {
   roadnet::DistanceOracle oracle(graph);
   core::ExactDistanceProvider dist(oracle);
 
-  const std::vector<size_t> shard_counts = {1, 2, 4, 5};
-  std::vector<VehicleIndex> indexes;
-  indexes.reserve(shard_counts.size());
-  for (const size_t s : shard_counts) indexes.emplace_back(*grid, s);
+  VehicleIndex index(*grid);
   ReferenceLists reference(static_cast<size_t>(grid->NumCells()));
 
   constexpr int kVehicles = 16;
@@ -258,11 +234,11 @@ TEST_P(VehicleIndexChurnTest, ConsistencyAndShardedEqualsUnsharded) {
   util::Rng rng(GetParam());
   RequestId next_request = 1;
 
-  // Invariant check of one index against the live fleet: every list
+  // Invariant check of the index against the live fleet: every list
   // entry is backed by a registration, lists carry no duplicates or
   // stale ids, the list kind matches the vehicle's emptiness, and the
   // location cell is always covered.
-  const auto check_consistency = [&](const VehicleIndex& index) {
+  const auto check_consistency = [&] {
     std::map<VehicleId, std::vector<roadnet::CellId>> seen_empty;
     std::map<VehicleId, std::vector<roadnet::CellId>> seen_non_empty;
     for (roadnet::CellId c = 0; c < grid->NumCells(); ++c) {
@@ -299,33 +275,14 @@ TEST_P(VehicleIndexChurnTest, ConsistencyAndShardedEqualsUnsharded) {
     EXPECT_EQ(index.size(), registered);
   };
 
-  // The sharded variants must mirror the unsharded reference exactly —
-  // same entries in the same per-cell order.
-  const auto check_shard_equality = [&] {
-    for (size_t k = 1; k < indexes.size(); ++k) {
-      SCOPED_TRACE("shards " + std::to_string(shard_counts[k]));
-      for (roadnet::CellId c = 0; c < grid->NumCells(); ++c) {
-        EXPECT_EQ(indexes[k].EmptyVehicles(c),
-                  indexes[0].EmptyVehicles(c));
-        EXPECT_EQ(indexes[k].NonEmptyVehicles(c),
-                  indexes[0].NonEmptyVehicles(c));
-      }
-      EXPECT_EQ(indexes[k].size(), indexes[0].size());
-      EXPECT_EQ(indexes[k].update_count(), indexes[0].update_count());
-    }
-  };
-
-  // Every index, at every shard count, against the reference model.
+  // The index against the reference model: same entries in the same
+  // per-cell order.
   const auto check_reference = [&] {
-    for (size_t k = 0; k < indexes.size(); ++k) {
-      SCOPED_TRACE("shards " + std::to_string(shard_counts[k]));
-      for (roadnet::CellId c = 0; c < grid->NumCells(); ++c) {
-        ASSERT_EQ(indexes[k].EmptyVehicles(c), reference.EmptyVehicles(c))
-            << "cell " << c;
-        ASSERT_EQ(indexes[k].NonEmptyVehicles(c),
-                  reference.NonEmptyVehicles(c))
-            << "cell " << c;
-      }
+    for (roadnet::CellId c = 0; c < grid->NumCells(); ++c) {
+      ASSERT_EQ(index.EmptyVehicles(c), reference.EmptyVehicles(c))
+          << "cell " << c;
+      ASSERT_EQ(index.NonEmptyVehicles(c), reference.NonEmptyVehicles(c))
+          << "cell " << c;
     }
   };
 
@@ -338,25 +295,23 @@ TEST_P(VehicleIndexChurnTest, ConsistencyAndShardedEqualsUnsharded) {
                      ? &*fleet[static_cast<size_t>(id)]
                      : nullptr;
     if (op < 2) {
-      for (VehicleIndex& index : indexes) index.Remove(id);
+      index.Remove(id);
       reference.Remove(id);
       fleet[static_cast<size_t>(id)].reset();
     } else if (op >= 10 && v != nullptr) {
       if (op == 11) {
         // Remove and register again: the index must hand the vehicle a
-        // record from its shards' free lists.
-        for (VehicleIndex& index : indexes) index.Remove(id);
+        // record from its free list.
+        index.Remove(id);
         reference.Remove(id);
       }
       // Register `v` again. After op 10 this re-submits an unchanged
       // registration: it still counts as an update, and must leave
       // every list exactly as it was.
-      for (VehicleIndex& index : indexes) {
-        const uint64_t before = index.update_count();
-        index.Update(*v);
-        EXPECT_EQ(index.update_count(), before + 1);
-      }
-      reference.Update(indexes[0].Prepare(*v));
+      const uint64_t before = index.update_count();
+      index.Update(*v);
+      EXPECT_EQ(index.update_count(), before + 1);
+      reference.Update(index.Prepare(*v));
     } else {
       if (op < 8 || v == nullptr) {
         // Teleport: fresh empty vehicle at a random vertex (also the
@@ -384,135 +339,17 @@ TEST_P(VehicleIndexChurnTest, ConsistencyAndShardedEqualsUnsharded) {
                         .CommitInsert(r, pd, 1.0, {0.0, 1.0}, dist)
                         .ok());
       }
-      for (VehicleIndex& index : indexes) {
-        index.Update(*fleet[static_cast<size_t>(id)]);
-      }
-      reference.Update(
-          indexes[0].Prepare(*fleet[static_cast<size_t>(id)]));
+      index.Update(*fleet[static_cast<size_t>(id)]);
+      reference.Update(index.Prepare(*fleet[static_cast<size_t>(id)]));
     }
     check_reference();
-    if (step % 40 == 0) {
-      for (const VehicleIndex& index : indexes) check_consistency(index);
-      check_shard_equality();
-    }
+    if (step % 40 == 0) check_consistency();
   }
-  for (const VehicleIndex& index : indexes) check_consistency(index);
-  check_shard_equality();
+  check_consistency();
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, VehicleIndexChurnTest,
                          ::testing::Values<uint64_t>(7, 21, 1234));
-
-TEST_F(VehicleIndexTest, DeferredApplyMatchesImmediateUpdate) {
-  // Prepare-then-ApplyBatch is the deferred path the movement commit and
-  // the dispatcher use; it must land exactly where Update would.
-  VehicleIndex deferred(*grid_, 3);
-  Vehicle a(0, ex_.v(13), 3);
-  Vehicle b(1, ex_.v(5), 3);
-  std::vector<PendingUpdate> pending;
-  pending.push_back(deferred.Prepare(a));
-  pending.push_back(deferred.Prepare(b));
-  deferred.ApplyBatch(pending);
-
-  index_->Update(a);
-  index_->Update(b);
-  for (roadnet::CellId c = 0; c < grid_->NumCells(); ++c) {
-    EXPECT_EQ(deferred.EmptyVehicles(c), index_->EmptyVehicles(c));
-    EXPECT_EQ(deferred.NonEmptyVehicles(c), index_->NonEmptyVehicles(c));
-  }
-  EXPECT_EQ(deferred.size(), 2u);
-  EXPECT_EQ(deferred.update_count(), 2u);
-}
-
-// --- Density-based shard load-balancing -------------------------------------
-//
-// Rebalance() moves shard *ownership* boundaries toward equal
-// registration load, but never touches the per-cell lists or position
-// handles — so a rebalanced sharded index must stay entry-for-entry
-// identical to an unsharded one, and a caller may rebalance on whatever
-// cadence it likes without perturbing reports.
-
-TEST(VehicleIndexRebalanceTest, DensityShiftsBoundariesListsUnchanged) {
-  roadnet::CityGridOptions gopts;
-  gopts.rows = 10;
-  gopts.cols = 10;
-  gopts.seed = 31;
-  auto g = roadnet::MakeCityGrid(gopts);
-  ASSERT_TRUE(g.ok());
-  const roadnet::RoadNetwork graph = std::move(g).value();
-  roadnet::GridIndexOptions grid_opts;
-  grid_opts.cells_x = 6;
-  grid_opts.cells_y = 6;
-  auto grid = roadnet::GridIndex::Build(graph, grid_opts);
-  ASSERT_TRUE(grid.ok());
-
-  VehicleIndex sharded(*grid, 4);
-  VehicleIndex flat(*grid, 1);
-  ASSERT_EQ(sharded.rebalance_count(), 1u);  // the ctor's uniform split
-
-  // A hotspot: pile vehicles onto vertices in the lowest-numbered cells
-  // so nearly all registration weight sits at the front of the cell
-  // range, then fill in a sparse tail.
-  VehicleId next = 0;
-  for (roadnet::VertexId v = 0;
-       v < static_cast<roadnet::VertexId>(graph.NumVertices()); ++v) {
-    const roadnet::CellId c = grid->CellOfVertex(v);
-    const int copies = c < 3 ? 12 : (v % 17 == 0 ? 1 : 0);
-    for (int k = 0; k < copies; ++k) {
-      Vehicle veh(next++, v, 4);
-      sharded.Update(veh);
-      flat.Update(veh);
-    }
-  }
-
-  // Uniform split owes cell 5 to shard 0 (36 cells / 4 shards); after a
-  // density rebalance the hotspot's weight pushes the boundary left.
-  ASSERT_EQ(sharded.ShardOfCell(5), 0u);
-  sharded.Rebalance();
-  EXPECT_EQ(sharded.rebalance_count(), 2u);
-  EXPECT_GT(sharded.ShardOfCell(5), 0u);
-  // Ownership stays contiguous and covers every shard.
-  uint32_t prev = 0;
-  std::vector<char> hit(4, 0);
-  for (roadnet::CellId c = 0; c < grid->NumCells(); ++c) {
-    const uint32_t s = sharded.ShardOfCell(c);
-    ASSERT_LT(s, 4u);
-    EXPECT_GE(s, prev);
-    prev = s;
-    hit[s] = 1;
-  }
-  EXPECT_EQ(std::count(hit.begin(), hit.end(), 1), 4);
-
-  // The regression core: rebalancing re-bucketed every registration yet
-  // the observable lists are bit-identical to the unsharded index, and
-  // further updates keep them so.
-  const auto expect_lists_equal = [&] {
-    for (roadnet::CellId c = 0; c < grid->NumCells(); ++c) {
-      SCOPED_TRACE("cell " + std::to_string(c));
-      EXPECT_EQ(sharded.EmptyVehicles(c), flat.EmptyVehicles(c));
-      EXPECT_EQ(sharded.NonEmptyVehicles(c), flat.NonEmptyVehicles(c));
-    }
-  };
-  expect_lists_equal();
-  util::Rng rng(97);
-  const auto n_vertices = static_cast<int64_t>(graph.NumVertices()) - 1;
-  for (VehicleId id = 0; id < next; id += 3) {
-    Vehicle veh(id,
-                static_cast<roadnet::VertexId>(
-                    rng.UniformInt(0, n_vertices)),
-                4);
-    sharded.Update(veh);
-    flat.Update(veh);
-  }
-  expect_lists_equal();
-
-  // The batch-cadence trigger: every kRebalanceInterval-th counted batch
-  // rebalances (dispatch::ApplyReindex calls this after each batch).
-  const uint64_t before = sharded.rebalance_count();
-  for (int i = 0; i < 64; ++i) sharded.MaybeRebalance();
-  EXPECT_EQ(sharded.rebalance_count(), before + 1);
-  expect_lists_equal();
-}
 
 TEST_F(VehicleIndexTest, ManyVehiclesPartitionByCell) {
   // One vehicle at every vertex: each appears in exactly its own cell.
