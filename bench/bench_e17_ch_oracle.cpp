@@ -7,8 +7,8 @@
 // (DESIGN.md section 7): one-time preprocessing (node ordering +
 // shortcut insertion) against per-query settled vertices / heap pops /
 // latency, on the same kind of city-scale generated graph the
-// simulator runs, versus the bidirectional-Dijkstra and A* engines the
-// oracle shipped with. It also demonstrates the clone contract: a
+// simulator runs, versus the Dijkstra and A* engines the oracle shipped
+// with. It also demonstrates the clone contract: a
 // DistanceOracle::Clone under kContractionHierarchy reuses the shared
 // immutable CHIndex (pointer-equal, microseconds) instead of
 // re-preprocessing — which is what lets every dispatch/movement worker
@@ -16,7 +16,9 @@
 //
 // On the 2-core dev container the interesting numbers are the
 // per-query cost reductions and the preprocessing time/memory, not
-// thread scaling; results go to BENCH_e17.json for trend tracking.
+// thread scaling. Run with no arguments, it records the default
+// configuration in BENCH_e17.json for trend tracking; any size argument
+// makes it a smoke run that writes no file.
 //
 // Usage: bench_e17_ch_oracle [rows cols queries]   (default 100 100 4000)
 
@@ -136,8 +138,6 @@ int main(int argc, char** argv) {
   std::printf("query cost over %zu random pairs (no pair cache):\n",
               queries.size());
   const Row dij = run(roadnet::SpAlgorithm::kDijkstra, "dijkstra");
-  const Row bidi =
-      run(roadnet::SpAlgorithm::kBidirectional, "bidirectional");
   const Row astar = run(roadnet::SpAlgorithm::kAStar, "astar");
   const Row ch = run(roadnet::SpAlgorithm::kContractionHierarchy, "ch");
 
@@ -151,19 +151,16 @@ int main(int argc, char** argv) {
       static_cast<double>(detail.total_stalled()) / per_q,
       static_cast<double>(detail.total_pops()) / per_q);
 
-  const double pops_vs_bidi = static_cast<double>(bidi.pops) /
-                              static_cast<double>(ch.pops);
-  const double time_vs_bidi = bidi.seconds / ch.seconds;
   const double pops_vs_astar = static_cast<double>(astar.pops) /
                                static_cast<double>(ch.pops);
   const double time_vs_astar = astar.seconds / ch.seconds;
   std::printf(
-      "\nreduction vs bidirectional: %.1fx pops, %.1fx time\n"
-      "reduction vs astar:         %.1fx pops, %.1fx time\n"
-      "preprocessing amortizes after ~%.0f queries (vs bidirectional)\n",
-      pops_vs_bidi, time_vs_bidi, pops_vs_astar, time_vs_astar,
-      build_s / ((bidi.seconds - ch.seconds) / per_q));
+      "\nreduction vs astar: %.1fx pops, %.1fx time\n"
+      "preprocessing amortizes after ~%.0f queries (vs astar)\n",
+      pops_vs_astar, time_vs_astar,
+      build_s / ((astar.seconds - ch.seconds) / per_q));
 
+  if (argc > 1) return 0;
   std::FILE* json = std::fopen("BENCH_e17.json", "w");
   if (json == nullptr) return 1;
   std::fprintf(
@@ -179,8 +176,8 @@ int main(int argc, char** argv) {
       index.num_shortcuts(), index.num_edges(),
       static_cast<double>(index.MemoryBytes()) / (1024.0 * 1024.0),
       clone_s, queries.size());
-  const Row* all[] = {&dij, &bidi, &astar, &ch};
-  for (size_t i = 0; i < 4; ++i) {
+  const Row* all[] = {&dij, &astar, &ch};
+  for (size_t i = 0; i < 3; ++i) {
     std::fprintf(json,
                  "%s\n    {\"name\": \"%s\", \"pops_per_query\": %.1f, "
                  "\"us_per_query\": %.2f}",
@@ -192,12 +189,11 @@ int main(int argc, char** argv) {
       json,
       "\n  ],\n  \"ch_detail\": {\"settled_per_query\": %.1f, "
       "\"stalled_per_query\": %.1f},\n"
-      "  \"reduction\": {\"pops_vs_bidirectional\": %.1f, "
-      "\"time_vs_bidirectional\": %.1f, \"pops_vs_astar\": %.1f, "
+      "  \"reduction\": {\"pops_vs_astar\": %.1f, "
       "\"time_vs_astar\": %.1f}\n}\n",
       static_cast<double>(detail.total_settled()) / per_q,
-      static_cast<double>(detail.total_stalled()) / per_q, pops_vs_bidi,
-      time_vs_bidi, pops_vs_astar, time_vs_astar);
+      static_cast<double>(detail.total_stalled()) / per_q, pops_vs_astar,
+      time_vs_astar);
   std::fclose(json);
   std::printf("Wrote BENCH_e17.json\n");
   return 0;

@@ -18,7 +18,8 @@
 // determinism contract of DESIGN.md section 11.
 //
 // Usage: bench_e19_open_loop [taxis] [duration_s] [--ci]
-//   --ci: single low-rate step + reproducibility check (seconds, for CI).
+//   --ci: single low-rate step + reproducibility check (seconds, for CI),
+//         no JSON.
 
 #include <cstdio>
 #include <cstdlib>
@@ -205,6 +206,7 @@ int main(int argc, char** argv) {
   } else {
     std::printf("no knee within the swept range (all rates under capacity).\n");
   }
+  if (ci) return 0;
 
   std::FILE* json = std::fopen("BENCH_e19.json", "w");
   if (json == nullptr) return 1;

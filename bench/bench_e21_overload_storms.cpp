@@ -19,7 +19,8 @@
 // exactly (DESIGN.md section 14).
 //
 // Usage: bench_e21_overload_storms [taxis] [duration_s] [--ci]
-//   --ci: single 3x-burst storm + assertions (seconds, for CI chaos step).
+//   --ci: single 3x-burst storm + assertions (seconds, for CI chaos step),
+//         no JSON.
 
 #include <cstdio>
 #include <cstdlib>
@@ -248,7 +249,7 @@ int main(int argc, char** argv) {
       worst.hard.GoodputRps(),
       goodput_wins ? "ladder strictly higher" : "LADDER NOT HIGHER",
       l_p99, h_p99, p99_holds ? "no worse" : "SLO REGRESSION");
-  if (ci && (!goodput_wins || !p99_holds)) return 1;
+  if (ci) return goodput_wins && p99_holds ? 0 : 1;
 
   std::FILE* json = std::fopen("BENCH_e21.json", "w");
   if (json == nullptr) return 1;

@@ -20,9 +20,8 @@ int main() {
       "build time / memory / LB tightness vs network size and grid "
       "resolution");
 
-  std::printf("%8s %8s %7s %10s %10s %9s %9s %9s\n", "vertices", "grid",
-              "border", "build", "memory", "LB/true", "geo/true",
-              "UB/true");
+  std::printf("%8s %8s %7s %10s %10s %9s %9s\n", "vertices", "grid",
+              "border", "build", "memory", "LB/true", "geo/true");
 
   for (const int side : {40, 80, 120}) {
     auto graph = bench::MakeBenchCity(side, side);
@@ -31,9 +30,6 @@ int main() {
       roadnet::GridIndexOptions opts;
       opts.cells_x = cells;
       opts.cells_y = cells;
-      // 64x64 witness matrices on large graphs cost ~130 MB; skip them
-      // there (UB column reads n/a) to stay laptop-friendly.
-      opts.store_witnesses = cells < 64;
       auto index = roadnet::GridIndex::Build(*graph, opts);
       if (!index.ok()) return 1;
 
@@ -42,7 +38,6 @@ int main() {
       util::Rng rng(99);
       util::RunningStats lb_ratio;
       util::RunningStats geo_ratio;
-      util::RunningStats ub_ratio;
       for (int i = 0; i < 400; ++i) {
         const auto u = static_cast<roadnet::VertexId>(rng.UniformInt(
             0, static_cast<int64_t>(graph->NumVertices()) - 1));
@@ -53,22 +48,14 @@ int main() {
         if (exact == roadnet::kInfWeight || exact == 0.0) continue;
         lb_ratio.Add(index->LowerBound(u, v) / exact);
         geo_ratio.Add(graph->GeoLowerBound(u, v) / exact);
-        const roadnet::Weight ub = index->UpperBound(u, v);
-        if (ub != roadnet::kInfWeight) ub_ratio.Add(ub / exact);
       }
-      char ub_buf[32];
-      if (ub_ratio.count() > 0) {
-        std::snprintf(ub_buf, sizeof(ub_buf), "%9.3f", ub_ratio.mean());
-      } else {
-        std::snprintf(ub_buf, sizeof(ub_buf), "%9s", "n/a");
-      }
-      std::printf("%8zu %5dx%-3d %7zu %10s %9.1fMB %9.3f %9.3f %s\n",
+      std::printf("%8zu %5dx%-3d %7zu %10s %9.1fMB %9.3f %9.3f\n",
                   graph->NumVertices(), cells, cells,
                   index->build_stats().border_vertex_count,
                   util::FormatDuration(index->build_stats().build_seconds)
                       .c_str(),
                   index->build_stats().approx_memory_bytes / 1048576.0,
-                  lb_ratio.mean(), geo_ratio.mean(), ub_buf);
+                  lb_ratio.mean(), geo_ratio.mean());
     }
   }
   std::printf(

@@ -6,7 +6,7 @@
 //
 // Usage:  ./build/examples/example_city_day [taxis] [trips] [hours]
 //             [--jobs N] [--batch-window S] [--move-jobs N]
-//             [--sp-algo dijkstra|bidirectional|astar|ch]
+//             [--sp-algo dijkstra|astar|ch]
 //             [--snapshot FILE]
 // Defaults: 150 taxis, 2000 trips, 4 hours, sequential per-request
 // dispatch. `--jobs N` matches arrivals in parallel on N worker threads
@@ -16,9 +16,8 @@
 // picks the distance oracle's point-to-point engine (`ch` preprocesses
 // a contraction hierarchy once, shared by every worker thread's oracle
 // clone). Results are identical for every `--jobs` / `--move-jobs`
-// value — only the wall clock moves — and for every `--sp-algo` except
-// `bidirectional`, whose half-path sums can differ in the last float
-// bit (DESIGN.md section 7). `--snapshot FILE` skips
+// value — only the wall clock moves — and for every `--sp-algo`
+// (DESIGN.md section 7.4). `--snapshot FILE` skips
 // city generation and all index preprocessing by memory-mapping a file
 // written by tools/snapshot_build — same simulation results, startup in
 // milliseconds (DESIGN.md section 12).
@@ -69,7 +68,7 @@ int main(int argc, char** argv) {
       if (!roadnet::SpAlgorithmFromName(argv[++i], &sp_algo)) {
         std::fprintf(stderr,
                      "--sp-algo: unknown algorithm '%s' (expected "
-                     "dijkstra, bidirectional, astar or ch)\n",
+                     "dijkstra, astar or ch)\n",
                      argv[i]);
         return 1;
       }

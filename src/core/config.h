@@ -75,15 +75,13 @@ struct Config {
 
   // --- Distance oracle ------------------------------------------------------
   /// Point-to-point engine behind roadnet::DistanceOracle. All engines
-  /// are exact; kDijkstra, kAStar and kContractionHierarchy return
-  /// bit-identical doubles on networks whose shortest paths are unique
-  /// beyond float rounding (all generated networks and the paper
-  /// example — DESIGN.md section 7.4 states the condition), making
-  /// matching and simulation results invariant under the choice there.
-  /// kBidirectional's half-path sums can differ in the last ULP, and on
-  /// coarse-weight networks with rounding-tied paths (e.g. real-trace
-  /// imports) the invariance claim weakens to ULP-closeness for every
-  /// engine. This knob trades per-query cost against preprocessing:
+  /// are exact and return bit-identical doubles on networks whose
+  /// shortest paths are unique beyond float rounding (all generated
+  /// networks and the paper example — DESIGN.md section 7.4 states the
+  /// condition), making matching and simulation results invariant under
+  /// the choice there. On coarse-weight networks with rounding-tied
+  /// paths (e.g. real-trace imports) the invariance claim weakens to
+  /// ULP-closeness. This knob trades per-query cost against preprocessing:
   /// kContractionHierarchy preprocesses once at PTRider::Create and the
   /// index is shared read-only by every dispatch/movement worker's
   /// oracle clone.

@@ -22,8 +22,8 @@ class ExactDistanceProvider : public vehicle::DistanceProvider {
   roadnet::DistanceOracle* oracle_;
 };
 
-/// Distance provider of the indexed matchers: grid-index lower/upper
-/// bounds screen schedules before exact shortest-path work.
+/// Distance provider of the indexed matchers: grid-index lower bounds
+/// screen schedules before exact shortest-path work.
 class IndexedDistanceProvider : public vehicle::DistanceProvider {
  public:
   IndexedDistanceProvider(roadnet::DistanceOracle& oracle,
@@ -35,9 +35,6 @@ class IndexedDistanceProvider : public vehicle::DistanceProvider {
   }
   roadnet::Weight Lower(roadnet::VertexId u, roadnet::VertexId v) override {
     return grid_->LowerBound(u, v);
-  }
-  roadnet::Weight Upper(roadnet::VertexId u, roadnet::VertexId v) override {
-    return grid_->UpperBound(u, v);
   }
 
  private:

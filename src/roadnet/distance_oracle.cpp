@@ -22,9 +22,6 @@ DistanceOracle::DistanceOracle(const RoadNetwork& graph,
     case SpAlgorithm::kDijkstra:
       dijkstra_ = std::make_unique<DijkstraEngine>(graph);
       break;
-    case SpAlgorithm::kBidirectional:
-      bidirectional_ = std::make_unique<BidirectionalDijkstra>(graph);
-      break;
     case SpAlgorithm::kAStar:
       astar_ = std::make_unique<AStarEngine>(graph);
       break;
@@ -59,8 +56,6 @@ Weight DistanceOracle::ComputeDistance(VertexId u, VertexId v) {
   switch (options_.algorithm) {
     case SpAlgorithm::kDijkstra:
       return dijkstra_->Distance(u, v);
-    case SpAlgorithm::kBidirectional:
-      return bidirectional_->Distance(u, v);
     case SpAlgorithm::kAStar:
       return astar_->Distance(u, v);
     case SpAlgorithm::kContractionHierarchy:
@@ -191,7 +186,6 @@ util::Result<std::vector<VertexId>> DistanceOracle::ShortestPath(
 uint64_t DistanceOracle::heap_pops() const {
   uint64_t pops = 0;
   if (dijkstra_) pops += dijkstra_->total_pops();
-  if (bidirectional_) pops += bidirectional_->total_pops();
   if (astar_) pops += astar_->total_pops();
   if (ch_query_) pops += ch_query_->total_pops();
   for (const std::unique_ptr<Anchor>& a : anchors_) {
@@ -213,7 +207,6 @@ void DistanceOracle::ResetStats() {
   cache_hits_ = 0;
   computed_ = 0;
   if (dijkstra_) dijkstra_->ResetStats();
-  if (bidirectional_) bidirectional_->ResetStats();
   if (astar_) astar_->ResetStats();
   if (ch_query_) ch_query_->ResetStats();
   for (const std::unique_ptr<Anchor>& a : anchors_) {

@@ -43,7 +43,7 @@ util::Status GridIndex::BuildImpl(const RoadNetwork& graph) {
 
   AssignCells();
   FindBorderVertices();
-  ComputeVertexBorderDistances();
+  ComputeVertexMinToBorder();
   ComputeCellPairLowerBounds();
   BuildSortedCellLists();
 
@@ -119,8 +119,7 @@ void GridIndex::FindBorderVertices() {
   std::vector<VertexId> data(offsets[m]);
   {
     std::vector<size_t> cursor(offsets.begin(), offsets.end() - 1);
-    // BV lists stay sorted (vertices visited in id order) — required by
-    // the binary search in VertexBorderDistances/UpperBound.
+    // Vertices visited in id order, so each cell's list stays sorted.
     for (VertexId v = 0; v < static_cast<VertexId>(n); ++v) {
       if (is_border[v]) data[cursor[cell_of_vertex_[v]]++] = v;
     }
@@ -129,61 +128,32 @@ void GridIndex::FindBorderVertices() {
   bv_data_ = std::move(data);
 }
 
-void GridIndex::ComputeVertexBorderDistances() {
-  const size_t n = graph_->NumVertices();
-  std::vector<Weight> vertex_min(n, kInfWeight);
-  std::vector<size_t> offsets(n + 1, 0);
-  for (VertexId v = 0; v < static_cast<VertexId>(n); ++v) {
-    offsets[static_cast<size_t>(v) + 1] =
-        BorderVertices(cell_of_vertex_[v]).size();
-  }
-  for (size_t i = 1; i <= n; ++i) offsets[i] += offsets[i - 1];
-  std::vector<BorderDistance> vbd(offsets[n], BorderDistance{});
-
+void GridIndex::ComputeVertexMinToBorder() {
+  std::vector<Weight> vertex_min(graph_->NumVertices(), kInfWeight);
   DijkstraEngine engine(*graph_);
   for (CellId c = 0; c < NumCells(); ++c) {
     const std::span<const VertexId> bvs = BorderVertices(c);
     if (bvs.empty()) continue;
-    auto in_cell = [this, c](VertexId v) {
-      return cell_of_vertex_[v] == c;
-    };
     // v.min for every vertex of the cell: one multi-source in-cell run.
     // The shortest path from a vertex to its nearest border vertex never
     // leaves the cell (the first cell-crossing edge on any escaping path
     // starts at a border vertex), so the restriction is exact.
-    {
-      std::vector<std::pair<VertexId, Weight>> sources;
-      sources.reserve(bvs.size());
-      for (VertexId b : bvs) sources.push_back({b, 0.0});
-      DijkstraEngine::RunOptions opts;
-      opts.filter = in_cell;
-      engine.Run(sources, opts);
-      for (VertexId v : Vertices(c)) {
-        vertex_min[v] = engine.DistanceTo(v);
-      }
-    }
-    // Full per-border in-cell distance lists (upper-bound components).
-    for (size_t bi = 0; bi < bvs.size(); ++bi) {
-      DijkstraEngine::RunOptions opts;
-      opts.filter = in_cell;
-      engine.RunFrom(bvs[bi], opts);
-      for (VertexId v : Vertices(c)) {
-        vbd[offsets[v] + bi] = {bvs[bi], engine.DistanceTo(v)};
-      }
+    std::vector<std::pair<VertexId, Weight>> sources;
+    sources.reserve(bvs.size());
+    for (VertexId b : bvs) sources.push_back({b, 0.0});
+    DijkstraEngine::RunOptions opts;
+    opts.filter = [this, c](VertexId v) { return cell_of_vertex_[v] == c; };
+    engine.Run(sources, opts);
+    for (VertexId v : Vertices(c)) {
+      vertex_min[v] = engine.DistanceTo(v);
     }
   }
   vertex_min_ = std::move(vertex_min);
-  vbd_offsets_ = std::move(offsets);
-  vbd_ = std::move(vbd);
 }
 
 void GridIndex::ComputeCellPairLowerBounds() {
   const CellId m = NumCells();
   std::vector<Weight> lb_matrix(static_cast<size_t>(m) * m, kInfWeight);
-  std::vector<WitnessPair> witnesses;
-  if (options_.store_witnesses) {
-    witnesses.assign(static_cast<size_t>(m) * m, WitnessPair{});
-  }
   for (CellId c = 0; c < m; ++c) {
     lb_matrix[static_cast<size_t>(c) * m + c] = 0.0;
   }
@@ -199,24 +169,13 @@ void GridIndex::ComputeCellPairLowerBounds() {
     for (CellId c2 = 0; c2 < m; ++c2) {
       if (c2 == c) continue;
       Weight best = kInfWeight;
-      WitnessPair witness;
       for (VertexId y : BorderVertices(c2)) {
-        const Weight d = engine.DistanceTo(y);
-        if (d < best) {
-          best = d;
-          witness = {engine.SourceOf(y), y};
-        }
+        best = std::min(best, engine.DistanceTo(y));
       }
-      if (best < lb_matrix[static_cast<size_t>(c) * m + c2]) {
-        lb_matrix[static_cast<size_t>(c) * m + c2] = best;
-        if (options_.store_witnesses) {
-          witnesses[static_cast<size_t>(c) * m + c2] = witness;
-        }
-      }
+      lb_matrix[static_cast<size_t>(c) * m + c2] = best;
     }
   }
   lb_matrix_ = std::move(lb_matrix);
-  witnesses_ = std::move(witnesses);
 }
 
 void GridIndex::BuildSortedCellLists() {
@@ -246,19 +205,8 @@ void GridIndex::BuildSortedCellLists() {
   sc_data_ = std::move(data);
 }
 
-std::span<const BorderDistance> GridIndex::VertexBorderDistances(
-    VertexId v) const {
-  return {vbd_.data() + vbd_offsets_[v],
-          vbd_.data() + vbd_offsets_[static_cast<size_t>(v) + 1]};
-}
-
 Weight GridIndex::CellPairLowerBound(CellId a, CellId b) const {
   return lb_matrix_[static_cast<size_t>(a) * NumCells() + b];
-}
-
-WitnessPair GridIndex::CellPairWitness(CellId a, CellId b) const {
-  if (witnesses_.empty()) return {};
-  return witnesses_[static_cast<size_t>(a) * NumCells() + b];
 }
 
 Weight GridIndex::LowerBound(VertexId u, VertexId v) const {
@@ -276,27 +224,9 @@ Weight GridIndex::LowerBound(VertexId u, VertexId v) const {
 }
 
 Weight GridIndex::UpperBound(VertexId u, VertexId v) const {
-  if (u == v) return 0.0;
-  const CellId cu = cell_of_vertex_[u];
-  const CellId cv = cell_of_vertex_[v];
-  if (cu == cv || witnesses_.empty()) return kInfWeight;
-  const WitnessPair w = CellPairWitness(cu, cv);
-  if (w.x == kInvalidVertex || w.y == kInvalidVertex) return kInfWeight;
-  const Weight mid = CellPairLowerBound(cu, cv);
-
-  auto in_cell_distance = [this](VertexId from, VertexId border,
-                                 CellId cell) -> Weight {
-    const std::span<const VertexId> bvs = BorderVertices(cell);
-    const auto it = std::lower_bound(bvs.begin(), bvs.end(), border);
-    if (it == bvs.end() || *it != border) return kInfWeight;
-    const size_t bi = static_cast<size_t>(it - bvs.begin());
-    return vbd_[vbd_offsets_[from] + bi].distance;
-  };
-
-  const Weight head = in_cell_distance(u, w.x, cu);
-  const Weight tail = in_cell_distance(v, w.y, cv);
-  if (head == kInfWeight || tail == kInfWeight) return kInfWeight;
-  return head + mid + tail;
+  (void)u;
+  (void)v;
+  return kInfWeight;
 }
 
 std::vector<CellId> GridIndex::CellsOfPath(
@@ -337,10 +267,7 @@ size_t GridIndex::EstimateMemory() const {
   bytes += (cv_offsets_.size() + bv_offsets_.size() + sc_offsets_.size()) *
            sizeof(size_t);
   bytes += vertex_min_.size() * sizeof(Weight);
-  bytes += vbd_.size() * sizeof(BorderDistance);
-  bytes += vbd_offsets_.size() * sizeof(size_t);
   bytes += lb_matrix_.size() * sizeof(Weight);
-  bytes += witnesses_.size() * sizeof(WitnessPair);
   bytes += sc_data_.size() * sizeof(CellNeighbor);
   return bytes;
 }

@@ -17,17 +17,6 @@ struct GridIndexOptions {
   /// Grid resolution (cells_x * cells_y cells over the network bbox).
   int cells_x = 32;
   int cells_y = 32;
-  /// Store the witness border-vertex pair per cell pair (needed by
-  /// `UpperBound`; costs 8 bytes per cell pair).
-  bool store_witnesses = true;
-};
-
-/// Distance from a vertex to one border vertex of its own cell, restricted
-/// to in-cell paths (an upper bound of the true distance; exact when the
-/// true shortest path stays inside the cell).
-struct BorderDistance {
-  VertexId border = kInvalidVertex;
-  Weight distance = kInfWeight;
 };
 
 /// Entry of a cell's sorted grid-cell list (Fig. 1(b), list (iii)).
@@ -36,22 +25,17 @@ struct CellNeighbor {
   Weight lower_bound = kInfWeight;
 };
 
-/// Witness border-vertex pair (x, y) realizing a cell-pair lower bound:
-/// dist(x, y) == CellPairLowerBound and x/y are border vertices of the
-/// respective cells.
-struct WitnessPair {
-  VertexId x = kInvalidVertex;
-  VertexId y = kInvalidVertex;
-};
-
 /// The paper's grid index over the road network (Section 3.2.1, Fig. 1).
 ///
 /// Partitions the bounding box into a uniform grid. Per cell it maintains
-/// (i) the border-vertex list, (ii) the vertex list with per-vertex
-/// distances to the cell's border vertices and `v.min`, and (iii) the list
-/// of other cells sorted ascending by the cell-pair lower-bound distance.
-/// Lists (iv) and (v) — the empty / non-empty vehicle lists — live in
-/// `vehicle::VehicleIndex`, which is keyed by this index's cell ids.
+/// (i) the border-vertex list, (ii) the vertex list with each vertex's
+/// `v.min`, and (iii) the list of other cells sorted ascending by the
+/// cell-pair lower-bound distance. The paper's list (ii) also holds each
+/// vertex's distances to every border vertex of its cell; those serve
+/// only an upper bound, which nothing on the matching path reads, so the
+/// index keeps `v.min` alone (DESIGN.md section 3). Lists (iv) and (v) —
+/// the empty / non-empty vehicle lists — live in `vehicle::VehicleIndex`,
+/// which is keyed by this index's cell ids.
 ///
 /// Requires a symmetric network (dist(u,v) == dist(v,u)), which holds for
 /// the distance-based costs the paper uses and for all bundled generators.
@@ -92,9 +76,6 @@ class GridIndex {
             sc_data_.data() + sc_offsets_[static_cast<size_t>(c) + 1]};
   }
 
-  /// In-cell distances from `v` to the border vertices of its cell,
-  /// aligned with `BorderVertices(CellOfVertex(v))`.
-  std::span<const BorderDistance> VertexBorderDistances(VertexId v) const;
   /// v.min: exact distance from `v` to the nearest border vertex of its
   /// cell (kInfWeight when the cell has no border vertices).
   Weight VertexMinToBorder(VertexId v) const { return vertex_min_[v]; }
@@ -103,18 +84,15 @@ class GridIndex {
   /// Exact min border-to-border distance between two cells; 0 on the
   /// diagonal, kInfWeight when disconnected.
   Weight CellPairLowerBound(CellId a, CellId b) const;
-  /// Witness pair for a finite off-diagonal lower bound; invalid vertices
-  /// when witnesses were not stored or the bound is infinite.
-  WitnessPair CellPairWitness(CellId a, CellId b) const;
 
   /// Admissible lower bound on dist(u, v):
   /// max(geo_lb, u.min + LB(cell(u), cell(v)) + v.min) across cells,
   /// geo_lb within a cell. Never exceeds the true distance.
   Weight LowerBound(VertexId u, VertexId v) const;
 
-  /// Upper bound on dist(u, v) via the witness border pair:
-  /// in_cell(u, x) + dist(x, y) + in_cell(y, v). kInfWeight when any
-  /// component is unavailable. Never below the true distance.
+  /// Returns kInfWeight ("no upper bound known") for every pair. Kept
+  /// because bench/ptrider_bench still calls it from its distance
+  /// provider.
   Weight UpperBound(VertexId u, VertexId v) const;
 
   /// Distinct cells touched by a path's vertex sequence, in first-touch
@@ -140,7 +118,7 @@ class GridIndex {
   util::Status BuildImpl(const RoadNetwork& graph);
   void AssignCells();
   void FindBorderVertices();
-  void ComputeVertexBorderDistances();
+  void ComputeVertexMinToBorder();
   void ComputeCellPairLowerBounds();
   void BuildSortedCellLists();
   size_t EstimateMemory() const;
@@ -160,13 +138,8 @@ class GridIndex {
   util::ArrayRef<VertexId> bv_data_;
 
   util::ArrayRef<Weight> vertex_min_;
-  // CSR of per-vertex border distances, aligned with the cell's BV list.
-  util::ArrayRef<size_t> vbd_offsets_;  // size NumVertices()+1
-  util::ArrayRef<BorderDistance> vbd_;
-
-  util::ArrayRef<Weight> lb_matrix_;       // NumCells()^2, row-major
-  util::ArrayRef<WitnessPair> witnesses_;  // same shape when stored
-  util::ArrayRef<size_t> sc_offsets_;      // size NumCells()+1
+  util::ArrayRef<Weight> lb_matrix_;   // NumCells()^2, row-major
+  util::ArrayRef<size_t> sc_offsets_;  // size NumCells()+1
   util::ArrayRef<CellNeighbor> sc_data_;
 
   BuildStats build_stats_;

@@ -6,8 +6,6 @@ const char* SpAlgorithmName(SpAlgorithm algo) {
   switch (algo) {
     case SpAlgorithm::kDijkstra:
       return "dijkstra";
-    case SpAlgorithm::kBidirectional:
-      return "bidirectional";
     case SpAlgorithm::kAStar:
       return "astar";
     case SpAlgorithm::kContractionHierarchy:
@@ -19,8 +17,6 @@ const char* SpAlgorithmName(SpAlgorithm algo) {
 bool SpAlgorithmFromName(std::string_view name, SpAlgorithm* out) {
   if (name == "dijkstra") {
     *out = SpAlgorithm::kDijkstra;
-  } else if (name == "bidirectional") {
-    *out = SpAlgorithm::kBidirectional;
   } else if (name == "astar") {
     *out = SpAlgorithm::kAStar;
   } else if (name == "ch" || name == "contraction-hierarchy") {

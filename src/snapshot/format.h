@@ -23,9 +23,11 @@ inline constexpr char kMagic[8] = {'P', 'T', 'R', 'S', 'N', 'A', 'P', '\0'};
 /// Reads back as 0x04030201 on a foreign-endian machine.
 inline constexpr uint32_t kEndianMarker = 0x01020304u;
 /// Bump on ANY layout change — loaders never guess at older layouts.
-inline constexpr uint32_t kFormatVersion = 1;
+inline constexpr uint32_t kFormatVersion = 2;
 
-/// Section identifiers. Values are stable on disk; only append.
+/// Section identifiers. Values are stable on disk; only append. Ids 16,
+/// 17 and 19 (format 1's grid upper-bound arrays) are retired: never
+/// reuse them.
 enum SectionId : uint32_t {
   kSectionMeta = 1,
   // RoadNetwork CSR.
@@ -39,10 +41,7 @@ enum SectionId : uint32_t {
   kSectionGridBvOffsets = 13,
   kSectionGridBvData = 14,
   kSectionGridVertexMin = 15,
-  kSectionGridVbdOffsets = 16,
-  kSectionGridVbd = 17,
   kSectionGridLbMatrix = 18,
-  kSectionGridWitnesses = 19,
   kSectionGridScOffsets = 20,
   kSectionGridScData = 21,
   // CHIndex (up/down CSR + contraction order).
@@ -70,11 +69,9 @@ struct FileHeader {
   uint16_t sizeof_size_t;
   uint16_t sizeof_graph_edge;
   uint16_t sizeof_ch_edge;
-  uint16_t sizeof_border_distance;
   uint16_t sizeof_cell_neighbor;
   uint16_t sizeof_point;
-  uint16_t sizeof_witness_pair;
-  uint16_t reserved;
+  uint16_t reserved[3];  // zero
 };
 static_assert(sizeof(FileHeader) == 56, "on-disk header layout drifted");
 
@@ -100,7 +97,7 @@ struct MetaSection {
   // GridIndex scalars.
   int32_t grid_cells_x;
   int32_t grid_cells_y;
-  uint32_t grid_store_witnesses;  // 0 / 1
+  uint32_t reserved;  // zero
   double grid_cell_width;
   double grid_cell_height;
   double grid_build_seconds;

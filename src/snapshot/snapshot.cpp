@@ -20,9 +20,7 @@ namespace {
 static_assert(sizeof(size_t) == 8, "snapshot format assumes 64-bit size_t");
 static_assert(sizeof(roadnet::Edge) == 16);
 static_assert(sizeof(roadnet::CHIndex::Edge) == 24);
-static_assert(sizeof(roadnet::BorderDistance) == 16);
 static_assert(sizeof(roadnet::CellNeighbor) == 16);
-static_assert(sizeof(roadnet::WitnessPair) == 8);
 static_assert(sizeof(util::Point) == 16);
 
 // How a section's bytes are produced. Records with internal padding
@@ -34,7 +32,6 @@ enum class PayloadKind {
   kRaw,
   kGraphEdge,
   kCHEdge,
-  kBorderDistance,
   kCellNeighbor,
 };
 
@@ -58,14 +55,6 @@ void CopyCHEdge(unsigned char* dst, const roadnet::CHIndex::Edge& e) {
               sizeof(e.weight));
   std::memcpy(dst + offsetof(roadnet::CHIndex::Edge, middle), &e.middle,
               sizeof(e.middle));
-}
-
-void CopyBorderDistance(unsigned char* dst,
-                        const roadnet::BorderDistance& b) {
-  std::memcpy(dst + offsetof(roadnet::BorderDistance, border), &b.border,
-              sizeof(b.border));
-  std::memcpy(dst + offsetof(roadnet::BorderDistance, distance),
-              &b.distance, sizeof(b.distance));
 }
 
 void CopyCellNeighbor(unsigned char* dst, const roadnet::CellNeighbor& c) {
@@ -110,10 +99,6 @@ void WritePayload(std::ofstream& out, const SectionSpec& s) {
     case PayloadKind::kCHEdge:
       WriteSanitized<roadnet::CHIndex::Edge>(out, s.data, s.bytes,
                                              CopyCHEdge);
-      break;
-    case PayloadKind::kBorderDistance:
-      WriteSanitized<roadnet::BorderDistance>(out, s.data, s.bytes,
-                                              CopyBorderDistance);
       break;
     case PayloadKind::kCellNeighbor:
       WriteSanitized<roadnet::CellNeighbor>(out, s.data, s.bytes,
@@ -191,9 +176,8 @@ util::Status WriteSnapshot(const roadnet::RoadNetwork& graph,
   const auto [g_offsets, g_edges, g_coords, g_bounds, g_geo] =
       SnapshotAccess::GraphFields(graph);
   const auto [gi_cell_of_vertex, gi_cv_offsets, gi_cv_data, gi_bv_offsets,
-              gi_bv_data, gi_vertex_min, gi_vbd_offsets, gi_vbd,
-              gi_lb_matrix, gi_witnesses, gi_sc_offsets, gi_sc_data] =
-      SnapshotAccess::GridArrays(grid);
+              gi_bv_data, gi_vertex_min, gi_lb_matrix, gi_sc_offsets,
+              gi_sc_data] = SnapshotAccess::GridArrays(grid);
   const auto [gi_graph, gi_options, gi_cell_width, gi_cell_height,
               gi_stats] = SnapshotAccess::GridScalars(grid);
   const auto [ch_rank, ch_up_offsets, ch_down_offsets, ch_up_edges,
@@ -212,7 +196,6 @@ util::Status WriteSnapshot(const roadnet::RoadNetwork& graph,
   meta.geo_lb_valid = g_geo ? 1 : 0;
   meta.grid_cells_x = gi_options.cells_x;
   meta.grid_cells_y = gi_options.cells_y;
-  meta.grid_store_witnesses = gi_options.store_witnesses ? 1 : 0;
   meta.grid_cell_width = gi_cell_width;
   meta.grid_cell_height = gi_cell_height;
   meta.grid_build_seconds = gi_stats.build_seconds;
@@ -239,10 +222,7 @@ util::Status WriteSnapshot(const roadnet::RoadNetwork& graph,
   add(kSectionGridBvOffsets, gi_bv_offsets, PayloadKind::kRaw);
   add(kSectionGridBvData, gi_bv_data, PayloadKind::kRaw);
   add(kSectionGridVertexMin, gi_vertex_min, PayloadKind::kRaw);
-  add(kSectionGridVbdOffsets, gi_vbd_offsets, PayloadKind::kRaw);
-  add(kSectionGridVbd, gi_vbd, PayloadKind::kBorderDistance);
   add(kSectionGridLbMatrix, gi_lb_matrix, PayloadKind::kRaw);
-  add(kSectionGridWitnesses, gi_witnesses, PayloadKind::kRaw);
   add(kSectionGridScOffsets, gi_sc_offsets, PayloadKind::kRaw);
   add(kSectionGridScData, gi_sc_data, PayloadKind::kCellNeighbor);
   add(kSectionChRank, ch_rank, PayloadKind::kRaw);
@@ -274,10 +254,8 @@ util::Status WriteSnapshot(const roadnet::RoadNetwork& graph,
   header.sizeof_size_t = sizeof(size_t);
   header.sizeof_graph_edge = sizeof(roadnet::Edge);
   header.sizeof_ch_edge = sizeof(roadnet::CHIndex::Edge);
-  header.sizeof_border_distance = sizeof(roadnet::BorderDistance);
   header.sizeof_cell_neighbor = sizeof(roadnet::CellNeighbor);
   header.sizeof_point = sizeof(util::Point);
-  header.sizeof_witness_pair = sizeof(roadnet::WitnessPair);
 
   {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
@@ -366,10 +344,8 @@ util::Result<Snapshot> Snapshot::Load(const std::string& path) {
       header.sizeof_size_t != sizeof(size_t) ||
       header.sizeof_graph_edge != sizeof(roadnet::Edge) ||
       header.sizeof_ch_edge != sizeof(roadnet::CHIndex::Edge) ||
-      header.sizeof_border_distance != sizeof(roadnet::BorderDistance) ||
       header.sizeof_cell_neighbor != sizeof(roadnet::CellNeighbor) ||
-      header.sizeof_point != sizeof(util::Point) ||
-      header.sizeof_witness_pair != sizeof(roadnet::WitnessPair)) {
+      header.sizeof_point != sizeof(util::Point)) {
     return util::Status::FailedPrecondition(util::StrFormat(
         "'%s' was written with different record layouts (ABI mismatch)",
         path.c_str()));
@@ -455,8 +431,8 @@ util::Result<Snapshot> Snapshot::Load(const std::string& path) {
   // --- GridIndex -----------------------------------------------------------
   {
     auto [cell_of_vertex, cv_offsets, cv_data, bv_offsets, bv_data,
-          vertex_min, vbd_offsets, vbd, lb_matrix, witnesses, sc_offsets,
-          sc_data] = SnapshotAccess::GridArrays(state->grid);
+          vertex_min, lb_matrix, sc_offsets, sc_data] =
+        SnapshotAccess::GridArrays(state->grid);
     PTRIDER_ASSIGN_OR_RETURN(
         cell_of_vertex,
         SectionView<roadnet::CellId>(base, table,
@@ -477,17 +453,8 @@ util::Result<Snapshot> Snapshot::Load(const std::string& path) {
         vertex_min,
         SectionView<roadnet::Weight>(base, table, kSectionGridVertexMin));
     PTRIDER_ASSIGN_OR_RETURN(
-        vbd_offsets,
-        SectionView<size_t>(base, table, kSectionGridVbdOffsets));
-    PTRIDER_ASSIGN_OR_RETURN(
-        vbd, SectionView<roadnet::BorderDistance>(base, table,
-                                                  kSectionGridVbd));
-    PTRIDER_ASSIGN_OR_RETURN(
         lb_matrix,
         SectionView<roadnet::Weight>(base, table, kSectionGridLbMatrix));
-    PTRIDER_ASSIGN_OR_RETURN(
-        witnesses, SectionView<roadnet::WitnessPair>(
-                       base, table, kSectionGridWitnesses));
     PTRIDER_ASSIGN_OR_RETURN(
         sc_offsets,
         SectionView<size_t>(base, table, kSectionGridScOffsets));
@@ -495,9 +462,7 @@ util::Result<Snapshot> Snapshot::Load(const std::string& path) {
         sc_data, SectionView<roadnet::CellNeighbor>(base, table,
                                                     kSectionGridScData));
     if (cell_of_vertex.size() != n || vertex_min.size() != n ||
-        lb_matrix.size() != cells * cells ||
-        witnesses.size() !=
-            (meta.grid_store_witnesses != 0 ? cells * cells : 0)) {
+        lb_matrix.size() != cells * cells) {
       return util::Status::IoError(util::StrFormat(
           "'%s': grid arrays disagree with metadata", path.c_str()));
     }
@@ -507,8 +472,6 @@ util::Result<Snapshot> Snapshot::Load(const std::string& path) {
     PTRIDER_RETURN_IF_ERROR(ValidateOffsets(bv_offsets, cells,
                                             bv_data.size(),
                                             "grid border lists"));
-    PTRIDER_RETURN_IF_ERROR(ValidateOffsets(
-        vbd_offsets, n, vbd.size(), "grid border distances"));
     PTRIDER_RETURN_IF_ERROR(ValidateOffsets(sc_offsets, cells,
                                             sc_data.size(),
                                             "grid sorted cell lists"));
@@ -518,7 +481,6 @@ util::Result<Snapshot> Snapshot::Load(const std::string& path) {
     grid_graph = &state->graph;
     grid_options.cells_x = meta.grid_cells_x;
     grid_options.cells_y = meta.grid_cells_y;
-    grid_options.store_witnesses = meta.grid_store_witnesses != 0;
     cell_width = meta.grid_cell_width;
     cell_height = meta.grid_cell_height;
     build_stats.build_seconds = meta.grid_build_seconds;

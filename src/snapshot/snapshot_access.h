@@ -34,13 +34,11 @@ class SnapshotAccess {
   }
 
   /// cell_of_vertex, cv_offsets, cv_data, bv_offsets, bv_data,
-  /// vertex_min, vbd_offsets, vbd, lb_matrix, witnesses, sc_offsets,
-  /// sc_data.
+  /// vertex_min, lb_matrix, sc_offsets, sc_data.
   template <typename GridIndexT>
   static auto GridArrays(GridIndexT& g) {
     return std::tie(g.cell_of_vertex_, g.cv_offsets_, g.cv_data_,
-                    g.bv_offsets_, g.bv_data_, g.vertex_min_,
-                    g.vbd_offsets_, g.vbd_, g.lb_matrix_, g.witnesses_,
+                    g.bv_offsets_, g.bv_data_, g.vertex_min_, g.lb_matrix_,
                     g.sc_offsets_, g.sc_data_);
   }
 

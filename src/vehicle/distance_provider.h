@@ -6,12 +6,12 @@
 namespace ptrider::vehicle {
 
 /// Distance service consumed by schedule validation and insertion. The
-/// kinetic tree checks cheap lower/upper bounds before paying for an exact
+/// kinetic tree checks cheap lower bounds before paying for an exact
 /// shortest-path computation — the optimization Section 3.3 describes
 /// ("the number of the shortest path distance computations can be
 /// reduced"). Implementations:
 ///   * core::ExactDistanceProvider  — no bounds (the naive baseline [7]);
-///   * core::IndexedDistanceProvider — grid-index bounds + oracle.
+///   * core::IndexedDistanceProvider — grid-index lower bounds + oracle.
 class DistanceProvider {
  public:
   virtual ~DistanceProvider() = default;
@@ -27,7 +27,9 @@ class DistanceProvider {
     return 0.0;
   }
 
-  /// Upper bound: Upper(u,v) >= Exact(u,v). Default: unknown (infinity).
+  /// Upper bound: Upper(u,v) >= Exact(u,v); infinity means unknown. No
+  /// matcher asks for one. Kept because bench/ptrider_bench still
+  /// overrides it.
   virtual roadnet::Weight Upper(roadnet::VertexId u, roadnet::VertexId v) {
     (void)u;
     (void)v;

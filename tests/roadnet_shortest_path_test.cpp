@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "roadnet/astar.h"
-#include "roadnet/bidirectional_dijkstra.h"
 #include "roadnet/dijkstra.h"
 #include "roadnet/distance_oracle.h"
 #include "roadnet/graph_generator.h"
@@ -116,7 +115,6 @@ TEST(DijkstraTest, MultiSourceInitialDistances) {
 TEST(ShortestPathAgreementTest, AllEnginesAgreeOnRandomPairs) {
   const RoadNetwork g = SmallCity();
   DijkstraEngine dij(g);
-  BidirectionalDijkstra bidi(g);
   AStarEngine astar(g);
   util::Rng rng(1234);
   for (int i = 0; i < 200; ++i) {
@@ -125,8 +123,6 @@ TEST(ShortestPathAgreementTest, AllEnginesAgreeOnRandomPairs) {
     const auto v = static_cast<VertexId>(
         rng.UniformInt(0, static_cast<int64_t>(g.NumVertices()) - 1));
     const Weight d0 = dij.Distance(u, v);
-    EXPECT_NEAR(bidi.Distance(u, v), d0, 1e-9 * (1.0 + d0))
-        << "bidirectional mismatch " << u << "->" << v;
     EXPECT_NEAR(astar.Distance(u, v), d0, 1e-9 * (1.0 + d0))
         << "astar mismatch " << u << "->" << v;
   }
@@ -258,8 +254,8 @@ TEST(DistanceOracleTest, AllAlgorithmsAgree) {
   base.cache_capacity = 0;
   util::Rng rng(42);
   for (const SpAlgorithm algo :
-       {SpAlgorithm::kDijkstra, SpAlgorithm::kBidirectional,
-        SpAlgorithm::kAStar, SpAlgorithm::kContractionHierarchy}) {
+       {SpAlgorithm::kDijkstra, SpAlgorithm::kAStar,
+        SpAlgorithm::kContractionHierarchy}) {
     DistanceOracleOptions opts = base;
     opts.algorithm = algo;
     DistanceOracle oracle(g, opts);
@@ -281,7 +277,7 @@ TEST(DistanceOracleTest, ShortestPathCountsAsQuery) {
   // effort ratios were skewed. They now share Distance's accounting.
   const RoadNetwork g = SmallCity();
   DistanceOracleOptions opts;
-  opts.algorithm = SpAlgorithm::kBidirectional;  // path engine is hidden
+  opts.algorithm = SpAlgorithm::kDijkstra;  // path engine is hidden
   DistanceOracle oracle(g, opts);
 
   auto path = oracle.ShortestPath(0, 40);

@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -101,8 +103,9 @@ TEST(SnapshotRoundtripTest, StructuresSurviveExactly) {
     }
   }
 
-  // Grid: same resolution, same per-vertex cells and bounds, and the
-  // DebugString (which folds in the build stats) matches verbatim.
+  // Grid: same resolution, every array element for element (per-vertex
+  // cells and v.min, each cell's three lists, every cell-pair bound), and
+  // the DebugString (which folds in the build stats) matches verbatim.
   const roadnet::GridIndex& grid = loaded->grid();
   EXPECT_EQ(grid.cells_x(), b->grid->cells_x());
   EXPECT_EQ(grid.cells_y(), b->grid->cells_y());
@@ -112,8 +115,25 @@ TEST(SnapshotRoundtripTest, StructuresSurviveExactly) {
     EXPECT_EQ(grid.CellOfVertex(v), b->grid->CellOfVertex(v));
     EXPECT_EQ(grid.VertexMinToBorder(v), b->grid->VertexMinToBorder(v));
   }
-  for (roadnet::CellId a = 0; a < grid.NumCells(); a += 3) {
-    for (roadnet::CellId c = 0; c < grid.NumCells(); c += 3) {
+  for (roadnet::CellId a = 0; a < grid.NumCells(); ++a) {
+    const auto vertices = grid.Vertices(a);
+    const auto want_vertices = b->grid->Vertices(a);
+    EXPECT_TRUE(std::equal(vertices.begin(), vertices.end(),
+                           want_vertices.begin(), want_vertices.end()))
+        << "cell " << a;
+    const auto borders = grid.BorderVertices(a);
+    const auto want_borders = b->grid->BorderVertices(a);
+    EXPECT_TRUE(std::equal(borders.begin(), borders.end(),
+                           want_borders.begin(), want_borders.end()))
+        << "cell " << a;
+    const auto sorted = grid.SortedCellList(a);
+    const auto want_sorted = b->grid->SortedCellList(a);
+    ASSERT_EQ(sorted.size(), want_sorted.size()) << "cell " << a;
+    for (size_t i = 0; i < sorted.size(); ++i) {
+      EXPECT_EQ(sorted[i].cell, want_sorted[i].cell);
+      EXPECT_EQ(sorted[i].lower_bound, want_sorted[i].lower_bound);
+    }
+    for (roadnet::CellId c = 0; c < grid.NumCells(); ++c) {
       EXPECT_EQ(grid.CellPairLowerBound(a, c),
                 b->grid->CellPairLowerBound(a, c));
     }
@@ -311,6 +331,36 @@ TEST_F(SnapshotRejectionTest, FlippedPayloadByte) {
   bad[bad.size() - 5] ^= 0x40;  // deep inside the last payload
   Rewrite(bad);
   ExpectRejected("checksum mismatch");
+}
+
+// A file whose checksum is valid but whose grid dimensions do not match
+// its grid arrays: the loader's consistency check, not the checksum,
+// must refuse it.
+TEST_F(SnapshotRejectionTest, GridDimensionsDisagreeWithArrays) {
+  std::vector<char> bad = bytes_;
+  FileHeader header;
+  std::memcpy(&header, bad.data(), sizeof(header));
+  size_t meta_offset = 0;
+  for (uint32_t i = 0; i < header.section_count; ++i) {
+    SectionEntry entry;
+    std::memcpy(&entry,
+                bad.data() + sizeof(FileHeader) + i * sizeof(SectionEntry),
+                sizeof(entry));
+    if (entry.id == kSectionMeta) meta_offset = entry.offset;
+  }
+  ASSERT_NE(meta_offset, 0u);
+  const size_t cells_x_at = meta_offset + offsetof(MetaSection, grid_cells_x);
+  int32_t cells_x = 0;
+  std::memcpy(&cells_x, bad.data() + cells_x_at, sizeof(cells_x));
+  ASSERT_EQ(cells_x, 3);
+  cells_x = 4;
+  std::memcpy(bad.data() + cells_x_at, &cells_x, sizeof(cells_x));
+  header.checksum = HashBytes(bad.data() + header.header_size,
+                              header.file_size - header.header_size);
+  std::memcpy(bad.data() + offsetof(FileHeader, checksum), &header.checksum,
+              sizeof(header.checksum));
+  Rewrite(bad);
+  ExpectRejected("grid arrays disagree with metadata");
 }
 
 TEST_F(SnapshotRejectionTest, FlippedTableByte) {
