@@ -8,11 +8,13 @@
 //             [--jobs N] [--batch-window S] [--move-jobs N]
 //             [--sp-algo dijkstra|astar|ch]
 //             [--snapshot FILE]
-// Defaults: 150 taxis, 2000 trips, 4 hours, sequential per-request
-// dispatch. `--jobs N` matches arrivals in parallel on N worker threads
-// (src/dispatch/), which implies batched arrivals; `--batch-window S`
-// sets the arrival window (default 2 s when batching); `--move-jobs N`
-// runs the per-tick vehicle-movement advance on N threads; `--sp-algo`
+// Defaults: 150 taxis, 2000 trips, 4 hours, per-request dispatch (each
+// request matched alone as it arrives). `--batch-window S` batches the
+// arrivals of every S simulated seconds through the batch dispatcher
+// (src/dispatch/); `--jobs N` matches each batch on N threads (1 to 256,
+// default 1) and, given without `--batch-window`, implies a 2 s window;
+// `--move-jobs N` runs the per-tick vehicle-movement advance on N
+// threads (1 to 256); `--sp-algo`
 // picks the distance oracle's point-to-point engine (`ch` preprocesses
 // a contraction hierarchy once, shared by every worker thread's oracle
 // clone). Results are identical for every `--jobs` / `--move-jobs`
@@ -30,6 +32,7 @@
 #include <utility>
 #include <vector>
 
+#include "cli_args.h"
 #include "core/ptrider.h"
 #include "roadnet/graph_generator.h"
 #include "sim/simulator.h"
@@ -38,11 +41,23 @@
 #include "snapshot/system.h"
 #include "util/logging.h"
 
+namespace {
+
+constexpr char kUsage[] =
+    "usage: example_city_day [taxis] [trips] [hours] [--jobs N] "
+    "[--batch-window S]\n"
+    "           [--move-jobs N] [--sp-algo dijkstra|astar|ch] "
+    "[--snapshot FILE]\n";
+
+}  // namespace
+
 int main(int argc, char** argv) {
   using namespace ptrider;
   util::SetLogLevel(util::LogLevel::kInfo);
+  const examples::CliArgs args(kUsage);
 
-  int jobs = 0;
+  int jobs = 1;
+  bool jobs_given = false;
   int move_jobs = 1;
   double batch_window_s = 0.0;
   std::string snapshot_path;
@@ -81,19 +96,14 @@ int main(int argc, char** argv) {
       }
       const char* flag = argv[i];
       const char* value = argv[++i];
-      char* end = nullptr;
       if (is_jobs) {
-        jobs = static_cast<int>(std::strtol(value, &end, 10));
+        jobs = static_cast<int>(args.Int(flag, value, 1, core::kMaxThreads));
+        jobs_given = true;
       } else if (is_move_jobs) {
-        move_jobs = static_cast<int>(std::strtol(value, &end, 10));
+        move_jobs =
+            static_cast<int>(args.Int(flag, value, 1, core::kMaxThreads));
       } else {
-        batch_window_s = std::strtod(value, &end);
-      }
-      if (end == value || *end != '\0' || (is_jobs && jobs < 0) ||
-          (is_move_jobs && move_jobs < 1) ||
-          (is_window && batch_window_s < 0.0)) {
-        std::fprintf(stderr, "%s: bad value '%s'\n", flag, value);
-        return 1;
+        batch_window_s = args.Number(flag, value, 0.0, 86400.0);
       }
     } else if (std::strncmp(argv[i], "--", 2) == 0) {
       std::fprintf(stderr, "unknown flag '%s'\n", argv[i]);
@@ -102,13 +112,17 @@ int main(int argc, char** argv) {
       positional.push_back(argv[i]);
     }
   }
-  const size_t taxis =
-      !positional.empty() ? std::strtoul(positional[0], nullptr, 10) : 150;
-  const size_t trips =
-      positional.size() > 1 ? std::strtoul(positional[1], nullptr, 10) : 2000;
+  if (positional.size() > 3) args.Fail("too many positional arguments");
+  const auto taxis = static_cast<size_t>(
+      !positional.empty() ? args.Int("taxis", positional[0], 1, 1000000)
+                          : 150);
+  const auto trips = static_cast<size_t>(
+      positional.size() > 1 ? args.Int("trips", positional[1], 0, 10000000)
+                            : 2000);
   const double hours =
-      positional.size() > 2 ? std::strtod(positional[2], nullptr) : 4.0;
-  if (jobs > 0 && batch_window_s <= 0.0) batch_window_s = 2.0;
+      positional.size() > 2 ? args.Number("hours", positional[2], 1e-3, 1000.0)
+                            : 4.0;
+  if (jobs_given && batch_window_s <= 0.0) batch_window_s = 2.0;
 
   core::Config cfg;  // defaults: 48 km/h, capacity 3, w = 5 min
   cfg.matcher = core::MatcherAlgorithm::kDualSide;
@@ -190,9 +204,9 @@ int main(int argc, char** argv) {
               trace->size(), hours, taxis,
               core::MatcherAlgorithmName(cfg.matcher));
   if (batch_window_s > 0.0) {
-    std::printf("Dispatch: %s, %d worker(s), %.1f s arrival window\n",
-                jobs > 0 ? "parallel batch" : "sequential batch", jobs,
-                batch_window_s);
+    std::printf("Dispatch: batch, %d matching thread(s), %.1f s arrival "
+                "window\n",
+                jobs, batch_window_s);
   } else {
     std::printf("Dispatch: per-request (seed behavior)\n");
   }

@@ -22,11 +22,15 @@
 // --storm-seed.
 // Default: 100 taxis, 600 requests/min for 20 minutes on a 30x30 city,
 // virtual clock (deterministic; --wall-clock runs it live instead, with
-// --speedup simulated seconds per wall second). `--snapshot FILE` serves
+// --speedup simulated seconds per wall second). `--jobs N` matches each
+// batch on N threads (1 to 256, default 2). Every number is parsed
+// strictly: a malformed or out-of-range value prints the usage and
+// exits. `--snapshot FILE` serves
 // from a prebuilt tools/snapshot_build file instead of generating the
 // city — the restart path for a long-running server (DESIGN.md
 // section 12).
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -35,6 +39,7 @@
 #include <string>
 #include <utility>
 
+#include "cli_args.h"
 #include "core/ptrider.h"
 #include "roadnet/graph_generator.h"
 #include "service/dispatch_service.h"
@@ -42,8 +47,25 @@
 #include "snapshot/snapshot.h"
 #include "snapshot/system.h"
 
+namespace {
+
+constexpr char kUsage[] =
+    "usage: example_service_day [taxis] [rate_per_min] [minutes]\n"
+    "           [--wall-clock] [--virtual-clock] [--jobs N] "
+    "[--move-jobs N]\n"
+    "           [--queue-cap N] [--deadline S] [--assign-cost S] "
+    "[--quote-cost S]\n"
+    "           [--window S] [--speedup X] [--verbose] "
+    "[--snapshot FILE]\n"
+    "           [--ladder] [--ladder-target S] [--zones N] "
+    "[--retries N]\n"
+    "           [--storm] [--storm-seed N] [--burst-rate R]\n";
+
+}  // namespace
+
 int main(int argc, char** argv) {
   using namespace ptrider;
+  const examples::CliArgs args(kUsage);
 
   size_t taxis = 100;
   double rate_per_min = 600.0;
@@ -61,63 +83,75 @@ int main(int argc, char** argv) {
   uint64_t storm_seed = 4242;
   double burst_rate_per_s = 0.0;  // 0: 2x the base rate
 
+  // Generous sanity caps: far beyond any useful run, low enough that no
+  // value can overflow the field it lands in.
+  constexpr double kMaxSeconds = 1e7;
+  constexpr double kMaxRate = 1e7;
   int positional = 0;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto next = [&]() -> double {
-      return i + 1 < argc ? std::strtod(argv[++i], nullptr) : 0.0;
+    // The flag's value: the next argument, which must exist.
+    const auto value = [&]() -> const char* {
+      if (i + 1 >= argc) args.Fail(arg + " needs a value");
+      return argv[++i];
+    };
+    const auto int_flag = [&](int64_t lo, int64_t hi) {
+      return args.Int(arg, value(), lo, hi);
+    };
+    const auto number_flag = [&](double lo, double hi) {
+      return args.Number(arg, value(), lo, hi);
     };
     if (arg == "--wall-clock") {
       opts.virtual_clock = false;
     } else if (arg == "--virtual-clock") {
       opts.virtual_clock = true;
     } else if (arg == "--jobs") {
-      dispatch_jobs = static_cast<int>(next());
+      dispatch_jobs = static_cast<int>(int_flag(1, core::kMaxThreads));
     } else if (arg == "--move-jobs") {
-      opts.move_jobs = static_cast<int>(next());
+      opts.move_jobs = static_cast<int>(int_flag(1, core::kMaxThreads));
     } else if (arg == "--queue-cap") {
-      opts.queue_capacity = static_cast<size_t>(next());
+      opts.queue_capacity = static_cast<size_t>(int_flag(1, 1 << 24));
     } else if (arg == "--deadline") {
-      opts.shed_deadline_s = next();
+      opts.shed_deadline_s = number_flag(0.0, kMaxSeconds);
     } else if (arg == "--assign-cost") {
-      opts.assign_cost_s = next();
+      opts.assign_cost_s = number_flag(0.0, kMaxSeconds);
     } else if (arg == "--quote-cost") {
-      opts.quote_cost_s = next();
+      opts.quote_cost_s = number_flag(0.0, kMaxSeconds);
     } else if (arg == "--window") {
-      opts.batch_window_s = next();
+      opts.batch_window_s = number_flag(1e-3, kMaxSeconds);
     } else if (arg == "--speedup") {
-      opts.wall_time_scale = next();
+      opts.wall_time_scale = number_flag(1e-3, kMaxRate);
     } else if (arg == "--verbose") {
       opts.verbose = true;
     } else if (arg == "--ladder") {
       opts.ladder.enabled = true;
     } else if (arg == "--ladder-target") {
-      opts.ladder.target_delay_s = next();
+      opts.ladder.target_delay_s = number_flag(0.0, kMaxSeconds);
     } else if (arg == "--zones") {
-      opts.zone_admission.zones = static_cast<size_t>(next());
+      opts.zone_admission.zones = static_cast<size_t>(int_flag(0, 1 << 20));
     } else if (arg == "--retries") {
-      opts.ingest_retry.max_attempts = static_cast<int>(next());
+      opts.ingest_retry.max_attempts = static_cast<int>(int_flag(0, 1000));
     } else if (arg == "--storm") {
       storm = true;
     } else if (arg == "--storm-seed") {
-      storm_seed = static_cast<uint64_t>(next());
+      storm_seed = static_cast<uint64_t>(int_flag(0, INT64_MAX));
     } else if (arg == "--burst-rate") {
-      burst_rate_per_s = next();
+      burst_rate_per_s = number_flag(0.0, kMaxRate);
     } else if (arg == "--snapshot") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "--snapshot needs a value\n");
-        return 1;
-      }
-      snapshot_path = argv[++i];
+      snapshot_path = value();
+    } else if (arg.rfind("--", 0) == 0) {
+      args.Fail("unknown flag '" + arg + "'");
     } else if (positional == 0) {
-      taxis = std::strtoul(arg.c_str(), nullptr, 10);
+      taxis = static_cast<size_t>(args.Int("taxis", argv[i], 1, 1000000));
       ++positional;
     } else if (positional == 1) {
-      rate_per_min = std::strtod(arg.c_str(), nullptr);
+      rate_per_min = args.Number("rate_per_min", argv[i], 1e-3, kMaxRate);
+      ++positional;
+    } else if (positional == 2) {
+      minutes = args.Number("minutes", argv[i], 1e-3, kMaxSeconds / 60.0);
       ++positional;
     } else {
-      minutes = std::strtod(arg.c_str(), nullptr);
-      ++positional;
+      args.Fail("too many positional arguments");
     }
   }
 

@@ -36,42 +36,4 @@ std::optional<size_t> Dispatcher::ChooseCheapest(const vehicle::Request&,
   return best;
 }
 
-util::Result<std::vector<BatchItem>> BatchDispatcher::Dispatch(
-    std::vector<vehicle::Request> batch, double now_s,
-    const BatchChooser& chooser) {
-  if (!chooser) {
-    return util::Status::InvalidArgument("batch dispatch needs a chooser");
-  }
-  SortBySubmitOrder(batch);
-
-  std::vector<BatchItem> out;
-  out.reserve(batch.size());
-  for (vehicle::Request& r : batch) {
-    BatchItem item;
-    item.request = r;
-    auto match = system_->SubmitRequest(r, now_s);
-    if (!match.ok()) {
-      // Invalid individual request: report it unassigned, keep going.
-      out.push_back(std::move(item));
-      continue;
-    }
-    item.match = std::move(match).value();
-    if (observer_) observer_(0, r, item.match);
-    const std::optional<size_t> pick = chooser(r, item.match);
-    if (pick.has_value()) {
-      if (*pick >= item.match.options.size()) {
-        return util::Status::OutOfRange("chooser returned a bad index");
-      }
-      const Option& option = item.match.options[*pick];
-      // Options were computed against live state within this batch, so
-      // the commitment cannot race; surface any failure.
-      PTRIDER_RETURN_IF_ERROR(system_->ChooseOption(r, option, now_s));
-      item.assigned = true;
-      item.chosen = option;
-    }
-    out.push_back(std::move(item));
-  }
-  return out;
-}
-
 }  // namespace ptrider::core

@@ -3,6 +3,7 @@
 
 #include <functional>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "core/ptrider.h"
@@ -32,11 +33,10 @@ using BatchChooser = std::function<std::optional<size_t>(
 /// after its first (phase-1) match is computed — the instant a real
 /// service could return the quote to the rider, which is what the
 /// service mode's quote-latency percentiles stamp. `worker` is the
-/// 0-based matching thread (the parallel dispatcher passes its
-/// WorkerContext index; the sequential dispatcher always passes 0) and
-/// is private to one thread per Dispatch call, so observers may record
-/// into per-worker state without locks — but calls DO run concurrently
-/// across distinct workers. Commit-phase re-matches are not re-observed:
+/// 0-based matching thread (the dispatcher's WorkerContext index) and is
+/// private to one thread per Dispatch call, so observers may record into
+/// per-worker state without locks — but calls DO run concurrently across
+/// distinct workers. Commit-phase re-matches are not re-observed:
 /// the quote a rider saw is the first one.
 using MatchObserver = std::function<void(
     size_t worker, const vehicle::Request&, const MatchResult& match)>;
@@ -59,31 +59,17 @@ struct DegradeMode {
   bool IsFull() const { return !skip_full_rematch && effort.IsFullEffort(); }
 };
 
-/// Batch-dispatch strategy interface. Every implementation realizes the
-/// paper's greedy semantics for simultaneous requests (Section 2.5):
-/// requests are committed one at a time in ascending (submit_time, id)
-/// order, each commitment visible to every later request. Strategies may
-/// only differ in how they *compute* the matches (e.g. sequentially or
-/// sharded across worker threads) — the returned BatchItem sequence is
-/// identical across strategies (DESIGN.md section 5).
+/// What every batch dispatcher shares: the paper's greedy semantics for
+/// simultaneous requests (Section 2.5) commit requests one at a time in
+/// ascending (submit_time, id) order, each commitment visible to every
+/// later request. The production dispatcher is
+/// dispatch::ParallelDispatcher (DESIGN.md section 5); the tests'
+/// sequential reference derives from this class too, so both sort with
+/// one definition and their item sequences can never disagree on
+/// ordering. Not polymorphic: nothing dispatches through this base.
 class Dispatcher {
  public:
-  virtual ~Dispatcher() = default;
-
-  /// Matches and (per `chooser`) commits every request in `batch` at
-  /// time `now_s`. Returns one BatchItem per request, in processing
-  /// order. Requests that fail validation (e.g. s == d) are returned
-  /// unassigned with an empty option list rather than aborting the
-  /// batch.
-  virtual util::Result<std::vector<BatchItem>> Dispatch(
-      std::vector<vehicle::Request> batch, double now_s,
-      const BatchChooser& chooser) = 0;
-
-  virtual const char* name() const = 0;
-
-  /// The paper's greedy processing order, ascending (submit_time, id) —
-  /// the one definition both dispatchers sort with, so their item
-  /// sequences can never disagree on ordering.
+  /// The paper's greedy processing order, ascending (submit_time, id).
   static void SortBySubmitOrder(std::vector<vehicle::Request>& batch);
 
   /// Convenience chooser: always take the earliest pick-up.
@@ -102,26 +88,9 @@ class Dispatcher {
   }
 
  protected:
+  ~Dispatcher() = default;
+
   MatchObserver observer_;
-};
-
-/// Greedy handling of simultaneous requests, computed strictly one at a
-/// time on the calling thread: every request is matched against the
-/// vehicle state all earlier commitments produced. The reference
-/// implementation the parallel dispatcher must be item-for-item
-/// equivalent to.
-class BatchDispatcher : public Dispatcher {
- public:
-  explicit BatchDispatcher(PTRider& system) : system_(&system) {}
-
-  util::Result<std::vector<BatchItem>> Dispatch(
-      std::vector<vehicle::Request> batch, double now_s,
-      const BatchChooser& chooser) override;
-
-  const char* name() const override { return "sequential"; }
-
- private:
-  PTRider* system_;
 };
 
 }  // namespace ptrider::core

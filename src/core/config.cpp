@@ -52,9 +52,9 @@ util::Status Config::Validate() const {
     return util::Status::InvalidArgument(
         "pickup horizon must be positive");
   }
-  if (dispatch_threads < 0) {
-    return util::Status::InvalidArgument(
-        "dispatch threads must be >= 0");
+  if (dispatch_threads < 1 || dispatch_threads > kMaxThreads) {
+    return util::Status::InvalidArgument(util::StrFormat(
+        "dispatch threads must be in [1, %d]", kMaxThreads));
   }
   if (!(surge_window_s > 0.0)) {
     return util::Status::InvalidArgument("surge window must be positive");

@@ -35,6 +35,12 @@ enum class PricingPolicyKind {
 
 const char* PricingPolicyKindName(PricingPolicyKind kind);
 
+/// Upper bound of every thread-count knob (Config::dispatch_threads,
+/// sim::SimulatorOptions::move_jobs), checked before any pool exists: far
+/// above any core count this runs on, low enough that a typo cannot ask
+/// the system for tens of thousands of threads.
+inline constexpr int kMaxThreads = 256;
+
 /// Global system parameters (the demo's admin panel, Fig. 4(c): taxi
 /// capacity, number of taxis, maximal waiting time, service constraint,
 /// price calculator function, matching algorithm).
@@ -105,12 +111,12 @@ struct Config {
   size_t max_schedules_per_vehicle = 0;
 
   // --- Dispatch ------------------------------------------------------------
-  /// Worker threads for batch dispatch (src/dispatch/). 0 selects the
-  /// sequential core::BatchDispatcher; >= 1 selects the two-phase
-  /// dispatch::ParallelDispatcher with that many matching workers.
-  /// Results are deterministic and identical across all settings
-  /// (DESIGN.md section 5); this only trades cores for latency.
-  int dispatch_threads = 0;
+  /// Matching threads of the batch dispatcher
+  /// (dispatch::ParallelDispatcher), the dispatching thread included:
+  /// in [1, kMaxThreads], where 1 means no pool. Results are
+  /// deterministic and identical at every setting (DESIGN.md section 5);
+  /// this only trades cores for throughput and latency (section 5.4).
+  int dispatch_threads = 1;
 
   /// Not read: the vehicle index is one table (DESIGN.md section 10).
   /// The field remains because bench/ptrider_bench assigns it.

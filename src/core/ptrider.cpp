@@ -35,9 +35,6 @@ PTRider::PTRider(const roadnet::RoadNetwork& graph, Config config,
   match_context_.oracle = &oracle_;
   match_context_.config = &config_;
   match_context_.pricing = pricing_.get();
-  naive_ = std::make_unique<NaiveMatcher>(match_context_);
-  single_side_ = std::make_unique<SingleSideMatcher>(match_context_);
-  dual_side_ = std::make_unique<DualSideMatcher>(match_context_);
 }
 
 util::Result<std::unique_ptr<PTRider>> PTRider::Create(
@@ -73,18 +70,6 @@ util::Result<std::unique_ptr<PTRider>> PTRider::Create(
   return std::unique_ptr<PTRider>(
       new PTRider(graph, config, std::move(grid), std::move(pricing),
                   std::move(shared_ch)));
-}
-
-Matcher& PTRider::matcher() {
-  switch (config_.matcher) {
-    case MatcherAlgorithm::kNaive:
-      return *naive_;
-    case MatcherAlgorithm::kSingleSide:
-      return *single_side_;
-    case MatcherAlgorithm::kDualSide:
-      return *dual_side_;
-  }
-  return *dual_side_;
 }
 
 util::Status PTRider::InitFleetUniform(size_t count, uint64_t seed) {
@@ -175,7 +160,7 @@ util::Result<MatchResult> PTRider::SubmitRequest(
   // members, not just their successors).
   pricing_->Decay(now_s);
   pricing_->RecordRequest(now_s);
-  return matcher().Match(request, MakeScheduleContext(now_s));
+  return MatchReadOnly(request, now_s, oracle_);
 }
 
 util::Result<MatchResult> PTRider::QuoteRequest(
@@ -186,7 +171,7 @@ util::Result<MatchResult> PTRider::QuoteRequest(
   // a post-lull quote), but browsing is not an arrival — only
   // SubmitRequest feeds the demand signal.
   pricing_->Decay(now_s);
-  return matcher().Match(request, MakeScheduleContext(now_s));
+  return MatchReadOnly(request, now_s, oracle_);
 }
 
 util::Status PTRider::ChooseOption(const vehicle::Request& request,

@@ -95,7 +95,8 @@ class PTRider {
 
   // --- Request lifecycle ------------------------------------------------------
   /// Step (ii): finds all qualified non-dominated options at time `now_s`
-  /// using the configured matching algorithm.
+  /// using the configured matching algorithm (MatchReadOnly on the
+  /// system's own oracle, after the validation, id and demand steps).
   util::Result<MatchResult> SubmitRequest(const vehicle::Request& request,
                                           double now_s);
 
@@ -105,13 +106,13 @@ class PTRider {
   /// arrival. Still decays the pricing policy's demand state first, so a
   /// lull since the last submission lowers this quote instead of leaking
   /// the last burst's stale surge into it (the same rule SubmitRequest
-  /// and the dispatchers' batch entries follow; pinned by
+  /// and the dispatcher's batch entry follow; pinned by
   /// tests/pricing_policy_test.cpp).
   util::Result<MatchResult> QuoteRequest(const vehicle::Request& request,
                                          double now_s);
 
   /// The state-independent half of SubmitRequest's screening (endpoint,
-  /// rider-count and constraint checks). The dispatchers run it once up
+  /// rider-count and constraint checks). The dispatcher runs it once up
   /// front so invalid requests are reported unassigned without touching
   /// the demand signal — exactly SubmitRequest's behavior.
   util::Status ValidateRequest(const vehicle::Request& request) const;
@@ -201,8 +202,6 @@ class PTRider {
   void set_matcher(MatcherAlgorithm algorithm) {
     config_.matcher = algorithm;
   }
-  /// The matcher currently selected by `config().matcher`.
-  Matcher& matcher();
 
   /// The fare policy selected by `config().pricing_policy` (quotes and
   /// pruning bounds; fed the demand signal by SubmitRequest).
@@ -236,9 +235,6 @@ class PTRider {
   std::unique_ptr<pricing::PricingPolicy> pricing_;
 
   MatchContext match_context_;
-  std::unique_ptr<Matcher> naive_;
-  std::unique_ptr<Matcher> single_side_;
-  std::unique_ptr<Matcher> dual_side_;
 
   /// Requests currently assigned: id -> vehicle. Also tracks whether the
   /// trip ever shared the vehicle (for the sharing-rate statistic).

@@ -13,24 +13,7 @@ namespace ptrider::dispatch {
 
 ParallelDispatcher::ParallelDispatcher(core::PTRider& system,
                                        size_t num_threads)
-    : system_(&system), sequential_(system), pool_(system, num_threads) {}
-
-namespace {
-
-/// Id corner cases (a request id already assigned, or the same id twice
-/// in one batch) make SubmitRequest's AlreadyExists screen depend on
-/// which earlier batch members committed — state phase 1 cannot see.
-bool HasDegenerateIds(const core::PTRider& system,
-                      const std::vector<vehicle::Request>& batch) {
-  std::unordered_set<vehicle::RequestId> ids;
-  ids.reserve(batch.size());
-  for (const vehicle::Request& r : batch) {
-    if (system.IsAssigned(r.id) || !ids.insert(r.id).second) return true;
-  }
-  return false;
-}
-
-}  // namespace
+    : system_(&system), pool_(system, num_threads) {}
 
 util::Result<std::vector<core::BatchItem>> ParallelDispatcher::Dispatch(
     std::vector<vehicle::Request> batch, double now_s,
@@ -41,19 +24,9 @@ util::Result<std::vector<core::BatchItem>> ParallelDispatcher::Dispatch(
   core::Dispatcher::SortBySubmitOrder(batch);
   const size_t n = batch.size();
 
-  // Degenerate ids cannot occur in normal operation (the simulator
-  // issues unique ids); route such batches through the sequential
-  // reference wholesale. Checked before any pricing mutation so the
-  // fallback replays the exact sequence the reference would have.
-  if (HasDegenerateIds(*system_, batch)) {
-    ++sequential_fallbacks_;
-    sequential_.SetMatchObserver(observer_);
-    return sequential_.Dispatch(std::move(batch), now_s, chooser);
-  }
-
   // --- Phase 0: validation, demand records, pricing snapshots -------------
-  // Sequential dispatch records each valid request's demand signal just
-  // before matching it, so request i is quoted under i recorded
+  // One-at-a-time dispatch records each valid request's demand signal
+  // just before matching it, so request i is quoted under i recorded
   // arrivals. Replay the records here in the same order, snapshotting
   // demand-sensitive policies after each one; stateless policies are
   // shared directly (their quotes cannot change mid-batch).
@@ -67,9 +40,21 @@ util::Result<std::vector<core::BatchItem>> ParallelDispatcher::Dispatch(
   std::vector<util::Status> valid(n);
   std::vector<std::unique_ptr<pricing::PricingPolicy>> snapshots(
       snapshot_pricing ? n : 0);
+  // Degenerate ids (the simulator and the service never produce them):
+  // a request whose id is already assigned, or repeats the id of an
+  // earlier valid request of this batch, is refused here, like an
+  // invalid one. Refusing every later copy, whatever became of the
+  // first, keeps the verdict independent of phase-2 commits — state
+  // phase 1 cannot see.
+  std::unordered_set<vehicle::RequestId> ids;
+  ids.reserve(n);
   for (size_t i = 0; i < n; ++i) {
     valid[i] = system_->ValidateRequest(batch[i]);
     if (!valid[i].ok()) continue;
+    if (system_->IsAssigned(batch[i].id) || !ids.insert(batch[i].id).second) {
+      valid[i] = util::Status::AlreadyExists("request id already in use");
+      continue;
+    }
     live_policy.RecordRequest(now_s);
     if (snapshot_pricing) snapshots[i] = live_policy.SnapshotForQuote();
   }
@@ -160,7 +145,7 @@ util::Result<std::vector<core::BatchItem>> ParallelDispatcher::Dispatch(
 
   // Reconciles request i's watermark-snapshot match with the commits
   // made after it. Three cases, each preserving item-for-item equality
-  // with the sequential dispatcher (DESIGN.md section 5):
+  // with one-at-a-time dispatch (DESIGN.md section 5):
   //
   //   * A post-watermark-committed vehicle appears in the option list —
   //     its offers are stale, and dropping them could resurrect options
@@ -190,7 +175,6 @@ util::Result<std::vector<core::BatchItem>> ParallelDispatcher::Dispatch(
       // was computed against a schedule no commit touched, so committing
       // one remains exactly as safe as in the full path; what is lost is
       // the chance to resurrect options the dropped ones dominated.
-      const size_t before = m.options.size();
       m.options.erase(
           std::remove_if(
               m.options.begin(), m.options.end(),
@@ -199,7 +183,6 @@ util::Result<std::vector<core::BatchItem>> ParallelDispatcher::Dispatch(
                        watermark[i];
               }),
           m.options.end());
-      if (m.options.size() != before) ++rematch_skips_;
     } else if (is_stale(i)) {
       wavefront(i);
     }
@@ -282,15 +265,6 @@ util::Result<std::vector<core::BatchItem>> ParallelDispatcher::Dispatch(
   }
   commit_phase_seconds_ += phase_timer.ElapsedSeconds();
   return out;
-}
-
-std::unique_ptr<core::Dispatcher> CreateDispatcher(core::PTRider& system) {
-  const int threads = system.config().dispatch_threads;
-  if (threads <= 0) {
-    return std::make_unique<core::BatchDispatcher>(system);
-  }
-  return std::make_unique<ParallelDispatcher>(
-      system, static_cast<size_t>(threads));
 }
 
 }  // namespace ptrider::dispatch

@@ -2,7 +2,6 @@
 #define PTRIDER_DISPATCH_PARALLEL_DISPATCHER_H_
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "core/batch.h"
@@ -32,10 +31,12 @@ namespace ptrider::dispatch {
 /// commit log replaces the all-or-nothing phase-1 staleness test
 /// (DESIGN.md section 5.3).
 ///
-/// The result is deterministic and item-for-item identical to
-/// core::BatchDispatcher for every chooser, matcher and pricing policy
-/// (tests/dispatch_parallel_test.cpp proves it); threads only buy
-/// latency.
+/// The result is deterministic and item-for-item identical to matching
+/// and committing the requests one at a time, for every chooser, matcher
+/// and pricing policy (tests/dispatch_parallel_test.cpp proves it
+/// against a sequential reference); threads only buy latency. It is the
+/// one batch dispatcher: the simulator's batch windows and every rung of
+/// the service ladder run through it.
 class ParallelDispatcher : public core::Dispatcher {
  public:
   /// `num_threads` matching threads total, the dispatching thread
@@ -45,22 +46,26 @@ class ParallelDispatcher : public core::Dispatcher {
   /// across Dispatch calls.
   ParallelDispatcher(core::PTRider& system, size_t num_threads);
 
+  /// Matches and (per `chooser`) commits every request in `batch` at
+  /// time `now_s`. Returns one BatchItem per request, in processing
+  /// order. A request that fails validation (e.g. s == d), whose id is
+  /// already assigned, or whose id repeats an earlier valid request of
+  /// the batch is returned unassigned with an empty option list and
+  /// records no demand, rather than aborting the batch.
   util::Result<std::vector<core::BatchItem>> Dispatch(
       std::vector<vehicle::Request> batch, double now_s,
-      const core::BatchChooser& chooser) override;
-
-  const char* name() const override { return "parallel"; }
+      const core::BatchChooser& chooser);
 
   size_t num_threads() const { return pool_.num_threads(); }
 
   /// Installs the degradation rung every subsequent Dispatch call runs
-  /// under (service-mode ladder, DESIGN.md section 14). Degraded
-  /// dispatch stays deterministic and thread-count-invariant — phase 1
-  /// is a pure function of the frozen pre-batch fleet regardless of how
-  /// it is sharded, and phase 2 is sequential — but is NOT item-for-item
-  /// equal to the sequential dispatcher (it intentionally skips work).
+  /// under (service-mode ladder, DESIGN.md section 14; the default mode
+  /// is full effort). Degraded dispatch stays deterministic and
+  /// thread-count-invariant — phase 1 is a pure function of the frozen
+  /// pre-batch fleet regardless of how it is sharded, and phase 2 is
+  /// sequential — but is NOT item-for-item equal to one-at-a-time
+  /// dispatch (it intentionally skips work).
   void SetDegrade(const core::DegradeMode& degrade) { degrade_ = degrade; }
-  const core::DegradeMode& degrade() const { return degrade_; }
 
   // --- Diagnostics ---------------------------------------------------------
   /// Commit-phase full re-matches: an earlier in-batch commitment left
@@ -70,12 +75,10 @@ class ParallelDispatcher : public core::Dispatcher {
   /// re-probed into the request's phase-1 skyline (much cheaper than a
   /// full re-match).
   uint64_t reprobe_count() const { return reprobe_count_; }
-  /// Batches routed through the sequential dispatcher wholesale (rare id
-  /// corner cases, see Dispatch).
-  uint64_t sequential_fallbacks() const { return sequential_fallbacks_; }
-  /// Full re-matches avoided because skip_full_rematch was engaged (the
-  /// stale options were dropped instead).
-  uint64_t rematch_skips() const { return rematch_skips_; }
+  /// Always 0: no batch falls back to another dispatcher (degenerate
+  /// ids are refused in phase 0, see Dispatch). Kept because
+  /// bench/ptrider_bench prints it.
+  uint64_t sequential_fallbacks() const { return 0; }
   /// Parallel wavefront sweeps the full re-matches above were issued in
   /// (one sweep re-matches every concurrently-stale request).
   uint64_t wavefront_batches() const { return wavefront_batches_; }
@@ -88,23 +91,14 @@ class ParallelDispatcher : public core::Dispatcher {
 
  private:
   core::PTRider* system_;
-  core::BatchDispatcher sequential_;
   WorkerPool pool_;
   core::DegradeMode degrade_;
   uint64_t rematch_count_ = 0;
   uint64_t reprobe_count_ = 0;
-  uint64_t rematch_skips_ = 0;
-  uint64_t sequential_fallbacks_ = 0;
   uint64_t wavefront_batches_ = 0;
   double match_phase_seconds_ = 0.0;
   double commit_phase_seconds_ = 0.0;
 };
-
-/// The Config::dispatch_threads strategy switch: 0 returns the
-/// sequential core::BatchDispatcher, >= 1 a ParallelDispatcher with that
-/// many workers. Either way the produced BatchItem sequences are
-/// identical.
-std::unique_ptr<core::Dispatcher> CreateDispatcher(core::PTRider& system);
 
 }  // namespace ptrider::dispatch
 

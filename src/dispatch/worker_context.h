@@ -15,7 +15,7 @@ namespace ptrider::dispatch {
 ///
 /// Contexts persist across batches (held by the ParallelDispatcher), so
 /// each worker's distance cache warms up over a simulation the same way
-/// the sequential dispatcher's single cache does.
+/// a single-threaded run's one cache does.
 class WorkerContext {
  public:
   explicit WorkerContext(const core::PTRider& system, size_t index = 0)
@@ -28,9 +28,6 @@ class WorkerContext {
   /// per-worker recording (e.g. the service's quote-latency reservoirs)
   /// can index an array instead of taking a lock.
   size_t index() const { return index_; }
-
-  /// Exact distance queries answered by this worker (diagnostics).
-  uint64_t distance_computations() const { return oracle_.computed(); }
 
  private:
   roadnet::DistanceOracle oracle_;

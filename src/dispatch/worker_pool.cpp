@@ -21,12 +21,4 @@ void WorkerPool::ParallelFor(
       chunk);
 }
 
-uint64_t WorkerPool::distance_computations() const {
-  uint64_t total = 0;
-  for (const WorkerContext& w : workers_) {
-    total += w.distance_computations();
-  }
-  return total;
-}
-
 }  // namespace ptrider::dispatch

@@ -40,9 +40,6 @@ class WorkerPool {
                                             WorkerContext& context)>& fn,
                    size_t chunk = 1);
 
-  /// Exact distance queries answered across all contexts (diagnostics).
-  uint64_t distance_computations() const;
-
  private:
   ThreadPool pool_;
   std::vector<WorkerContext> workers_;

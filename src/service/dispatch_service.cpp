@@ -108,20 +108,9 @@ util::Result<ServiceReport> DispatchService::Run(ArrivalProcess& process) {
 
   AdaptiveAdmission admission(opt.shed_deadline_s, opt.ladder, zone_opt);
 
-  // The ladder's dispatcher: degraded batches route through a dedicated
-  // ParallelDispatcher regardless of the configured strategy, because
-  // its two-phase result is a pure function of the frozen pre-batch
-  // fleet — invariant in thread count — whereas "skip full re-matches"
-  // has no sequential-dispatcher analogue. Rung-0 batches keep using the
-  // configured dispatcher (proven item-identical across strategies), so
-  // full-storm reports stay bit-identical for dispatch_threads 0/1/2.
-  std::unique_ptr<dispatch::ParallelDispatcher> degraded;
-  if (opt.ladder.enabled) {
-    degraded = std::make_unique<dispatch::ParallelDispatcher>(
-        *impl_->system,
-        static_cast<size_t>(
-            std::max(1, impl_->system->config().dispatch_threads)));
-  }
+  // The one batch dispatcher serves every rung: the ladder sets the rung
+  // on it before each batch (full effort at rung 0).
+  dispatch::ParallelDispatcher& dispatcher = *sim.dispatcher();
 
   const bool virt = opt.virtual_clock;
   std::unique_ptr<ServiceClock> clock;
@@ -139,12 +128,10 @@ util::Result<ServiceReport> DispatchService::Run(ArrivalProcess& process) {
   // Virtual mode records from the service-time model instead, on this
   // thread, keeping the latency distribution deterministic.
   std::unordered_map<vehicle::RequestId, double> ingest_time;
-  const size_t worker_slots = static_cast<size_t>(
-      std::max(1, impl_->system->config().dispatch_threads));
-  std::vector<util::Percentiles> worker_quotes(worker_slots);
+  std::vector<util::Percentiles> worker_quotes(dispatcher.num_threads());
   if (!virt) {
     ServiceClock* clk = clock.get();
-    core::MatchObserver observer =
+    dispatcher.SetMatchObserver(
         [&ingest_time, &worker_quotes, clk](size_t worker,
                                             const vehicle::Request& r,
                                             const core::MatchResult&) {
@@ -152,9 +139,7 @@ util::Result<ServiceReport> DispatchService::Run(ArrivalProcess& process) {
           if (it == ingest_time.end()) return;
           worker_quotes[worker % worker_quotes.size()].Add(clk->NowS() -
                                                            it->second);
-        };
-    sim.dispatcher()->SetMatchObserver(observer);
-    if (degraded != nullptr) degraded->SetMatchObserver(observer);
+        });
   }
 
   // Wall-clock mode: the open-loop producer runs on its own thread,
@@ -315,14 +300,8 @@ util::Result<ServiceReport> DispatchService::Run(ArrivalProcess& process) {
       delays.push_back(delay);
     }
 
-    // Ladder rungs > 0 route through the dedicated degraded dispatcher
-    // (see its construction above); rung 0 takes the configured path.
-    core::Dispatcher* route = nullptr;
-    if (rung > 0 && degraded != nullptr) {
-      degraded->SetDegrade(DegradeForRung(rung, opt.ladder));
-      route = degraded.get();
-      if (!batch.empty()) ++stats.degraded_batches;
-    }
+    dispatcher.SetDegrade(DegradeForRung(rung, opt.ladder));
+    if (rung > 0 && !batch.empty()) ++stats.degraded_batches;
 
     // Admission/staging span only: the dispatch below times itself into
     // match_phase_seconds through StepWindow (double counting it here
@@ -334,12 +313,10 @@ util::Result<ServiceReport> DispatchService::Run(ArrivalProcess& process) {
     // is the staged order: items[i] pairs with delays[i].
     util::Result<std::vector<core::BatchItem>> items = [&] {
       if (with_tick) {
-        return sim.StepWindow(std::move(batch), prev_s, now_s, report.sim,
-                              route);
+        return sim.StepWindow(std::move(batch), prev_s, now_s, report.sim);
       }
       util::WallTimer dispatch_timer;
-      auto dispatched =
-          sim.DispatchBatch(std::move(batch), now_s, report.sim, route);
+      auto dispatched = sim.DispatchBatch(std::move(batch), now_s, report.sim);
       report.sim.match_phase_seconds += dispatch_timer.ElapsedSeconds();
       return dispatched;
     }();

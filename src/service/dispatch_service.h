@@ -85,11 +85,13 @@ struct ServiceOptions {
   bool verbose = false;
 };
 
-/// The long-running dispatch server (ISSUE 6 tentpole): drains an
-/// open-loop ingestion queue into the batched dispatch pipeline the
-/// Simulator already runs (batch window -> Config::dispatch_threads
-/// dispatcher -> kinetic-tree matcher over the CH oracle), with
-/// two-stage admission control and SLO latency accounting.
+/// The long-running dispatch server: drains an open-loop ingestion
+/// queue into the batched dispatch pipeline the Simulator already runs
+/// (batch window -> the simulator's one dispatch::ParallelDispatcher on
+/// Config::dispatch_threads threads -> kinetic-tree matcher over the CH
+/// oracle), with two-stage admission control, the degradation ladder
+/// (its rung set on that dispatcher before every batch) and SLO latency
+/// accounting.
 ///
 ///   ArrivalProcess -> WorkloadDriver -> BoundedMpscQueue
 ///       -> [admission] -> batch window -> dispatcher -> fleet movement

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "dispatch/parallel_dispatcher.h"
 #include "util/logging.h"
 #include "util/string_util.h"
 #include "util/timer.h"
@@ -122,23 +121,21 @@ std::optional<size_t> Simulator::PickOption(const vehicle::Request& request,
 
 util::Result<std::vector<core::BatchItem>> Simulator::DispatchBatch(
     std::vector<vehicle::Request> batch, double now,
-    SimulationReport& report, core::Dispatcher* dispatcher) {
-  if (dispatcher == nullptr) dispatcher = dispatcher_.get();
-  if (dispatcher == nullptr) {
+    SimulationReport& report) {
+  if (dispatcher_ == nullptr) {
     return util::Status::FailedPrecondition(
         "DispatchBatch needs BeginStepping (or a batched Run) first");
   }
   if (batch.empty()) return std::vector<core::BatchItem>{};
   // The chooser runs in the dispatcher's sequential commit phase, in
-  // (submit_time, id) order — rng_ consumption is identical for every
-  // dispatch strategy, which is what makes sequential and parallel runs
-  // report-identical.
+  // (submit_time, id) order — rng_ consumption is identical at every
+  // dispatch thread count, which is what makes their reports identical.
   const core::BatchChooser chooser =
       [this, now](const vehicle::Request& r,
                   const core::MatchResult& match) {
         return PickOption(r, match, now);
       };
-  auto items = dispatcher->Dispatch(std::move(batch), now, chooser);
+  auto items = dispatcher_->Dispatch(std::move(batch), now, chooser);
   PTRIDER_RETURN_IF_ERROR(items.status());
   for (const core::BatchItem& item : *items) {
     PTRIDER_RETURN_IF_ERROR(RecordOutcome(
@@ -163,14 +160,24 @@ util::Status Simulator::BeginStepping() {
   if (system_->fleet().empty()) {
     return util::Status::FailedPrecondition("fleet is empty");
   }
-  if (dispatcher_ == nullptr) {
-    dispatcher_ = dispatch::CreateDispatcher(*system_);
+  PTRIDER_RETURN_IF_ERROR(CreatePools(/*batched=*/true));
+  motions_.assign(system_->fleet().size(), Motion{});
+  return util::Status::Ok();
+}
+
+util::Status Simulator::CreatePools(bool batched) {
+  if (options_.move_jobs > core::kMaxThreads) {
+    return util::Status::InvalidArgument(util::StrFormat(
+        "move jobs must be at most %d", core::kMaxThreads));
+  }
+  if (batched && dispatcher_ == nullptr) {
+    dispatcher_ = std::make_unique<dispatch::ParallelDispatcher>(
+        *system_, static_cast<size_t>(system_->config().dispatch_threads));
   }
   if (options_.move_jobs > 1 && move_pool_ == nullptr) {
     move_pool_ = std::make_unique<dispatch::WorkerPool>(
         *system_, static_cast<size_t>(options_.move_jobs));
   }
-  motions_.assign(system_->fleet().size(), Motion{});
   return util::Status::Ok();
 }
 
@@ -191,12 +198,12 @@ util::Status Simulator::AdvanceTick(double prev, double now,
 
 util::Result<std::vector<core::BatchItem>> Simulator::StepWindow(
     std::vector<vehicle::Request> batch, double prev, double now,
-    SimulationReport& report, core::Dispatcher* route) {
+    SimulationReport& report) {
   if (now < prev) {
     return util::Status::InvalidArgument("ticks must move forward");
   }
   util::WallTimer phase_timer;
-  auto items = DispatchBatch(std::move(batch), now, report, route);
+  auto items = DispatchBatch(std::move(batch), now, report);
   report.match_phase_seconds += phase_timer.ElapsedSeconds();
   PTRIDER_RETURN_IF_ERROR(items.status());
   PTRIDER_RETURN_IF_ERROR(AdvanceTick(prev, now, report));
@@ -229,8 +236,8 @@ void Simulator::ListEvents(double budget, SimulationReport& report) {
 void Simulator::RunAdvance(double now, double budget,
                            SimulationReport& report) {
   util::WallTimer timer;
-  advances_.resize(system_->fleet().size());
   const size_t events = serving_events_.size();
+  advances_.resize(events);
   if (move_pool_ != nullptr && events >= kParallelAdvanceMin) {
     // Contiguous shards: id-adjacent vehicles were placed together at
     // fleet init and drift slowly, so their routes tend to share each
@@ -241,16 +248,17 @@ void Simulator::RunAdvance(double now, double budget,
         events,
         [&](size_t k, dispatch::WorkerContext& context) {
           const vehicle::VehicleId id = serving_events_[k];
-          const auto i = static_cast<size_t>(id);
-          advances_[i] = AdvanceVehicle(*system_, id, motions_[i], now,
-                                        budget, context.oracle());
+          advances_[k] =
+              AdvanceVehicle(*system_, id, motions_[static_cast<size_t>(id)],
+                             now, budget, context.oracle());
         },
         chunk);
   } else {
-    for (const vehicle::VehicleId id : serving_events_) {
-      const auto i = static_cast<size_t>(id);
-      advances_[i] = AdvanceVehicle(*system_, id, motions_[i], now, budget,
-                                    system_->oracle());
+    for (size_t k = 0; k < events; ++k) {
+      const vehicle::VehicleId id = serving_events_[k];
+      advances_[k] =
+          AdvanceVehicle(*system_, id, motions_[static_cast<size_t>(id)],
+                         now, budget, system_->oracle());
     }
   }
   report.move_advance_seconds += timer.ElapsedSeconds();
@@ -274,14 +282,17 @@ util::Status Simulator::CommitMove(double now, double budget,
   // committed before the failure must still reach the index, or a
   // caller keeping the system alive would match against stale lists.
   util::Status commit_status;
+  // serving_events_ is the ascending subsequence of events_ that holds a
+  // schedule, so one cursor pairs each serving event with its advance.
+  size_t serving = 0;
   for (const vehicle::VehicleId id : events_) {
     if (!commit_status.ok()) break;
     const auto i = static_cast<size_t>(id);
-    if (system_->fleet().at(id).tree().empty()) {
+    if (serving == serving_events_.size() || serving_events_[serving] != id) {
       commit_status = MoveIdleVehicle(id, now, budget, /*hops=*/0);
       continue;
     }
-    MovementOutcome& a = advances_[i];
+    MovementOutcome& a = advances_[serving++];
     commit_status = a.status;
     if (!commit_status.ok()) break;
     if (a.vehicle.has_value()) {
@@ -397,14 +408,6 @@ util::Result<SimulationReport> Simulator::Run(
   if (options_.batch_window_s < 0.0) {
     return util::Status::InvalidArgument("batch window must be >= 0");
   }
-  const bool batched = options_.batch_window_s > 0.0;
-  if (batched && dispatcher_ == nullptr) {
-    dispatcher_ = dispatch::CreateDispatcher(*system_);
-  }
-  if (options_.move_jobs > 1 && move_pool_ == nullptr) {
-    move_pool_ = std::make_unique<dispatch::WorkerPool>(
-        *system_, static_cast<size_t>(options_.move_jobs));
-  }
   for (size_t i = 1; i < trips.size(); ++i) {
     if (trips[i].time_s < trips[i - 1].time_s) {
       return util::Status::InvalidArgument("trips must be time-sorted");
@@ -413,6 +416,8 @@ util::Result<SimulationReport> Simulator::Run(
   if (system_->fleet().empty()) {
     return util::Status::FailedPrecondition("fleet is empty");
   }
+  const bool batched = options_.batch_window_s > 0.0;
+  PTRIDER_RETURN_IF_ERROR(CreatePools(batched));
 
   util::WallTimer timer;
   SimulationReport report;

@@ -7,6 +7,7 @@
 
 #include "core/batch.h"
 #include "core/ptrider.h"
+#include "dispatch/parallel_dispatcher.h"
 #include "dispatch/worker_pool.h"
 #include "sim/choice.h"
 #include "sim/metrics.h"
@@ -33,14 +34,16 @@ struct SimulatorOptions {
   /// Emit progress lines every simulated hour (kInfo log level).
   bool verbose = false;
   /// Batched arrivals: > 0 accumulates due trips and dispatches them
-  /// together every `batch_window_s` simulated seconds through the
-  /// Config::dispatch_threads-selected dispatcher (src/dispatch/) — the
-  /// production serving shape, and what lets multi-core matching engage.
-  /// 0 keeps the seed behavior: every request is matched alone in the
-  /// tick it arrives.
+  /// together every `batch_window_s` simulated seconds through the batch
+  /// dispatcher (dispatch::ParallelDispatcher on Config::dispatch_threads
+  /// threads) — the production serving shape, and what lets multi-core
+  /// matching engage. 0 keeps the seed behavior: every request is
+  /// matched alone in the tick it arrives.
   double batch_window_s = 0.0;
   /// Threads for the per-tick vehicle-movement advance phase (the
-  /// calling thread included; clamped to >= 1). The advance walks each
+  /// calling thread included; values below 1 count as 1, values above
+  /// core::kMaxThreads make Run and BeginStepping fail before any pool
+  /// exists). The advance walks each
   /// serving event's tick (a vehicle with a schedule that does more
   /// than pass through its current edge) against the frozen pre-tick
   /// state on per-thread DistanceOracle clones, fanning out only for
@@ -74,27 +77,23 @@ class Simulator {
   // then list, advance, commit and reindex the tick.
 
   /// Prepares stepping: validates options and fleet, resets motion state
-  /// and creates the dispatcher / movement pool Run would create. Call
-  /// once before MakeRequest / DispatchBatch / AdvanceTick.
+  /// and creates the dispatcher and the movement pool. Call once before
+  /// MakeRequest / DispatchBatch / AdvanceTick.
   util::Status BeginStepping();
   /// The shared trip-to-request conversion for external submission
   /// paths: arrival-instant stamping as in Run, ids issued in call
   /// order (which is what makes queue-ingestion order the paper's
   /// (submit_time, id) dispatch order).
   vehicle::Request MakeRequest(const Trip& t) { return BuildRequest(t); }
-  /// Dispatches `batch` at `now` through the configured dispatcher and
-  /// folds every outcome into `report` exactly like one of Run's batch
-  /// windows; returns the per-request items (processing order) so the
-  /// caller can stamp per-request service latencies. `dispatcher` (null
-  /// = the configured one) routes the batch through a caller-owned
-  /// strategy instead — the service's degradation ladder dispatches
-  /// degraded windows through its own thread-count-invariant dispatcher
-  /// while rng/report accounting stays identical. Fails with
-  /// FailedPrecondition, even for an empty batch, when neither a route
-  /// nor the dispatcher BeginStepping / a batched Run creates exists.
+  /// Dispatches `batch` at `now` through dispatcher() and folds every
+  /// outcome into `report` exactly like one of Run's batch windows;
+  /// returns the per-request items (processing order) so the caller can
+  /// stamp per-request service latencies. Fails with FailedPrecondition,
+  /// even for an empty batch, before BeginStepping (or a batched Run)
+  /// created the dispatcher.
   util::Result<std::vector<core::BatchItem>> DispatchBatch(
       std::vector<vehicle::Request> batch, double now,
-      SimulationReport& report, core::Dispatcher* dispatcher = nullptr);
+      SimulationReport& report);
   /// One movement tick from `prev` to `now` (fleet budget pro-rated to
   /// the interval, exactly like Run's tick loop): the pass-through
   /// listing, the serving events' advance (on the movement pool when
@@ -107,19 +106,23 @@ class Simulator {
                            SimulationReport& report);
   /// One window boundary: DispatchBatch at `now` (timed into
   /// match_phase_seconds), then AdvanceTick from `prev` to `now`.
-  /// `route` as in DispatchBatch.
   util::Result<std::vector<core::BatchItem>> StepWindow(
       std::vector<vehicle::Request> batch, double prev, double now,
-      SimulationReport& report, core::Dispatcher* route = nullptr);
+      SimulationReport& report);
   /// Does nothing and returns Ok: every step finishes its work before it
   /// returns. Kept because bench/ptrider_bench still calls it after its
   /// last step.
   util::Status FinishStepping(SimulationReport& report);
-  /// The dispatcher BeginStepping created (null before); the service
-  /// installs its quote-latency MatchObserver here.
-  core::Dispatcher* dispatcher() { return dispatcher_.get(); }
+  /// The batch dispatcher BeginStepping or a batched Run created (null
+  /// before): the service installs its quote-latency MatchObserver and
+  /// sets its ladder rung here.
+  dispatch::ParallelDispatcher* dispatcher() { return dispatcher_.get(); }
 
  private:
+  /// Rejects move_jobs above core::kMaxThreads, then creates the
+  /// movement pool (move_jobs > 1) and, when `batched`, the batch
+  /// dispatcher, unless they exist already.
+  util::Status CreatePools(bool batched);
   /// The shared trip-to-request conversion of both submission paths.
   /// Stamps the trip's true arrival instant as submit_time_s — never the
   /// processing tick — so wait/response accounting agrees across
@@ -156,9 +159,9 @@ class Simulator {
   /// vehicles take their step here, so this one pass is all the tick
   /// spends on them.
   void ListEvents(double budget, SimulationReport& report);
-  /// Fills the advances_ slots of serving_events_ against the frozen
-  /// tick, on move_pool_ when there are at least kParallelAdvanceMin of
-  /// them. Reads fleet/graph/motions_ only.
+  /// Fills advances_ (slot k for serving_events_[k]) against the frozen
+  /// tick, on move_pool_ when there are at least kParallelAdvanceMin
+  /// serving events. Reads fleet/graph/motions_ only.
   void RunAdvance(double now, double budget, SimulationReport& report);
   /// Sequential vehicle-id-order commit of events_: serving events'
   /// advances_ and idle walks (the only rng_ consumers), folding arrival
@@ -185,16 +188,16 @@ class Simulator {
   util::Rng rng_;
   std::vector<Motion> motions_;
   vehicle::RequestId next_request_id_ = 1;
-  /// Batched mode only: strategy per Config::dispatch_threads (created
-  /// lazily in Run) and the requests awaiting the next window flush.
-  std::unique_ptr<core::Dispatcher> dispatcher_;
+  /// Batched mode and stepping only: the batch dispatcher (created
+  /// lazily, with Config::dispatch_threads threads) and the requests
+  /// awaiting the next window flush.
+  std::unique_ptr<dispatch::ParallelDispatcher> dispatcher_;
   std::vector<vehicle::Request> pending_;
   /// move_jobs > 1 only: the movement advance pool (per-thread oracle
   /// clones persist across ticks, created lazily in Run).
   std::unique_ptr<dispatch::WorkerPool> move_pool_;
-  /// Per-tick advance results (the outer n-slot vector persists across
-  /// ticks; only this tick's serving events' slots are rebuilt, and only
-  /// theirs are read by the commit).
+  /// This tick's advance results, one per serving event, in
+  /// serving_events_ order (the vector's capacity persists across ticks).
   std::vector<MovementOutcome> advances_;
   /// This tick's events and, among them, its serving events, ascending
   /// (ListEvents output).

@@ -1,16 +1,24 @@
+// The batch dispatch contract on the paper's example network: greedy
+// (submit_time, id) order with each commitment visible to later
+// requests, declines and invalid requests leaving no state, and chooser
+// errors surfacing. It runs on the one batch dispatcher at one thread
+// (no pool) and at two.
+
 #include "core/batch.h"
 
 #include <gtest/gtest.h>
 
+#include "dispatch/parallel_dispatcher.h"
 #include "roadnet/paper_example.h"
 
 namespace ptrider::core {
 namespace {
 
+using dispatch::ParallelDispatcher;
 using roadnet::MakePaperExampleNetwork;
 using roadnet::PaperExampleNetwork;
 
-class BatchTest : public ::testing::Test {
+class BatchTest : public ::testing::TestWithParam<size_t> {
  protected:
   BatchTest() : ex_(MakePaperExampleNetwork()) {
     Config cfg;
@@ -41,25 +49,29 @@ class BatchTest : public ::testing::Test {
     return r;
   }
 
+  ParallelDispatcher MakeDispatcher() {
+    return ParallelDispatcher(*sys_, GetParam());
+  }
+
   PaperExampleNetwork ex_;
   std::unique_ptr<PTRider> sys_;
 };
 
-TEST_F(BatchTest, RequiresChooser) {
-  BatchDispatcher dispatcher(*sys_);
+TEST_P(BatchTest, RequiresChooser) {
+  ParallelDispatcher dispatcher = MakeDispatcher();
   EXPECT_FALSE(dispatcher.Dispatch({}, 0.0, nullptr).ok());
 }
 
-TEST_F(BatchTest, EmptyBatchIsFine) {
-  BatchDispatcher dispatcher(*sys_);
-  auto out = dispatcher.Dispatch({}, 0.0, BatchDispatcher::ChooseEarliest);
+TEST_P(BatchTest, EmptyBatchIsFine) {
+  ParallelDispatcher dispatcher = MakeDispatcher();
+  auto out = dispatcher.Dispatch({}, 0.0, Dispatcher::ChooseEarliest);
   ASSERT_TRUE(out.ok());
   EXPECT_TRUE(out->empty());
 }
 
-TEST_F(BatchTest, ProcessesInTimestampOrderAndSeesEarlierCommitments) {
+TEST_P(BatchTest, ProcessesInTimestampOrderAndSeesEarlierCommitments) {
   ASSERT_TRUE(sys_->AddVehicle(ex_.v(13)).ok());  // one taxi only
-  BatchDispatcher dispatcher(*sys_);
+  ParallelDispatcher dispatcher = MakeDispatcher();
   // Submitted "simultaneously" but with distinct timestamps; passed in
   // reverse order to verify sorting.
   std::vector<vehicle::Request> batch = {
@@ -67,7 +79,7 @@ TEST_F(BatchTest, ProcessesInTimestampOrderAndSeesEarlierCommitments) {
       MakeRequest(1, 10, 11, /*submit=*/0.5),
   };
   auto out = dispatcher.Dispatch(batch, 2.0,
-                                 BatchDispatcher::ChooseEarliest);
+                                 Dispatcher::ChooseEarliest);
   ASSERT_TRUE(out.ok());
   ASSERT_EQ(out->size(), 2u);
   // Request 1 (earlier timestamp) processed first.
@@ -80,9 +92,9 @@ TEST_F(BatchTest, ProcessesInTimestampOrderAndSeesEarlierCommitments) {
   EXPECT_EQ(sys_->fleet().at(0).tree().NumPendingRequests(), 2u);
 }
 
-TEST_F(BatchTest, DeclinedRequestsLeaveNoState) {
+TEST_P(BatchTest, DeclinedRequestsLeaveNoState) {
   ASSERT_TRUE(sys_->AddVehicle(ex_.v(13)).ok());
-  BatchDispatcher dispatcher(*sys_);
+  ParallelDispatcher dispatcher = MakeDispatcher();
   auto decline_all = [](const vehicle::Request&, const MatchResult&) {
     return std::optional<size_t>{};
   };
@@ -95,22 +107,22 @@ TEST_F(BatchTest, DeclinedRequestsLeaveNoState) {
   EXPECT_EQ(sys_->AssignedVehicle(5), vehicle::kInvalidVehicle);
 }
 
-TEST_F(BatchTest, InvalidRequestDoesNotAbortBatch) {
+TEST_P(BatchTest, InvalidRequestDoesNotAbortBatch) {
   ASSERT_TRUE(sys_->AddVehicle(ex_.v(13)).ok());
-  BatchDispatcher dispatcher(*sys_);
+  ParallelDispatcher dispatcher = MakeDispatcher();
   vehicle::Request bad = MakeRequest(7, 12, 12);  // s == d
   bad.destination = bad.start;
   auto out = dispatcher.Dispatch({bad, MakeRequest(8, 12, 17)}, 0.0,
-                                 BatchDispatcher::ChooseCheapest);
+                                 Dispatcher::ChooseCheapest);
   ASSERT_TRUE(out.ok());
   ASSERT_EQ(out->size(), 2u);
   EXPECT_FALSE((*out)[0].assigned);
   EXPECT_TRUE((*out)[1].assigned);
 }
 
-TEST_F(BatchTest, BadChooserIndexSurfaces) {
+TEST_P(BatchTest, BadChooserIndexSurfaces) {
   ASSERT_TRUE(sys_->AddVehicle(ex_.v(13)).ok());
-  BatchDispatcher dispatcher(*sys_);
+  ParallelDispatcher dispatcher = MakeDispatcher();
   auto out_of_range = [](const vehicle::Request&,
                          const MatchResult& match) {
     return std::optional<size_t>{match.options.size() + 5};
@@ -122,7 +134,7 @@ TEST_F(BatchTest, BadChooserIndexSurfaces) {
             util::StatusCode::kOutOfRange);
 }
 
-TEST_F(BatchTest, ChooserHelpers) {
+TEST(BatchChooserTest, ChooserHelpers) {
   MatchResult match;
   match.options.resize(2);
   match.options[0].pickup_time_s = 10.0;
@@ -130,28 +142,30 @@ TEST_F(BatchTest, ChooserHelpers) {
   match.options[1].pickup_time_s = 20.0;
   match.options[1].price = 4.0;
   vehicle::Request r;
-  EXPECT_EQ(BatchDispatcher::ChooseEarliest(r, match), 0u);
-  EXPECT_EQ(BatchDispatcher::ChooseCheapest(r, match), 1u);
-  EXPECT_FALSE(BatchDispatcher::ChooseEarliest(r, {}).has_value());
-  EXPECT_FALSE(BatchDispatcher::ChooseCheapest(r, {}).has_value());
+  EXPECT_EQ(Dispatcher::ChooseEarliest(r, match), 0u);
+  EXPECT_EQ(Dispatcher::ChooseCheapest(r, match), 1u);
+  EXPECT_FALSE(Dispatcher::ChooseEarliest(r, {}).has_value());
+  EXPECT_FALSE(Dispatcher::ChooseCheapest(r, {}).has_value());
 }
 
-TEST_F(BatchTest, GreedyCapacityContention) {
+TEST_P(BatchTest, GreedyCapacityContention) {
   // Capacity 4, three 1-rider requests sharing a corridor: greedy order
   // assigns all three to the single taxi when feasible.
   ASSERT_TRUE(sys_->AddVehicle(ex_.v(9)).ok());
-  BatchDispatcher dispatcher(*sys_);
+  ParallelDispatcher dispatcher = MakeDispatcher();
   std::vector<vehicle::Request> batch = {
       MakeRequest(1, 10, 11, 0.0), MakeRequest(2, 10, 12, 0.1),
       MakeRequest(3, 11, 12, 0.2)};
   auto out =
-      dispatcher.Dispatch(batch, 1.0, BatchDispatcher::ChooseCheapest);
+      dispatcher.Dispatch(batch, 1.0, Dispatcher::ChooseCheapest);
   ASSERT_TRUE(out.ok());
   int assigned = 0;
   for (const BatchItem& item : *out) assigned += item.assigned ? 1 : 0;
   EXPECT_EQ(assigned, 3);
   EXPECT_EQ(sys_->fleet().at(0).tree().NumPendingRequests(), 3u);
 }
+
+INSTANTIATE_TEST_SUITE_P(Threads, BatchTest, ::testing::Values<size_t>(1, 2));
 
 }  // namespace
 }  // namespace ptrider::core

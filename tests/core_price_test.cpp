@@ -109,6 +109,23 @@ TEST(ConfigTest, ValidateCatchesBadValues) {
   EXPECT_FALSE(cfg.Validate().ok());
 }
 
+// Dispatch threads count the matching threads, the caller included: at
+// least one, at most kMaxThreads. Validate runs before any pool exists,
+// so the out-of-range values below start no thread.
+TEST(ConfigTest, DispatchThreadsBounded) {
+  Config cfg;
+  EXPECT_EQ(cfg.dispatch_threads, 1);
+  for (const int threads : {1, 2, kMaxThreads}) {
+    cfg.dispatch_threads = threads;
+    EXPECT_TRUE(cfg.Validate().ok()) << threads;
+  }
+  for (const int threads : {-1, 0, kMaxThreads + 1}) {
+    cfg.dispatch_threads = threads;
+    EXPECT_EQ(cfg.Validate().code(), util::StatusCode::kInvalidArgument)
+        << threads;
+  }
+}
+
 TEST(ConfigTest, PickupRadiusDerived) {
   Config cfg;
   cfg.speed_mps = 10.0;

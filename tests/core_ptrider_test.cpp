@@ -194,11 +194,11 @@ TEST_F(PTRiderFacadeTest, UpdateLocationValidatesArguments) {
 
 TEST_F(PTRiderFacadeTest, MatcherSwitching) {
   sys_->set_matcher(MatcherAlgorithm::kNaive);
-  EXPECT_STREQ(sys_->matcher().name(), "naive");
+  EXPECT_STREQ(MatcherAlgorithmName(sys_->config().matcher), "naive");
   sys_->set_matcher(MatcherAlgorithm::kSingleSide);
-  EXPECT_STREQ(sys_->matcher().name(), "single-side");
+  EXPECT_STREQ(MatcherAlgorithmName(sys_->config().matcher), "single-side");
   sys_->set_matcher(MatcherAlgorithm::kDualSide);
-  EXPECT_STREQ(sys_->matcher().name(), "dual-side");
+  EXPECT_STREQ(MatcherAlgorithmName(sys_->config().matcher), "dual-side");
 }
 
 TEST_F(PTRiderFacadeTest, SharedRideMarksBothRequests) {

@@ -1,17 +1,21 @@
 // The parallel dispatcher's headline guarantee: sharded match /
 // sequential commit produces BatchItem sequences identical to the
-// sequential BatchDispatcher — per request, per option, per committed
-// schedule — at every thread count, for every matcher and pricing
-// policy, across seeds. Determinism is proven here, not asserted.
+// sequential reference (batch_dispatcher.h) — per request, per option,
+// per committed schedule — at every thread count, for every matcher and
+// pricing policy, across seeds. Determinism is proven here, not asserted.
 
 #include "dispatch/parallel_dispatcher.h"
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
 #include <vector>
 
+#include "batch_dispatcher.h"
 #include "core/batch.h"
+#include "pricing/surge_policy.h"
+#include "raw_bit_pin.h"
 #include "roadnet/graph_generator.h"
 #include "roadnet/paper_example.h"
 #include "sim/simulator.h"
@@ -175,7 +179,6 @@ void RunEquivalence(core::PricingPolicyKind policy,
     ExpectItemsEqual(*seq, *par);
     ExpectSystemsEqual(**seq_sys, **par_sys);
   }
-  EXPECT_EQ(parallel.sequential_fallbacks(), 0u);
 }
 
 // --- The determinism matrix: threads x policies x seeds ---------------------
@@ -349,29 +352,72 @@ TEST(DispatchParallelTest, InvalidRequestsReportedUnassigned) {
   EXPECT_GE(invalid, 2);
 }
 
-TEST(DispatchParallelTest, DuplicateIdsFallBackToSequentialSemantics) {
+// Degenerate ids are refused in phase 0, before any demand record: a
+// later copy of an id is refused even when its first copy was declined
+// (one-at-a-time dispatch would have matched it), and so is an id that
+// is already assigned. Under surge pricing the demand window shows that
+// each refused request recorded nothing.
+TEST(DispatchParallelTest, DegenerateIdsAreRefusedWithoutDemand) {
   const roadnet::RoadNetwork graph = TestCity();
-  core::Config cfg;
-  auto seq_sys = core::PTRider::Create(graph, cfg);
-  auto par_sys = core::PTRider::Create(graph, cfg);
-  ASSERT_TRUE(seq_sys.ok());
-  ASSERT_TRUE(par_sys.ok());
-  ASSERT_TRUE((*seq_sys)->InitFleetUniform(10, 1).ok());
-  ASSERT_TRUE((*par_sys)->InitFleetUniform(10, 1).ok());
-  core::BatchDispatcher sequential(**seq_sys);
-  ParallelDispatcher parallel(**par_sys, 4);
+  const core::Config cfg = ContendedConfig(core::PricingPolicyKind::kSurge);
+  auto sys = core::PTRider::Create(graph, cfg);
+  ASSERT_TRUE(sys.ok());
+  ASSERT_TRUE((*sys)->InitFleetUniform(10, 1).ok());
+  const auto& surge =
+      dynamic_cast<const pricing::SurgePolicy&>((*sys)->pricing_policy());
+  ParallelDispatcher dispatcher(**sys, 2);
 
+  // Batch 1: six requests, the fourth repeating the first one's id. The
+  // chooser declines that id and takes the earliest option otherwise.
   std::vector<vehicle::Request> batch =
       MakeBatch(graph, cfg, 6, /*seed=*/4, /*first_id=*/1);
-  batch[3].id = batch[0].id;  // same rider id twice in one burst
-  auto seq = sequential.Dispatch(batch, 5.0,
-                                 core::Dispatcher::ChooseEarliest);
-  auto par = parallel.Dispatch(batch, 5.0,
-                               core::Dispatcher::ChooseEarliest);
-  ASSERT_TRUE(seq.ok());
-  ASSERT_TRUE(par.ok());
-  ExpectItemsEqual(*seq, *par);
-  EXPECT_EQ(parallel.sequential_fallbacks(), 1u);
+  core::Dispatcher::SortBySubmitOrder(batch);
+  batch[3].id = batch[0].id;
+  const vehicle::RequestId repeated = batch[0].id;
+  const auto decline_repeated = [&](const vehicle::Request& r,
+                                    const core::MatchResult& match) {
+    if (r.id == repeated) return std::optional<size_t>{};
+    return core::Dispatcher::ChooseEarliest(r, match);
+  };
+  auto out = dispatcher.Dispatch(batch, 5.0, decline_repeated);
+  ASSERT_TRUE(out.ok());
+  ASSERT_EQ(out->size(), 6u);
+  const BatchItem& first = (*out)[0];
+  const BatchItem& copy = (*out)[3];
+  EXPECT_EQ(first.request.id, repeated);
+  EXPECT_FALSE(first.match.options.empty());
+  EXPECT_FALSE(first.assigned);
+  EXPECT_EQ(copy.request.id, repeated);
+  EXPECT_TRUE(copy.match.options.empty());
+  EXPECT_FALSE(copy.assigned);
+  // Six requests, five demand records: the refused copy recorded none.
+  EXPECT_DOUBLE_EQ(surge.rate_per_min(), 5.0 * 60.0 / cfg.surge_window_s);
+
+  // Batch 2: an id assigned in batch 1, next to a fresh one.
+  vehicle::RequestId assigned_id = 0;
+  for (const BatchItem& item : *out) {
+    if (item.assigned) assigned_id = item.request.id;
+  }
+  ASSERT_NE(assigned_id, 0);
+  const vehicle::VehicleId serving = (*sys)->AssignedVehicle(assigned_id);
+  std::vector<vehicle::Request> again =
+      MakeBatch(graph, cfg, 2, /*seed=*/5, /*first_id=*/100);
+  again[0].id = assigned_id;
+  auto out2 = dispatcher.Dispatch(again, 6.0,
+                                  core::Dispatcher::ChooseEarliest);
+  ASSERT_TRUE(out2.ok());
+  ASSERT_EQ(out2->size(), 2u);
+  for (const BatchItem& item : *out2) {
+    SCOPED_TRACE("id " + std::to_string(item.request.id));
+    if (item.request.id == assigned_id) {
+      EXPECT_TRUE(item.match.options.empty());
+      EXPECT_FALSE(item.assigned);
+    } else {
+      EXPECT_FALSE(item.match.options.empty());
+    }
+  }
+  EXPECT_EQ((*sys)->AssignedVehicle(assigned_id), serving);
+  EXPECT_DOUBLE_EQ(surge.rate_per_min(), 6.0 * 60.0 / cfg.surge_window_s);
 }
 
 TEST(DispatchParallelTest, BadChooserIndexSurfaces) {
@@ -441,20 +487,20 @@ TEST(DispatchParallelTest, RequiresChooser) {
   EXPECT_FALSE(dispatcher.Dispatch({}, 0.0, nullptr).ok());
 }
 
-TEST(DispatchParallelTest, CreateDispatcherSelectsStrategy) {
+// The simulator builds its one dispatcher with Config::dispatch_threads
+// matching threads when stepping begins.
+TEST(DispatchParallelTest, SimulatorDispatcherUsesConfiguredThreads) {
   const roadnet::RoadNetwork graph = TestCity();
   core::Config cfg;
-  cfg.dispatch_threads = 0;
-  auto seq_sys = core::PTRider::Create(graph, cfg);
-  ASSERT_TRUE(seq_sys.ok());
-  EXPECT_STREQ(CreateDispatcher(**seq_sys)->name(), "sequential");
-
   cfg.dispatch_threads = 4;
-  auto par_sys = core::PTRider::Create(graph, cfg);
-  ASSERT_TRUE(par_sys.ok());
-  std::unique_ptr<core::Dispatcher> d = CreateDispatcher(**par_sys);
-  EXPECT_STREQ(d->name(), "parallel");
-  EXPECT_EQ(static_cast<ParallelDispatcher*>(d.get())->num_threads(), 4u);
+  auto sys = core::PTRider::Create(graph, cfg);
+  ASSERT_TRUE(sys.ok());
+  ASSERT_TRUE((*sys)->InitFleetUniform(5, 1).ok());
+  sim::Simulator simulator(**sys, sim::SimulatorOptions{});
+  EXPECT_EQ(simulator.dispatcher(), nullptr);
+  ASSERT_TRUE(simulator.BeginStepping().ok());
+  ASSERT_NE(simulator.dispatcher(), nullptr);
+  EXPECT_EQ(simulator.dispatcher()->num_threads(), 4u);
 }
 
 // --- End-to-end: the city-day simulation is dispatcher-invariant ------------
@@ -487,24 +533,52 @@ sim::SimulationReport RunBatchedSim(int dispatch_threads, uint64_t seed) {
   return *report;
 }
 
+/// The pinned part of a batched report, as raw-bit words: outcome
+/// counts, revenue, quoted-price, pick-up-wait, detour, option-count and
+/// price-over-floor sums, and the three fleet distances.
+pin::Words ReportWords(const sim::SimulationReport& r) {
+  return {pin::Bits(r.requests_submitted),
+          pin::Bits(r.requests_assigned),
+          pin::Bits(r.requests_unserved),
+          pin::Bits(r.requests_declined),
+          pin::Bits(r.requests_completed),
+          pin::Bits(r.requests_shared),
+          pin::Bits(r.revenue_total),
+          pin::Bits(r.quoted_price.sum()),
+          pin::Bits(r.pickup_wait_s.sum()),
+          pin::Bits(r.detour_ratio.sum()),
+          pin::Bits(r.options_per_request.sum()),
+          pin::Bits(r.price_over_floor.sum()),
+          pin::Bits(r.fleet_total_distance_m),
+          pin::Bits(r.fleet_occupied_distance_m),
+          pin::Bits(r.fleet_shared_distance_m)};
+}
+
+// The answers of one-at-a-time dispatch (the sequential dispatcher's
+// dispatch_threads = 0, before it moved into the tests), pinned per
+// seed; every thread count must reproduce them bit for bit.
 TEST(DispatchParallelTest, SimulationReportMatchesSequential) {
-  for (const uint64_t seed : {7u, 23u}) {
+  const std::vector<std::pair<uint64_t, pin::Words>> pins = {
+      {7,
+       {0x0000000000000096ULL, 0x000000000000005fULL, 0x0000000000000009ULL,
+        0x000000000000002eULL, 0x000000000000005fULL, 0x0000000000000036ULL,
+        0x406acafa9a98fb70ULL, 0x406acafa9a98fb70ULL, 0x407457c63284096eULL,
+        0x4058c400c53a8d7fULL, 0x406fe00000000000ULL, 0x406bb164bce45fcdULL,
+        0x413217324180e8b5ULL, 0x410b8ebdfb5db48cULL, 0x40ea95e3deb735ecULL}},
+      {23,
+       {0x0000000000000096ULL, 0x000000000000006bULL, 0x0000000000000004ULL,
+        0x0000000000000027ULL, 0x000000000000006bULL, 0x0000000000000038ULL,
+        0x40701d6970ae5f89ULL, 0x40701d6970ae5f89ULL, 0x40909dcb9e93f3c0ULL,
+        0x405bdd6368fc6c5dULL, 0x4071a00000000000ULL, 0x407008d7a78a1e52ULL,
+        0x41322683d0c178d9ULL, 0x410f18ef179acc0eULL, 0x40ed029b9d268990ULL}},
+  };
+  for (const auto& [seed, expected] : pins) {
     SCOPED_TRACE("seed " + std::to_string(seed));
-    const sim::SimulationReport seq = RunBatchedSim(0, seed);
-    for (const int threads : {1, 4}) {
+    for (const int threads : {1, 2, 4}) {
       SCOPED_TRACE("threads " + std::to_string(threads));
-      const sim::SimulationReport par = RunBatchedSim(threads, seed);
-      EXPECT_EQ(seq.requests_submitted, par.requests_submitted);
-      EXPECT_EQ(seq.requests_assigned, par.requests_assigned);
-      EXPECT_EQ(seq.requests_unserved, par.requests_unserved);
-      EXPECT_EQ(seq.requests_declined, par.requests_declined);
-      EXPECT_EQ(seq.requests_completed, par.requests_completed);
-      EXPECT_EQ(seq.requests_shared, par.requests_shared);
-      EXPECT_EQ(seq.revenue_total, par.revenue_total);
-      EXPECT_EQ(seq.quoted_price.sum(), par.quoted_price.sum());
-      EXPECT_EQ(seq.pickup_wait_s.sum(), par.pickup_wait_s.sum());
-      EXPECT_EQ(seq.fleet_total_distance_m, par.fleet_total_distance_m);
-      EXPECT_EQ(seq.fleet_shared_distance_m, par.fleet_shared_distance_m);
+      const pin::Words actual = ReportWords(RunBatchedSim(threads, seed));
+      EXPECT_EQ(actual, expected)
+          << "actual report:\n" << pin::ToInitializer(actual);
     }
   }
 }

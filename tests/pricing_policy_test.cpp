@@ -364,18 +364,19 @@ void CheckMatcherEquivalence(core::PricingPolicyKind kind, uint64_t seed) {
         << "surge inactive: the equivalence check would not exercise it";
   }
 
-  // Probe: matcher().Match directly so the demand signal stays frozen
+  // Probe: MatchReadOnly directly so the demand signal stays frozen
   // across the three algorithms.
-  const vehicle::ScheduleContext sctx = pt.MakeScheduleContext(60.0);
+  const double probe_s = 60.0;
   int compared_options = 0;
   for (int i = 0; i < 40; ++i) {
     const vehicle::Request r = make_request(5000 + i);
     pt.set_matcher(core::MatcherAlgorithm::kNaive);
-    const core::MatchResult naive = pt.matcher().Match(r, sctx);
+    const core::MatchResult naive = pt.MatchReadOnly(r, probe_s, pt.oracle());
     pt.set_matcher(core::MatcherAlgorithm::kSingleSide);
-    const core::MatchResult single = pt.matcher().Match(r, sctx);
+    const core::MatchResult single =
+        pt.MatchReadOnly(r, probe_s, pt.oracle());
     pt.set_matcher(core::MatcherAlgorithm::kDualSide);
-    const core::MatchResult dual = pt.matcher().Match(r, sctx);
+    const core::MatchResult dual = pt.MatchReadOnly(r, probe_s, pt.oracle());
 
     for (const core::MatchResult* other : {&single, &dual}) {
       ASSERT_EQ(other->options.size(), naive.options.size());

@@ -5,6 +5,7 @@
 #include <memory>
 #include <vector>
 
+#include "raw_bit_pin.h"
 #include "roadnet/graph_generator.h"
 #include "service/admission.h"
 #include "sim/workload.h"
@@ -83,6 +84,28 @@ Snapshot Snap(const ServiceReport& r) {
   return s;
 }
 
+/// `s` as raw-bit words, in field order.
+pin::Words SnapWords(const Snapshot& s) {
+  return {s.offered,
+          s.ingested,
+          s.rejected,
+          s.shed,
+          s.dispatched,
+          s.assigned,
+          s.max_depth,
+          pin::Bits(s.q_p50),
+          pin::Bits(s.q_p99),
+          pin::Bits(s.q_p999),
+          pin::Bits(s.a_p50),
+          pin::Bits(s.a_p99),
+          pin::Bits(s.a_p999),
+          pin::Bits(s.sim_assigned),
+          pin::Bits(s.sim_completed),
+          pin::Bits(s.sim_shared),
+          pin::Bits(s.revenue),
+          pin::Bits(s.fleet_m)};
+}
+
 ServiceReport RunOnce(int dispatch_threads, size_t queue_capacity,
                       double shed_deadline_s = 10.0,
                       double assign_cost_s = 0.05) {
@@ -104,13 +127,23 @@ ServiceReport RunOnce(int dispatch_threads, size_t queue_capacity,
 
 // The virtual-clock determinism contract (DESIGN.md section 11): same
 // seed, same options => bit-identical service report, across repeats,
-// dispatch strategies (sequential vs 2-thread parallel) and queue
-// capacities that never fill.
+// dispatch thread counts and queue capacities that never fill. The
+// pinned words are the answer of one-at-a-time dispatch (the sequential
+// dispatcher's dispatch_threads = 0, before it moved into the tests).
 TEST(DispatchServiceTest, VirtualClockDeterministicAcrossThreadsAndRepeats) {
-  const Snapshot reference = Snap(RunOnce(0, 4096));
+  const pin::Words expected = {
+      0x00000000000000bcULL, 0x00000000000000bcULL, 0x0000000000000000ULL,
+      0x0000000000000000ULL, 0x00000000000000bcULL, 0x00000000000000b8ULL,
+      0x0000000000000008ULL, 0x3ff20c353e1711e9ULL, 0x3fffd75360ad2ca7ULL,
+      0x40000f7296b5d1d0ULL, 0x3ff2a3f4357d3bbaULL, 0x40003ee8eda6fe2eULL,
+      0x40006166d3b90505ULL, 0x00000000000000b8ULL, 0x0000000000000025ULL,
+      0x0000000000000013ULL, 0x403f8424fa83d179ULL, 0x40f6736d6a40b4f3ULL};
+  const Snapshot reference = Snap(RunOnce(1, 4096));
   EXPECT_GT(reference.offered, 0u);
   EXPECT_GT(reference.assigned, 0u);
-  for (const int threads : {0, 1, 2}) {
+  EXPECT_EQ(SnapWords(reference), expected)
+      << "actual report:\n" << pin::ToInitializer(SnapWords(reference));
+  for (const int threads : {1, 2}) {
     for (const size_t cap : {size_t{4096}, size_t{1 << 16}}) {
       const Snapshot s = Snap(RunOnce(threads, cap));
       EXPECT_TRUE(reference == s) << "threads=" << threads << " cap=" << cap;
@@ -121,7 +154,7 @@ TEST(DispatchServiceTest, VirtualClockDeterministicAcrossThreadsAndRepeats) {
 // Every offered request lands in exactly one bucket of the admission
 // funnel, and only dispatched ones can be assigned.
 TEST(DispatchServiceTest, AdmissionFunnelAccounting) {
-  const ServiceReport r = RunOnce(0, 64, /*shed_deadline_s=*/5.0,
+  const ServiceReport r = RunOnce(1, 64, /*shed_deadline_s=*/5.0,
                                   /*assign_cost_s=*/1.0);
   const ServiceStats& s = r.service;
   EXPECT_EQ(s.offered, s.ingested + s.rejected);
@@ -142,7 +175,7 @@ TEST(DispatchServiceTest, DeadlineShedderBoundsLatency) {
   const double assign_cost = 1.0;  // capacity 1/s against offered 1.5/s
   const double quote_cost = 0.01;
   const ServiceReport r =
-      RunOnce(0, 4096, deadline, assign_cost);
+      RunOnce(1, 4096, deadline, assign_cost);
   const ServiceStats& s = r.service;
   EXPECT_GT(s.shed, 0u);
   const double slack = 1e-9;
@@ -154,7 +187,7 @@ TEST(DispatchServiceTest, DeadlineShedderBoundsLatency) {
 // and tail latency blows far past what the shedder would allow — the
 // contrast that makes the knee visible in bench_e19.
 TEST(DispatchServiceTest, AdmitAllLetsLatencyGrowUnderOverload) {
-  const ServiceReport r = RunOnce(0, 1 << 16, /*shed_deadline_s=*/0.0,
+  const ServiceReport r = RunOnce(1, 1 << 16, /*shed_deadline_s=*/0.0,
                                   /*assign_cost_s=*/1.0);
   const ServiceStats& s = r.service;
   EXPECT_EQ(s.shed, 0u);
@@ -165,13 +198,13 @@ TEST(DispatchServiceTest, AdmitAllLetsLatencyGrowUnderOverload) {
 }
 
 TEST(DispatchServiceTest, TinyQueueRejectsOverflow) {
-  const ServiceReport r = RunOnce(0, 2);
+  const ServiceReport r = RunOnce(1, 2);
   EXPECT_GT(r.service.rejected, 0u);
   EXPECT_EQ(r.service.offered, r.service.ingested + r.service.rejected);
 }
 
 TEST(DispatchServiceTest, RunIsOneShot) {
-  ServiceFixture f = MakeFixture(10, 0);
+  ServiceFixture f = MakeFixture(10, 1);
   ServiceOptions opts;
   DispatchService server(*f.system, opts);
   PoissonArrivalOptions load;
@@ -184,7 +217,7 @@ TEST(DispatchServiceTest, RunIsOneShot) {
 }
 
 TEST(DispatchServiceTest, QuoteReturnsOptionsWithoutCommitting) {
-  ServiceFixture f = MakeFixture(20, 0);
+  ServiceFixture f = MakeFixture(20, 1);
   ServiceOptions opts;
   DispatchService server(*f.system, opts);
   sim::Trip probe;

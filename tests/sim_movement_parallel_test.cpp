@@ -26,9 +26,14 @@ namespace {
 /// Wall-clock aggregates (response_time_s, response_percentiles_s, the
 /// phase timings) and cache-state-dependent effort counters
 /// (distance_computations) are excluded; everything a rider, operator or
-/// evaluation plot observes must be byte-identical.
+/// evaluation plot observes must be byte-identical. `same_match_path`
+/// false compares a per-request run with a batched one: the batch
+/// dispatcher re-probes vehicles committed earlier in the batch (DESIGN.md
+/// section 5), work one-at-a-time matching does not do, so their
+/// vehicles_examined counts differ and are not compared.
 void ExpectReportsIdentical(const SimulationReport& a,
-                            const SimulationReport& b) {
+                            const SimulationReport& b,
+                            bool same_match_path = true) {
   EXPECT_EQ(a.requests_submitted, b.requests_submitted);
   EXPECT_EQ(a.requests_assigned, b.requests_assigned);
   EXPECT_EQ(a.requests_unserved, b.requests_unserved);
@@ -54,8 +59,10 @@ void ExpectReportsIdentical(const SimulationReport& a,
   expect_stats_eq(a.submit_delay_s, b.submit_delay_s, "submit_delay_s");
   expect_stats_eq(a.options_per_request, b.options_per_request,
                   "options_per_request");
-  expect_stats_eq(a.vehicles_examined, b.vehicles_examined,
-                  "vehicles_examined");
+  if (same_match_path) {
+    expect_stats_eq(a.vehicles_examined, b.vehicles_examined,
+                    "vehicles_examined");
+  }
   expect_stats_eq(a.pickup_wait_s, b.pickup_wait_s, "pickup_wait_s");
   expect_stats_eq(a.detour_ratio, b.detour_ratio, "detour_ratio");
   expect_stats_eq(a.quoted_price, b.quoted_price, "quoted_price");
@@ -93,7 +100,7 @@ City MakeCity(uint64_t trip_seed, size_t num_trips = 110,
 SimulationReport RunCity(const City& city, int move_jobs,
                          double batch_window_s, uint64_t seed,
                          size_t taxis = 30, double tick_s = 1.0,
-                         int dispatch_threads = 0) {
+                         int dispatch_threads = 1) {
   core::Config cfg;
   cfg.matcher = core::MatcherAlgorithm::kDualSide;
   cfg.vehicle_capacity = 3;
@@ -148,9 +155,9 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(
         // Per-request mode and a 5 s arrival window (batched mode).
         ::testing::Values(0.0, 5.0),
-        // The sequential BatchDispatcher and the 2-thread
-        // ParallelDispatcher (batched mode only reads it).
-        ::testing::Values(0, 2), ::testing::Values<uint64_t>(3, 17)));
+        // Dispatch threads: 1 (no pool) and 2 (batched mode only reads
+        // it).
+        ::testing::Values(1, 2), ::testing::Values<uint64_t>(3, 17)));
 
 // Idle cruising is the only rng_ consumer inside movement; a fleet with
 // zero demand isolates it. Every thread count must consume the stream
@@ -186,7 +193,8 @@ TEST(MovementParallelTest, IdleCruisingIdenticalAcrossMoveJobs) {
 // trip-to-request builder, a batched run whose window equals the tick
 // dispatches the very same requests at the very same instants as the
 // per-request path — the whole report, submit delays included, must
-// match.
+// match (all but the match work counted in vehicles_examined, see
+// ExpectReportsIdentical).
 TEST(SubmitTimeAccountingTest, PerRequestMatchesBatchedWindowOfOneTick) {
   const City city = MakeCity(23);
   for (const uint64_t seed : {4u, 29u}) {
@@ -195,7 +203,8 @@ TEST(SubmitTimeAccountingTest, PerRequestMatchesBatchedWindowOfOneTick) {
         RunCity(city, /*move_jobs=*/1, /*batch_window_s=*/0.0, seed);
     const SimulationReport batched =
         RunCity(city, /*move_jobs=*/1, /*batch_window_s=*/1.0, seed);
-    ExpectReportsIdentical(per_request, batched);
+    ExpectReportsIdentical(per_request, batched,
+                           /*same_match_path=*/false);
     EXPECT_EQ(per_request.submit_delay_s.sum(),
               batched.submit_delay_s.sum());
   }

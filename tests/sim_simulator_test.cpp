@@ -152,6 +152,22 @@ TEST(SimulatorTest, RejectsBadInputs) {
   EXPECT_FALSE(sim2.Run({}).ok());
 }
 
+// move_jobs above core::kMaxThreads is refused by Run and BeginStepping
+// before either creates its movement pool. The bound + 1 is the only
+// out-of-range value tried: even without the check it would start a few
+// hundred threads at most.
+TEST(SimulatorTest, RejectsMoveJobsAboveBound) {
+  SimFixture f = MakeFixture(5, core::MatcherAlgorithm::kDualSide);
+  SimulatorOptions opts;
+  opts.move_jobs = core::kMaxThreads + 1;
+  Simulator run(*f.system, opts);
+  EXPECT_EQ(run.Run({}).status().code(), util::StatusCode::kInvalidArgument);
+  Simulator stepping(*f.system, opts);
+  EXPECT_EQ(stepping.BeginStepping().code(),
+            util::StatusCode::kInvalidArgument);
+  EXPECT_EQ(stepping.dispatcher(), nullptr);
+}
+
 TEST(SimulatorTest, EmptyFleetFails) {
   roadnet::CityGridOptions gopts;
   gopts.rows = 6;

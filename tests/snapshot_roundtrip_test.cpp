@@ -379,5 +379,20 @@ TEST_F(SnapshotRejectionTest, EmptyFile) {
   EXPECT_FALSE(Snapshot::Load(path_).ok());
 }
 
+// The fuzz corpus's valid seed must load. fuzz_corpus_replay passes
+// whatever the loader answers, so a format change without a regenerated
+// seed would silently cut the corpus down to the header checks.
+// Regenerate with
+//   tools/snapshot_build --out tests/fuzz_corpus/seed_city.snap
+//       --city 4 4 --grid 2 2
+TEST(SnapshotFuzzSeedTest, CheckedInSeedLoads) {
+  auto snap = Snapshot::Load(std::string(PTRIDER_SOURCE_DIR) +
+                             "/tests/fuzz_corpus/seed_city.snap");
+  ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+  EXPECT_EQ(snap->graph().NumVertices(), 16u);
+  EXPECT_EQ(snap->grid().cells_x(), 2);
+  EXPECT_EQ(snap->grid().cells_y(), 2);
+}
+
 }  // namespace
 }  // namespace ptrider::snapshot
