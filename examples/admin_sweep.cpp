@@ -8,10 +8,10 @@
 // Default: 600 trips over one hour on a 25x25 city.
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
+#include "cli_args.h"
 #include "core/ptrider.h"
 #include "roadnet/graph_generator.h"
 #include "sim/simulator.h"
@@ -52,7 +52,10 @@ int RunScenario(const roadnet::RoadNetwork& graph,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const size_t trips = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 600;
+  const examples::CliArgs args("usage: example_admin_sweep [trips]\n");
+  if (argc > 2) args.Fail("too many arguments");
+  const auto trips = static_cast<size_t>(
+      argc > 1 ? args.Int("trips", argv[1], 0, 10000000) : 600);
 
   roadnet::CityGridOptions city;
   city.rows = 25;

@@ -7,18 +7,27 @@
 // Default: 400 trips, temp-file path.
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
+#include "cli_args.h"
 #include "core/ptrider.h"
 #include "roadnet/graph_generator.h"
 #include "roadnet/graph_io.h"
 #include "sim/simulator.h"
 #include "sim/workload.h"
 
+namespace {
+
+constexpr char kUsage[] = "usage: example_trace_tools [trips] [out.csv]\n";
+
+}  // namespace
+
 int main(int argc, char** argv) {
   using namespace ptrider;
-  const size_t trips = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 400;
+  const examples::CliArgs args(kUsage);
+  if (argc > 3) args.Fail("too many arguments");
+  const auto trips = static_cast<size_t>(
+      argc > 1 ? args.Int("trips", argv[1], 0, 10000000) : 400);
   const std::string trace_path =
       argc > 2 ? argv[2] : "/tmp/ptrider_trace.csv";
   const std::string graph_path = "/tmp/ptrider_network.csv";

@@ -140,12 +140,13 @@ void IndexedMatcherBase::SearchCells(const vehicle::Request& request,
   const roadnet::CellId start_cell = grid.CellOfVertex(request.start);
   const roadnet::Weight s_min = grid.VertexMinToBorder(request.start);
   if (process_cell(start_cell, 0.0)) {
-    for (const roadnet::CellNeighbor& cn : grid.SortedCellList(start_cell)) {
+    for (const roadnet::CellId cell : grid.SortedCellList(start_cell)) {
       // dist(l, s) >= LB(cell(l), cell(s)) + s.min for l outside s's cell.
       const roadnet::Weight enter_lb =
-          s_min == roadnet::kInfWeight ? roadnet::kInfWeight
-                                       : cn.lower_bound + s_min;
-      if (!process_cell(cn.cell, enter_lb)) break;
+          s_min == roadnet::kInfWeight
+              ? roadnet::kInfWeight
+              : grid.CellPairLowerBound(start_cell, cell) + s_min;
+      if (!process_cell(cell, enter_lb)) break;
     }
   }
 }

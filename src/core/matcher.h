@@ -38,8 +38,8 @@ struct MatchResult {
   /// Exact shortest-path computations performed during this match.
   uint64_t distance_computations = 0;
   /// Vertices the two request-anchor searches settled during this match
-  /// (0 for the naive matcher). Anchors persist per oracle, so the count
-  /// depends on which request the oracle matched before.
+  /// (0 for the naive matcher). Searches persist between requests, so
+  /// the count depends on which request last used the same pair.
   uint64_t anchor_settles = 0;
   /// Wall-clock matching latency — the demo's "average response time"
   /// aggregates this.

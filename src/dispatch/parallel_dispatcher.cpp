@@ -13,7 +13,11 @@ namespace ptrider::dispatch {
 
 ParallelDispatcher::ParallelDispatcher(core::PTRider& system,
                                        size_t num_threads)
-    : system_(&system), pool_(system, num_threads) {}
+    : system_(&system),
+      pool_(system, num_threads),
+      max_pairs_(kAnchorBudgetBytes /
+                 roadnet::DistanceOracle::AnchorPair::PairBytes(
+                     system.graph())) {}
 
 util::Result<std::vector<core::BatchItem>> ParallelDispatcher::Dispatch(
     std::vector<vehicle::Request> batch, double now_s,
@@ -63,6 +67,16 @@ util::Result<std::vector<core::BatchItem>> ParallelDispatcher::Dispatch(
     return snapshot_pricing ? *snapshots[i] : live_policy;
   };
 
+  // Request i's anchor pair, or null past the budget. Chosen by
+  // position, so every match and commit of request i resumes the same
+  // searches whichever worker runs it.
+  if (pairs_.size() < std::min(n, max_pairs_)) {
+    pairs_.resize(std::min(n, max_pairs_));
+  }
+  const auto pair_of = [&](size_t i) {
+    return i < pairs_.size() ? &pairs_[i] : nullptr;
+  };
+
   // --- Phase 1: sharded match against the frozen fleet --------------------
   // No system state mutates until phase 2, so the fleet/grid/index reads
   // all observe the pre-batch snapshot. The workers hold only the const
@@ -78,6 +92,8 @@ util::Result<std::vector<core::BatchItem>> ParallelDispatcher::Dispatch(
       n,
       [&](size_t i, WorkerContext& context) {
         if (!valid[i].ok()) return;
+        const roadnet::DistanceOracle::AnchorLoan loan(context.oracle(),
+                                                       pair_of(i));
         matches[i] = frozen.MatchReadOnly(batch[i], now_s, context.oracle(),
                                           &pricing_of(i), &degrade_.effort);
         if (observer_) observer_(context.index(), batch[i], matches[i]);
@@ -132,6 +148,8 @@ util::Result<std::vector<core::BatchItem>> ParallelDispatcher::Dispatch(
         wave.size(),
         [&](size_t k, WorkerContext& context) {
           const size_t j = wave[k];
+          const roadnet::DistanceOracle::AnchorLoan loan(context.oracle(),
+                                                         pair_of(j));
           matches[j] =
               system_->MatchReadOnly(batch[j], now_s, context.oracle(),
                                      &pricing_of(j), &degrade_.effort);
@@ -150,7 +168,7 @@ util::Result<std::vector<core::BatchItem>> ParallelDispatcher::Dispatch(
   //   * A post-watermark-committed vehicle appears in the option list —
   //     its offers are stale, and dropping them could resurrect options
   //     they dominated. Full re-match against live state (as a
-  //     wavefront, see above).
+  //     wavefront, see above): `refresh`.
   //   * A post-watermark-committed vehicle could newly contribute: its
   //     live pick-up lower bound is inside the radius and the snapshot
   //     skyline does not strictly dominate everything it could still
@@ -159,16 +177,16 @@ util::Result<std::vector<core::BatchItem>> ParallelDispatcher::Dispatch(
   //     sequential-order pricing view). Cheap local re-match: re-probe
   //     just that vehicle's kinetic tree into the skyline — every other
   //     vehicle's candidates are untouched, so the merged non-dominated
-  //     set equals a live full match.
+  //     set equals a live full match: `reprobe`.
   //   * Neither — commits only append stops, so a vehicle outside these
   //     tests contributed nothing at the watermark and can contribute
   //     nothing now. The snapshot result is exact as-is.
-  const auto reconcile = [&](size_t i,
-                             const pricing::PricingPolicy& pricing) {
+  //
+  // Unreachable destinations skip both: their options are empty
+  // regardless of fleet state.
+  const auto refresh = [&](size_t i) {
     core::MatchResult& m = matches[i];
-    // Unreachable destination: empty options regardless of fleet state.
     if (m.direct_distance_m == roadnet::kInfWeight) return;
-    const vehicle::Request& r = batch[i];
     if (degrade_.skip_full_rematch) {
       // Ladder rung: drop stale options on in-batch-dirtied vehicles
       // instead of re-running the full matcher. Every surviving option
@@ -186,13 +204,18 @@ util::Result<std::vector<core::BatchItem>> ParallelDispatcher::Dispatch(
     } else if (is_stale(i)) {
       wavefront(i);
     }
+  };
+  const auto reprobe = [&](size_t i, const pricing::PricingPolicy& pricing) {
+    core::MatchResult& m = matches[i];
+    if (m.direct_distance_m == roadnet::kInfWeight) return;
+    // Every committed vehicle carries at least one pending request now,
+    // so under empty-vehicle-only matching none of them may contribute.
+    if (degrade_.effort.empty_vehicle_only) return;
+    const vehicle::Request& r = batch[i];
     core::Skyline skyline;
     bool reprobing = false;
     const double floor =
         pricing.MinPrice(r.num_riders, m.direct_distance_m);
-    // Every committed vehicle carries at least one pending request now,
-    // so under empty-vehicle-only matching none of them may contribute.
-    if (degrade_.effort.empty_vehicle_only) return;
     for (size_t k = watermark[i]; k < dirty.size(); ++k) {
       const vehicle::VehicleId id = dirty[k];
       // Only the latest commit-log entry of each vehicle is live; probe
@@ -242,7 +265,13 @@ util::Result<std::vector<core::BatchItem>> ParallelDispatcher::Dispatch(
       out.push_back(std::move(item));
       continue;
     }
-    if (dirty.size() > watermark[i]) reconcile(i, pricing_of(i));
+    // The wavefront lends pairs to the workers, so it runs before
+    // request i's pair moves to the system oracle, where its re-probes
+    // and its commit resume the searches its match ran.
+    if (dirty.size() > watermark[i]) refresh(i);
+    const roadnet::DistanceOracle::AnchorLoan loan(system_->oracle(),
+                                                   pair_of(i));
+    if (dirty.size() > watermark[i]) reprobe(i, pricing_of(i));
     item.match = std::move(matches[i]);
     const std::optional<size_t> pick = chooser(batch[i], item.match);
     if (pick.has_value()) {

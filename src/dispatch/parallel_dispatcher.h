@@ -1,6 +1,7 @@
 #ifndef PTRIDER_DISPATCH_PARALLEL_DISPATCHER_H_
 #define PTRIDER_DISPATCH_PARALLEL_DISPATCHER_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -31,6 +32,14 @@ namespace ptrider::dispatch {
 /// commit log replaces the all-or-nothing phase-1 staleness test
 /// (DESIGN.md section 5.3).
 ///
+/// A request's two anchor searches travel with it (DESIGN.md section
+/// 7.5): the dispatcher keeps one roadnet::DistanceOracle::AnchorPair per
+/// batch position and lends pair i to the worker oracle that matches (or
+/// re-matches) request i, then to the system oracle around request i's
+/// re-probes and commit, whose anchor scopes resume what the match
+/// settled. Pairs are kept for at most kAnchorBudgetBytes; positions past
+/// the budget use the holding oracle's own searches.
+///
 /// The result is deterministic and item-for-item identical to matching
 /// and committing the requests one at a time, for every chooser, matcher
 /// and pricing policy (tests/dispatch_parallel_test.cpp proves it
@@ -39,6 +48,10 @@ namespace ptrider::dispatch {
 /// the service ladder run through it.
 class ParallelDispatcher : public core::Dispatcher {
  public:
+  /// Memory the per-position anchor pairs may hold, a fixed cap (~255
+  /// pairs on a 1,600-vertex city, 3 on a 100k-vertex one).
+  static constexpr size_t kAnchorBudgetBytes = size_t{32} << 20;
+
   /// `num_threads` matching threads total, the dispatching thread
   /// included (clamped to >= 1): num_threads - 1 pool workers are
   /// spawned and the caller matches alongside them, so one thread means
@@ -92,6 +105,10 @@ class ParallelDispatcher : public core::Dispatcher {
  private:
   core::PTRider* system_;
   WorkerPool pool_;
+  /// Anchor pairs by batch position, grown to the largest batch seen,
+  /// never beyond max_pairs_.
+  std::vector<roadnet::DistanceOracle::AnchorPair> pairs_;
+  size_t max_pairs_;
   core::DegradeMode degrade_;
   uint64_t rematch_count_ = 0;
   uint64_t reprobe_count_ = 0;

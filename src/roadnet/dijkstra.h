@@ -1,6 +1,8 @@
 #ifndef PTRIDER_ROADNET_DIJKSTRA_H_
 #define PTRIDER_ROADNET_DIJKSTRA_H_
 
+#include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <span>
 #include <utility>
@@ -87,6 +89,11 @@ class DijkstraEngine {
 
   const RoadNetwork& graph() const { return *graph_; }
 
+  /// Bytes of per-vertex state an engine allocates (its heap aside).
+  static constexpr size_t kStateBytesPerVertex =
+      2 * sizeof(Weight) + 2 * sizeof(VertexId) + sizeof(uint32_t) +
+      sizeof(char);
+
  private:
   struct HeapEntry {
     Weight dist;
@@ -101,6 +108,7 @@ class DijkstraEngine {
   void Touch(VertexId v);
 
   const RoadNetwork* graph_;
+  // Per-vertex state (kStateBytesPerVertex in all).
   std::vector<Weight> dist_;
   std::vector<VertexId> parent_;
   /// Written by the resumable search only; Run never pays for it.

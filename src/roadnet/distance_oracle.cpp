@@ -83,6 +83,28 @@ DistanceOracle::AnchorScope::AnchorScope(DistanceOracle& oracle, VertexId s,
 
 DistanceOracle::AnchorScope::~AnchorScope() { oracle_->anchored_ = false; }
 
+size_t DistanceOracle::AnchorPair::PairBytes(const RoadNetwork& graph) {
+  // Per anchor and vertex: the engine's state plus the answer and its
+  // mark.
+  return 2 * graph.NumVertices() *
+         (DijkstraEngine::kStateBytesPerVertex + sizeof(Weight) +
+          sizeof(uint32_t));
+}
+
+DistanceOracle::AnchorLoan::AnchorLoan(DistanceOracle& oracle,
+                                       AnchorPair* pair)
+    : oracle_(&oracle), pair_(pair) {
+  if (pair_ == nullptr) return;
+  assert(!oracle_->anchored_ && "loans are made between anchor scopes");
+  std::swap(oracle_->anchors_.searches_, pair_->searches_);
+}
+
+DistanceOracle::AnchorLoan::~AnchorLoan() {
+  if (pair_ == nullptr) return;
+  assert(!oracle_->anchored_ && "loans end between anchor scopes");
+  std::swap(oracle_->anchors_.searches_, pair_->searches_);
+}
+
 void DistanceOracle::SetAnchors(VertexId s, VertexId d) {
   // One search answers both dist(x, a) and dist(a, x) only when they are
   // equal. Nesting would silently re-root the outer scope's searches.
@@ -90,15 +112,16 @@ void DistanceOracle::SetAnchors(VertexId s, VertexId d) {
   assert(!anchored_ && "anchor scopes do not nest");
   const VertexId roots[2] = {s, d};
   for (int k = 0; k < 2; ++k) {
-    if (!anchors_[k]) anchors_[k] = std::make_unique<Anchor>(*graph_);
+    std::unique_ptr<Anchor>& a = anchors_.searches_[k];
+    if (!a) a = std::make_unique<Anchor>(*graph_);
     // Same root: resume, keeping every settled vertex and answer.
-    if (anchors_[k]->source != roots[k]) anchors_[k]->Restart(roots[k]);
+    if (a->source != roots[k]) a->Restart(roots[k]);
   }
   anchored_ = true;
 }
 
 DistanceOracle::Anchor* DistanceOracle::AnchorAt(VertexId v) {
-  for (const std::unique_ptr<Anchor>& a : anchors_) {
+  for (const std::unique_ptr<Anchor>& a : anchors_.searches_) {
     if (a->source == v) return a.get();
   }
   return nullptr;
@@ -110,7 +133,11 @@ Weight DistanceOracle::AnchoredDistance(Anchor& anchor, VertexId x) {
     return anchor.answer[x];
   }
   ++computed_;
+  const uint64_t settled = anchor.search.total_settled();
+  const uint64_t pops = anchor.search.total_pops();
   Weight d = anchor.search.SettleUntil(x);
+  anchor_settles_ += anchor.search.total_settled() - settled;
+  anchor_pops_ += anchor.search.total_pops() - pops;
   if (d != kInfWeight && x < anchor.source) {
     // A point-to-point query computes dist(x, source), summing edge
     // weights left to right from x (DESIGN.md 7.4); the search's label
@@ -188,18 +215,7 @@ uint64_t DistanceOracle::heap_pops() const {
   if (dijkstra_) pops += dijkstra_->total_pops();
   if (astar_) pops += astar_->total_pops();
   if (ch_query_) pops += ch_query_->total_pops();
-  for (const std::unique_ptr<Anchor>& a : anchors_) {
-    if (a) pops += a->search.total_pops();
-  }
-  return pops;
-}
-
-uint64_t DistanceOracle::anchor_settles() const {
-  uint64_t settles = 0;
-  for (const std::unique_ptr<Anchor>& a : anchors_) {
-    if (a) settles += a->search.total_settled();
-  }
-  return settles;
+  return pops + anchor_pops_;
 }
 
 void DistanceOracle::ResetStats() {
@@ -209,9 +225,8 @@ void DistanceOracle::ResetStats() {
   if (dijkstra_) dijkstra_->ResetStats();
   if (astar_) astar_->ResetStats();
   if (ch_query_) ch_query_->ResetStats();
-  for (const std::unique_ptr<Anchor>& a : anchors_) {
-    if (a) a->search.ResetStats();
-  }
+  anchor_settles_ = 0;
+  anchor_pops_ = 0;
 }
 
 }  // namespace ptrider::roadnet

@@ -1,6 +1,7 @@
 #ifndef PTRIDER_ROADNET_DISTANCE_ORACLE_H_
 #define PTRIDER_ROADNET_DISTANCE_ORACLE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -33,6 +34,8 @@ struct DistanceOracleOptions {
 /// Not thread-safe; one oracle per thread — Clone() is how a thread gets
 /// its own.
 class DistanceOracle {
+  struct Anchor;
+
  public:
   /// Request anchoring (DESIGN.md section 7.5). While a scope is alive,
   /// every Distance(u, v) with u or v in {s, d} is read from one of two
@@ -53,6 +56,39 @@ class DistanceOracle {
 
    private:
     DistanceOracle* oracle_;
+  };
+
+  /// The two anchor searches, detached from any oracle so they can
+  /// travel with a request: an AnchorLoan hands them to whichever oracle
+  /// works on the request next, and its AnchorScope resumes them. An
+  /// answer depends only on the root and the looked-up vertex, never on
+  /// the oracle holding the search. Empty until first anchored; then
+  /// holds PairBytes(graph).
+  class AnchorPair {
+   public:
+    /// Bytes one anchored pair holds over `graph` (its heaps aside).
+    static size_t PairBytes(const RoadNetwork& graph);
+
+   private:
+    friend class DistanceOracle;
+    std::unique_ptr<Anchor> searches_[2];
+  };
+
+  /// Lends `pair` to `oracle` until destroyed: the oracle's AnchorScopes
+  /// then resume `pair`'s searches instead of its own, which come back
+  /// unchanged. A null `pair` lends nothing. Loans are made between
+  /// anchor scopes only. Counters stay the oracle's: it counts the
+  /// lookups and settles it makes, in whichever pair.
+  class AnchorLoan {
+   public:
+    AnchorLoan(DistanceOracle& oracle, AnchorPair* pair);
+    ~AnchorLoan();
+    AnchorLoan(const AnchorLoan&) = delete;
+    AnchorLoan& operator=(const AnchorLoan&) = delete;
+
+   private:
+    DistanceOracle* oracle_;
+    AnchorPair* pair_;
   };
 
   explicit DistanceOracle(const RoadNetwork& graph,
@@ -114,8 +150,9 @@ class DistanceOracle {
   /// first lookups in an anchor search (queries - cache_hits - trivial).
   uint64_t computed() const { return computed_; }
   uint64_t heap_pops() const;
-  /// Vertices settled by the two request-anchor searches, cumulative.
-  uint64_t anchor_settles() const;
+  /// Vertices settled by request-anchor searches, cumulative (own or
+  /// lent).
+  uint64_t anchor_settles() const { return anchor_settles_; }
   void ResetStats();
 
   /// Per-thread matcher scratch (vehicles seen in one match). It lives
@@ -160,14 +197,17 @@ class DistanceOracle {
   std::unique_ptr<CHQuery> ch_query_;
 
   PairCache cache_;
-  /// Request anchors at s and d; allocated by the first AnchorScope.
-  std::unique_ptr<Anchor> anchors_[2];
+  /// Request anchors at s and d (this oracle's own, or a lent pair);
+  /// allocated by the first AnchorScope.
+  AnchorPair anchors_;
   bool anchored_ = false;
   util::VisitMarks match_marks_;
 
   uint64_t queries_ = 0;
   uint64_t cache_hits_ = 0;
   uint64_t computed_ = 0;
+  uint64_t anchor_settles_ = 0;
+  uint64_t anchor_pops_ = 0;
 };
 
 }  // namespace ptrider::roadnet

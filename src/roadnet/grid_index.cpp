@@ -180,26 +180,28 @@ void GridIndex::ComputeCellPairLowerBounds() {
 
 void GridIndex::BuildSortedCellLists() {
   const CellId m = NumCells();
+  const auto listed = [&](CellId c, CellId c2) {
+    return c2 != c && !Vertices(c2).empty() &&
+           CellPairLowerBound(c, c2) != kInfWeight;  // skip unreachable
+  };
   std::vector<size_t> offsets(static_cast<size_t>(m) + 1, 0);
-  std::vector<CellNeighbor> data;
-  std::vector<CellNeighbor> list;
   for (CellId c = 0; c < m; ++c) {
-    list.clear();
+    size_t count = 0;
+    for (CellId c2 = 0; c2 < m; ++c2) count += listed(c, c2) ? 1 : 0;
+    offsets[static_cast<size_t>(c) + 1] = offsets[c] + count;
+  }
+  std::vector<CellId> data(offsets[m]);
+  for (CellId c = 0; c < m; ++c) {
+    const auto first = data.begin() + static_cast<ptrdiff_t>(offsets[c]);
+    auto out = first;
     for (CellId c2 = 0; c2 < m; ++c2) {
-      if (c2 == c || Vertices(c2).empty()) continue;
-      const Weight lb = lb_matrix_[static_cast<size_t>(c) * m + c2];
-      if (lb == kInfWeight) continue;  // unreachable cell
-      list.push_back({c2, lb});
+      if (listed(c, c2)) *out++ = c2;
     }
-    std::sort(list.begin(), list.end(),
-              [](const CellNeighbor& a, const CellNeighbor& b) {
-                if (a.lower_bound != b.lower_bound) {
-                  return a.lower_bound < b.lower_bound;
-                }
-                return a.cell < b.cell;
-              });
-    data.insert(data.end(), list.begin(), list.end());
-    offsets[static_cast<size_t>(c) + 1] = data.size();
+    const Weight* row = &lb_matrix_[static_cast<size_t>(c) * m];
+    std::sort(first, out, [row](CellId a, CellId b) {
+      if (row[a] != row[b]) return row[a] < row[b];
+      return a < b;
+    });
   }
   sc_offsets_ = std::move(offsets);
   sc_data_ = std::move(data);
@@ -268,7 +270,7 @@ size_t GridIndex::EstimateMemory() const {
            sizeof(size_t);
   bytes += vertex_min_.size() * sizeof(Weight);
   bytes += lb_matrix_.size() * sizeof(Weight);
-  bytes += sc_data_.size() * sizeof(CellNeighbor);
+  bytes += sc_data_.size() * sizeof(CellId);
   return bytes;
 }
 

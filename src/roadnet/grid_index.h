@@ -19,12 +19,6 @@ struct GridIndexOptions {
   int cells_y = 32;
 };
 
-/// Entry of a cell's sorted grid-cell list (Fig. 1(b), list (iii)).
-struct CellNeighbor {
-  CellId cell = kInvalidCell;
-  Weight lower_bound = kInfWeight;
-};
-
 /// The paper's grid index over the road network (Section 3.2.1, Fig. 1).
 ///
 /// Partitions the bounding box into a uniform grid. Per cell it maintains
@@ -70,8 +64,10 @@ class GridIndex {
     return {bv_data_.data() + bv_offsets_[c],
             bv_data_.data() + bv_offsets_[static_cast<size_t>(c) + 1]};
   }
-  /// Ascending-lower-bound list of other non-empty cells.
-  std::span<const CellNeighbor> SortedCellList(CellId c) const {
+  /// Other non-empty reachable cells, ascending by
+  /// CellPairLowerBound(c, cell) (ties by id). Ids only: each entry's
+  /// bound is read from the matrix row it was sorted by.
+  std::span<const CellId> SortedCellList(CellId c) const {
     return {sc_data_.data() + sc_offsets_[c],
             sc_data_.data() + sc_offsets_[static_cast<size_t>(c) + 1]};
   }
@@ -140,7 +136,7 @@ class GridIndex {
   util::ArrayRef<Weight> vertex_min_;
   util::ArrayRef<Weight> lb_matrix_;   // NumCells()^2, row-major
   util::ArrayRef<size_t> sc_offsets_;  // size NumCells()+1
-  util::ArrayRef<CellNeighbor> sc_data_;
+  util::ArrayRef<CellId> sc_data_;
 
   BuildStats build_stats_;
 };

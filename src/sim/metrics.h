@@ -39,8 +39,11 @@ struct SimulationReport {
   util::RunningStats vehicles_examined;
   util::RunningStats distance_computations;
   /// Vertices the request-anchor searches settled per match
-  /// (MatchResult::anchor_settles). Exact at one dispatch thread; with
-  /// more it depends on which worker's oracle matched the request.
+  /// (MatchResult::anchor_settles). Exact at every dispatch thread count
+  /// while each batch fits the dispatcher's anchor budget: a batch
+  /// position's searches resume the ones its previous request left
+  /// (DESIGN.md section 7.5). Per-request and batched runs of one input
+  /// differ here, with identical outcomes.
   util::RunningStats anchor_settles;
 
   // --- Service quality --------------------------------------------------------

@@ -23,7 +23,7 @@ inline constexpr char kMagic[8] = {'P', 'T', 'R', 'S', 'N', 'A', 'P', '\0'};
 /// Reads back as 0x04030201 on a foreign-endian machine.
 inline constexpr uint32_t kEndianMarker = 0x01020304u;
 /// Bump on ANY layout change — loaders never guess at older layouts.
-inline constexpr uint32_t kFormatVersion = 2;
+inline constexpr uint32_t kFormatVersion = 3;
 
 /// Section identifiers. Values are stable on disk; only append. Ids 16,
 /// 17 and 19 (format 1's grid upper-bound arrays) are retired: never
@@ -69,7 +69,7 @@ struct FileHeader {
   uint16_t sizeof_size_t;
   uint16_t sizeof_graph_edge;
   uint16_t sizeof_ch_edge;
-  uint16_t sizeof_cell_neighbor;
+  uint16_t retired;  // zero (format 2's sorted-cell-list record size)
   uint16_t sizeof_point;
   uint16_t reserved[3];  // zero
 };

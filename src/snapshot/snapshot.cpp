@@ -20,7 +20,6 @@ namespace {
 static_assert(sizeof(size_t) == 8, "snapshot format assumes 64-bit size_t");
 static_assert(sizeof(roadnet::Edge) == 16);
 static_assert(sizeof(roadnet::CHIndex::Edge) == 24);
-static_assert(sizeof(roadnet::CellNeighbor) == 16);
 static_assert(sizeof(util::Point) == 16);
 
 // How a section's bytes are produced. Records with internal padding
@@ -32,7 +31,6 @@ enum class PayloadKind {
   kRaw,
   kGraphEdge,
   kCHEdge,
-  kCellNeighbor,
 };
 
 struct SectionSpec {
@@ -55,13 +53,6 @@ void CopyCHEdge(unsigned char* dst, const roadnet::CHIndex::Edge& e) {
               sizeof(e.weight));
   std::memcpy(dst + offsetof(roadnet::CHIndex::Edge, middle), &e.middle,
               sizeof(e.middle));
-}
-
-void CopyCellNeighbor(unsigned char* dst, const roadnet::CellNeighbor& c) {
-  std::memcpy(dst + offsetof(roadnet::CellNeighbor, cell), &c.cell,
-              sizeof(c.cell));
-  std::memcpy(dst + offsetof(roadnet::CellNeighbor, lower_bound),
-              &c.lower_bound, sizeof(c.lower_bound));
 }
 
 template <typename T, typename CopyFn>
@@ -99,10 +90,6 @@ void WritePayload(std::ofstream& out, const SectionSpec& s) {
     case PayloadKind::kCHEdge:
       WriteSanitized<roadnet::CHIndex::Edge>(out, s.data, s.bytes,
                                              CopyCHEdge);
-      break;
-    case PayloadKind::kCellNeighbor:
-      WriteSanitized<roadnet::CellNeighbor>(out, s.data, s.bytes,
-                                            CopyCellNeighbor);
       break;
   }
 }
@@ -224,7 +211,7 @@ util::Status WriteSnapshot(const roadnet::RoadNetwork& graph,
   add(kSectionGridVertexMin, gi_vertex_min, PayloadKind::kRaw);
   add(kSectionGridLbMatrix, gi_lb_matrix, PayloadKind::kRaw);
   add(kSectionGridScOffsets, gi_sc_offsets, PayloadKind::kRaw);
-  add(kSectionGridScData, gi_sc_data, PayloadKind::kCellNeighbor);
+  add(kSectionGridScData, gi_sc_data, PayloadKind::kRaw);
   add(kSectionChRank, ch_rank, PayloadKind::kRaw);
   add(kSectionChUpOffsets, ch_up_offsets, PayloadKind::kRaw);
   add(kSectionChDownOffsets, ch_down_offsets, PayloadKind::kRaw);
@@ -254,7 +241,6 @@ util::Status WriteSnapshot(const roadnet::RoadNetwork& graph,
   header.sizeof_size_t = sizeof(size_t);
   header.sizeof_graph_edge = sizeof(roadnet::Edge);
   header.sizeof_ch_edge = sizeof(roadnet::CHIndex::Edge);
-  header.sizeof_cell_neighbor = sizeof(roadnet::CellNeighbor);
   header.sizeof_point = sizeof(util::Point);
 
   {
@@ -344,7 +330,6 @@ util::Result<Snapshot> Snapshot::Load(const std::string& path) {
       header.sizeof_size_t != sizeof(size_t) ||
       header.sizeof_graph_edge != sizeof(roadnet::Edge) ||
       header.sizeof_ch_edge != sizeof(roadnet::CHIndex::Edge) ||
-      header.sizeof_cell_neighbor != sizeof(roadnet::CellNeighbor) ||
       header.sizeof_point != sizeof(util::Point)) {
     return util::Status::FailedPrecondition(util::StrFormat(
         "'%s' was written with different record layouts (ABI mismatch)",
@@ -459,8 +444,8 @@ util::Result<Snapshot> Snapshot::Load(const std::string& path) {
         sc_offsets,
         SectionView<size_t>(base, table, kSectionGridScOffsets));
     PTRIDER_ASSIGN_OR_RETURN(
-        sc_data, SectionView<roadnet::CellNeighbor>(base, table,
-                                                    kSectionGridScData));
+        sc_data,
+        SectionView<roadnet::CellId>(base, table, kSectionGridScData));
     if (cell_of_vertex.size() != n || vertex_min.size() != n ||
         lb_matrix.size() != cells * cells) {
       return util::Status::IoError(util::StrFormat(
@@ -475,6 +460,15 @@ util::Result<Snapshot> Snapshot::Load(const std::string& path) {
     PTRIDER_RETURN_IF_ERROR(ValidateOffsets(sc_offsets, cells,
                                             sc_data.size(),
                                             "grid sorted cell lists"));
+    // The matcher indexes per-cell tables with these ids.
+    for (const roadnet::CellId c : sc_data) {
+      if (c < 0 || static_cast<size_t>(c) >= cells) {
+        return util::Status::IoError(util::StrFormat(
+            "'%s': sorted cell list names cell %d outside the %zu-cell "
+            "grid",
+            path.c_str(), c, cells));
+      }
+    }
 
     auto [grid_graph, grid_options, cell_width, cell_height,
           build_stats] = SnapshotAccess::GridScalars(state->grid);

@@ -277,17 +277,19 @@ TEST(DispatchParallelTest, OversizedGroupsReconcileLikeSequential) {
   }
 }
 
-// MatchResult::anchor_settles is exact at one dispatch thread: the one
-// worker's anchors see the same request sequence in both runs.
-TEST(DispatchParallelTest, AnchorSettlesRepeatAtOneThread) {
+// Each batch position keeps its own anchor pair (DESIGN.md section 7.5),
+// so a match's anchor settles and distance computations depend on the
+// batch sequence only, never on the thread count that ran it.
+TEST(DispatchParallelTest, AnchorCountsEqualAcrossThreadCounts) {
   const roadnet::RoadNetwork graph = TestCity();
   const core::Config cfg = ContendedConfig(core::PricingPolicyKind::kPaper);
-  std::vector<std::vector<uint64_t>> settles(2);
-  for (std::vector<uint64_t>& run : settles) {
+  std::vector<std::vector<std::pair<uint64_t, uint64_t>>> counts;
+  for (const size_t threads : {1u, 2u, 4u}) {
+    std::vector<std::pair<uint64_t, uint64_t>>& run = counts.emplace_back();
     auto sys = core::PTRider::Create(graph, cfg);
     ASSERT_TRUE(sys.ok());
     ASSERT_TRUE((*sys)->InitFleetUniform(25, 3).ok());
-    ParallelDispatcher dispatcher(**sys, 1);
+    ParallelDispatcher dispatcher(**sys, threads);
     vehicle::RequestId next_id = 1;
     for (int round = 0; round < 3; ++round) {
       std::vector<vehicle::Request> batch =
@@ -297,14 +299,87 @@ TEST(DispatchParallelTest, AnchorSettlesRepeatAtOneThread) {
                                      core::Dispatcher::ChooseEarliest);
       ASSERT_TRUE(out.ok());
       for (const BatchItem& item : *out) {
-        run.push_back(item.match.anchor_settles);
+        run.emplace_back(item.match.anchor_settles,
+                         item.match.distance_computations);
       }
     }
   }
-  EXPECT_EQ(settles[0], settles[1]);
-  uint64_t total = 0;
-  for (const uint64_t n : settles[0]) total += n;
-  EXPECT_GT(total, 0u);
+  EXPECT_EQ(counts[0], counts[1]) << "1 vs 2 threads";
+  EXPECT_EQ(counts[0], counts[2]) << "1 vs 4 threads";
+  uint64_t settles = 0;
+  for (const auto& [n, computed] : counts[0]) settles += n;
+  EXPECT_GT(settles, 0u);
+}
+
+// A commit resumes the anchor searches its match ran: ChooseOption
+// re-walks only lookups the match already made, so the system oracle
+// answers every one from the lent pair and computes nothing.
+TEST(DispatchParallelTest, CommitsComputeNothingTheirMatchLookedUp) {
+  const roadnet::RoadNetwork graph = TestCity();
+  const core::Config cfg = ContendedConfig(core::PricingPolicyKind::kPaper);
+  for (const size_t threads : {1u, 2u}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    auto sys = core::PTRider::Create(graph, cfg);
+    ASSERT_TRUE(sys.ok());
+    ASSERT_TRUE((*sys)->InitFleetUniform(25, 3).ok());
+    ParallelDispatcher dispatcher(**sys, threads);
+    const roadnet::DistanceOracle& oracle = (*sys)->oracle();
+    size_t assigned = 0;
+    for (const vehicle::Request& r :
+         MakeBatch(graph, cfg, /*count=*/10, /*seed=*/41, /*first_id=*/1)) {
+      const uint64_t computed = oracle.computed();
+      const uint64_t hits = oracle.cache_hits();
+      auto out =
+          dispatcher.Dispatch({r}, 100.0, core::Dispatcher::ChooseEarliest);
+      ASSERT_TRUE(out.ok());
+      ASSERT_EQ(out->size(), 1u);
+      if (!(*out)[0].assigned) continue;
+      ++assigned;
+      EXPECT_EQ(oracle.computed(), computed) << "request " << r.id;
+      EXPECT_GT(oracle.cache_hits(), hits) << "request " << r.id;
+    }
+    EXPECT_GE(assigned, 5u);
+  }
+}
+
+// Positions past the anchor budget match and commit on the holding
+// oracles' own searches; the items still equal the sequential
+// reference's. The 3,600-vertex city fits 113 pairs in the budget.
+TEST(DispatchParallelTest, BatchPastAnchorBudgetMatchesSequential) {
+  roadnet::CityGridOptions city;
+  city.rows = 60;
+  city.cols = 60;
+  city.spacing_m = 100.0;
+  city.seed = 13;
+  auto graph = roadnet::MakeCityGrid(city);
+  ASSERT_TRUE(graph.ok());
+  const size_t budget_pairs =
+      ParallelDispatcher::kAnchorBudgetBytes /
+      roadnet::DistanceOracle::AnchorPair::PairBytes(*graph);
+  const core::Config cfg = ContendedConfig(core::PricingPolicyKind::kSurge);
+  roadnet::GridIndexOptions grid;
+  grid.cells_x = 8;
+  grid.cells_y = 8;
+  auto seq_sys = core::PTRider::Create(*graph, cfg, grid);
+  auto par_sys = core::PTRider::Create(*graph, cfg, grid);
+  ASSERT_TRUE(seq_sys.ok());
+  ASSERT_TRUE(par_sys.ok());
+  ASSERT_TRUE((*seq_sys)->InitFleetUniform(30, 8).ok());
+  ASSERT_TRUE((*par_sys)->InitFleetUniform(30, 8).ok());
+  core::BatchDispatcher sequential(**seq_sys);
+  ParallelDispatcher parallel(**par_sys, /*num_threads=*/2);
+  std::vector<vehicle::Request> batch =
+      MakeBatch(*graph, cfg, /*count=*/budget_pairs + 12, /*seed=*/70,
+                /*first_id=*/1);
+  ASSERT_GT(batch.size(), budget_pairs);
+  auto seq =
+      sequential.Dispatch(batch, 100.0, core::Dispatcher::ChooseCheapest);
+  auto par = parallel.Dispatch(batch, 100.0, core::Dispatcher::ChooseCheapest);
+  ASSERT_TRUE(seq.ok());
+  ASSERT_TRUE(par.ok());
+  ExpectItemsEqual(*seq, *par);
+  ExpectSystemsEqual(**seq_sys, **par_sys);
+  EXPECT_GT(parallel.reprobe_count() + parallel.rematch_count(), 0u);
 }
 
 TEST(DispatchParallelTest, DecliningChooserCommitsNothing) {

@@ -113,14 +113,16 @@ TEST(GridIndexTest, SortedCellListsAscendingAndComplete) {
   const PaperExampleNetwork ex = MakePaperExampleNetwork();
   const GridIndex index = BuildIndex(ex.graph, 3);
   for (CellId c = 0; c < index.NumCells(); ++c) {
-    const auto& list = index.SortedCellList(c);
+    // The list holds ids; each entry's bound is its matrix entry.
+    const auto list = index.SortedCellList(c);
     for (size_t i = 1; i < list.size(); ++i) {
-      EXPECT_LE(list[i - 1].lower_bound, list[i].lower_bound);
+      EXPECT_LE(index.CellPairLowerBound(c, list[i - 1]),
+                index.CellPairLowerBound(c, list[i]));
     }
-    for (const CellNeighbor& cn : list) {
-      EXPECT_NE(cn.cell, c);
-      EXPECT_FALSE(index.Vertices(cn.cell).empty());
-      EXPECT_DOUBLE_EQ(cn.lower_bound, index.CellPairLowerBound(c, cn.cell));
+    for (const CellId cell : list) {
+      EXPECT_NE(cell, c);
+      EXPECT_FALSE(index.Vertices(cell).empty());
+      EXPECT_LT(index.CellPairLowerBound(c, cell), kInfWeight);
     }
   }
 }

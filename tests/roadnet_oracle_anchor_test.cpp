@@ -1,6 +1,7 @@
 // Request anchoring (DESIGN.md section 7.5): while an AnchorScope is
 // alive, every distance with the request's start or destination as an
-// endpoint is read from a resumable single-source search. The contract
+// endpoint is read from a resumable single-source search, the oracle's
+// own or one lent to it with an AnchorLoan. The contract
 // is bit-identity with the unanchored oracle, so every comparison here is
 // on the raw bits of the double, never within a tolerance.
 
@@ -280,6 +281,70 @@ TEST(OracleAnchorTest, AnchorSettlesCountResumedSearches) {
   EXPECT_EQ(oracle.anchor_settles(), settled);
   oracle.ResetStats();
   EXPECT_EQ(oracle.anchor_settles(), 0u);
+}
+
+// An AnchorPair travels between oracles: lent to a second oracle, its
+// searches answer there in the raw bits the first oracle computed,
+// lookups already made settle nothing, and the borrower's own pair
+// comes back unchanged when the loan ends.
+TEST(OracleAnchorTest, LentPairAnswersInAnotherOracle) {
+  CityGridOptions city;
+  city.rows = 10;
+  city.cols = 10;
+  city.seed = 6;
+  auto g = MakeCityGrid(city);
+  ASSERT_TRUE(g.ok());
+  const VertexId s = 10;
+  const VertexId d = 50;
+  const std::vector<VertexId> looked_up = {70, 3, 99, 42, 0, 61};
+  for (const SpAlgorithm algo : kAlgorithms) {
+    SCOPED_TRACE(SpAlgorithmName(algo));
+    DistanceOracle first(*g, {algo, 1 << 10, true});
+    DistanceOracle second = first.Clone();
+    DistanceOracle plain = first.CloneWith({algo, 0, true});
+    DistanceOracle::AnchorPair pair;
+    std::vector<uint64_t> bits;
+    {
+      const DistanceOracle::AnchorLoan loan(first, &pair);
+      const DistanceOracle::AnchorScope scope(first, s, d);
+      for (const VertexId x : looked_up) {
+        bits.push_back(Bits(first.Distance(x, s)));
+        bits.push_back(Bits(first.Distance(d, x)));
+      }
+    }
+    EXPECT_GT(first.anchor_settles(), 0u);
+
+    // The borrower's own searches, anchored elsewhere before the loan.
+    Weight own = 0.0;
+    {
+      const DistanceOracle::AnchorScope scope(second, 20, 80);
+      own = second.Distance(33, 20);
+    }
+    const uint64_t own_settles = second.anchor_settles();
+    {
+      const DistanceOracle::AnchorLoan loan(second, &pair);
+      const DistanceOracle::AnchorScope scope(second, s, d);
+      const uint64_t computed = second.computed();
+      size_t k = 0;
+      for (const VertexId x : looked_up) {
+        EXPECT_EQ(Bits(second.Distance(s, x)), bits[k++]) << "v" << x;
+        EXPECT_EQ(Bits(second.Distance(x, d)), bits[k++]) << "v" << x;
+      }
+      EXPECT_EQ(second.computed(), computed);
+      EXPECT_EQ(second.anchor_settles(), own_settles);
+      // A new lookup resumes the lent search, still in the engines' bits.
+      EXPECT_EQ(Bits(second.Distance(77, s)), Bits(plain.Distance(77, s)));
+      EXPECT_EQ(second.computed(), computed + 1);
+    }
+    {
+      const DistanceOracle::AnchorScope scope(second, 20, 80);
+      const uint64_t hits = second.cache_hits();
+      const uint64_t settles = second.anchor_settles();
+      EXPECT_EQ(Bits(second.Distance(20, 33)), Bits(own));
+      EXPECT_EQ(second.cache_hits(), hits + 1);
+      EXPECT_EQ(second.anchor_settles(), settles);
+    }
+  }
 }
 
 TEST(OracleAnchorTest, ClonesStartUnanchored) {

@@ -130,8 +130,9 @@ TEST(SnapshotRoundtripTest, StructuresSurviveExactly) {
     const auto want_sorted = b->grid->SortedCellList(a);
     ASSERT_EQ(sorted.size(), want_sorted.size()) << "cell " << a;
     for (size_t i = 0; i < sorted.size(); ++i) {
-      EXPECT_EQ(sorted[i].cell, want_sorted[i].cell);
-      EXPECT_EQ(sorted[i].lower_bound, want_sorted[i].lower_bound);
+      EXPECT_EQ(sorted[i], want_sorted[i]);
+      EXPECT_EQ(grid.CellPairLowerBound(a, sorted[i]),
+                b->grid->CellPairLowerBound(a, want_sorted[i]));
     }
     for (roadnet::CellId c = 0; c < grid.NumCells(); ++c) {
       EXPECT_EQ(grid.CellPairLowerBound(a, c),
@@ -361,6 +362,33 @@ TEST_F(SnapshotRejectionTest, GridDimensionsDisagreeWithArrays) {
               sizeof(header.checksum));
   Rewrite(bad);
   ExpectRejected("grid arrays disagree with metadata");
+}
+
+// A valid checksum over a sorted cell list naming a cell outside the
+// grid: the matcher would index the vehicle index's per-cell table with
+// it, so the loader must refuse the file.
+TEST_F(SnapshotRejectionTest, SortedCellListNamesCellOutsideGrid) {
+  std::vector<char> bad = bytes_;
+  FileHeader header;
+  std::memcpy(&header, bad.data(), sizeof(header));
+  SectionEntry lists{};
+  for (uint32_t i = 0; i < header.section_count; ++i) {
+    SectionEntry entry;
+    std::memcpy(&entry,
+                bad.data() + sizeof(FileHeader) + i * sizeof(SectionEntry),
+                sizeof(entry));
+    if (entry.id == kSectionGridScData) lists = entry;
+  }
+  ASSERT_GE(lists.size, sizeof(roadnet::CellId));
+  const roadnet::CellId outside = 3 * 3;  // the fixture's grid is 3x3
+  std::memcpy(bad.data() + lists.offset + lists.size - sizeof(outside),
+              &outside, sizeof(outside));
+  header.checksum = HashBytes(bad.data() + header.header_size,
+                              header.file_size - header.header_size);
+  std::memcpy(bad.data() + offsetof(FileHeader, checksum), &header.checksum,
+              sizeof(header.checksum));
+  Rewrite(bad);
+  ExpectRejected("outside the 9-cell grid");
 }
 
 TEST_F(SnapshotRejectionTest, FlippedTableByte) {

@@ -29,6 +29,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cstdint>
 #include <cstdio>
@@ -60,17 +61,30 @@ bool DeclaresHugeNumber(const uint8_t* data, size_t size) {
 }
 
 /// Writes the input to a stable scratch path (the parsers are
-/// file-based). One path per extension, reused across iterations.
+/// file-based). One path per extension, reused across iterations and
+/// removed at exit: the standalone replay returns from main and
+/// libFuzzer ends with exit(), and both run static destructors.
 const std::string& ScratchFile(const char* ext, const uint8_t* data,
                                size_t size) {
-  static std::string prefix = [] {
+  struct Scratch {
+    std::string prefix;
+    std::vector<std::string> written;
+    ~Scratch() {
+      for (const std::string& p : written) std::remove(p.c_str());
+    }
+  };
+  static Scratch scratch{[] {
     const char* tmp = std::getenv("TMPDIR");
     std::string d = (tmp != nullptr && tmp[0] != '\0') ? tmp : "/tmp";
     d += "/ptrider_fuzz_" + std::to_string(static_cast<long>(getpid()));
     return d;
-  }();
+  }(), {}};
   thread_local std::string path;
-  path = prefix + ext;
+  path = scratch.prefix + ext;
+  if (std::find(scratch.written.begin(), scratch.written.end(), path) ==
+      scratch.written.end()) {
+    scratch.written.push_back(path);
+  }
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out.write(reinterpret_cast<const char*>(data),
             static_cast<std::streamsize>(size));
