@@ -4,9 +4,12 @@
 // simulator configurations for an apples-to-apples comparison.
 //
 // Usage:  ./build/examples/example_trace_tools [trips] [out.csv]
-// Default: 400 trips, temp-file path.
+// Default: 400 trips. The road network, and the trace when no path is
+// given, go to a private directory under $TMPDIR that is removed at exit.
 
 #include <cstdio>
+#include <cstdlib>
+#include <filesystem>
 #include <string>
 
 #include "cli_args.h"
@@ -20,6 +23,32 @@ namespace {
 
 constexpr char kUsage[] = "usage: example_trace_tools [trips] [out.csv]\n";
 
+/// A fresh directory under $TMPDIR (mkdtemp), removed with its contents
+/// when the example returns, so concurrent runs never share a file and
+/// no run leaves one behind.
+class ScratchDir {
+ public:
+  ScratchDir() {
+    std::error_code error;
+    std::string dir = (std::filesystem::temp_directory_path(error) /
+                       "ptrider_trace_tools.XXXXXX")
+                          .string();
+    if (!error && mkdtemp(dir.data()) != nullptr) path_ = dir;
+  }
+  ~ScratchDir() {
+    std::error_code ignored;
+    if (!path_.empty()) std::filesystem::remove_all(path_, ignored);
+  }
+  ScratchDir(const ScratchDir&) = delete;
+  ScratchDir& operator=(const ScratchDir&) = delete;
+
+  /// Empty when the directory could not be made.
+  const std::filesystem::path& path() const { return path_; }
+
+ private:
+  std::filesystem::path path_;
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -28,9 +57,14 @@ int main(int argc, char** argv) {
   if (argc > 3) args.Fail("too many arguments");
   const auto trips = static_cast<size_t>(
       argc > 1 ? args.Int("trips", argv[1], 0, 10000000) : 400);
+  const ScratchDir scratch;
+  if (scratch.path().empty()) {
+    std::perror("example_trace_tools: cannot make a directory under TMPDIR");
+    return 1;
+  }
   const std::string trace_path =
-      argc > 2 ? argv[2] : "/tmp/ptrider_trace.csv";
-  const std::string graph_path = "/tmp/ptrider_network.csv";
+      argc > 2 ? argv[2] : (scratch.path() / "trace.csv").string();
+  const std::string graph_path = (scratch.path() / "network.csv").string();
 
   // 1. A city and a workload.
   roadnet::CityGridOptions city;

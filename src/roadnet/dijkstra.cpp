@@ -75,6 +75,7 @@ void DijkstraEngine::Run(
     settled_[u] = 1;
     ++last_settled_;
     ++total_settled_;
+    if (opts.settle_order != nullptr) opts.settle_order->push_back(u);
     if (targets_remaining > 0 && is_target(u)) {
       // Count distinct settled targets.
       size_t still_pending = 0;

@@ -26,6 +26,9 @@ class DijkstraEngine {
     /// When set, only vertices satisfying the filter are relaxed (sources
     /// are always allowed). Used for in-cell searches by the grid index.
     std::function<bool(VertexId)> filter = nullptr;
+    /// When set, every vertex the run settles is appended to it, in
+    /// settle order (ascending distance).
+    std::vector<VertexId>* settle_order = nullptr;
   };
 
   explicit DijkstraEngine(const RoadNetwork& graph);

@@ -210,6 +210,20 @@ util::Result<std::vector<VertexId>> DistanceOracle::ShortestPath(
   return astar_->LastPath();
 }
 
+Weight DistanceOracle::RouteDistance(std::span<const VertexId> route) const {
+  // Distance(a, b) searches from min(a, b) on a symmetric oracle, and a
+  // search's label adds each edge to the sum so far, starting from 0.
+  if (route.size() < 2) return 0.0;
+  const bool from_back = options_.symmetric && route.back() < route.front();
+  Weight d = 0.0;
+  for (size_t i = 1; i < route.size(); ++i) {
+    d += from_back ? graph_->EdgeWeight(route[route.size() - i],
+                                        route[route.size() - i - 1])
+                   : graph_->EdgeWeight(route[i - 1], route[i]);
+  }
+  return d;
+}
+
 uint64_t DistanceOracle::heap_pops() const {
   uint64_t pops = 0;
   if (dijkstra_) pops += dijkstra_->total_pops();

@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "roadnet/astar.h"
@@ -136,6 +137,14 @@ class DistanceOracle {
   /// unique beyond float rounding (DESIGN.md section 7.4) — and costs
   /// orders of magnitude fewer settles on large networks.
   util::Result<std::vector<VertexId>> ShortestPath(VertexId u, VertexId v);
+
+  /// Length of `route`, a ShortestPath result or any suffix of one (a
+  /// suffix of a shortest path is one too), summed the way
+  /// Distance(route.front(), route.back()) sums it: edge weights left
+  /// to right from the smaller end id when symmetric (DESIGN.md 7.4).
+  /// Under 7.4's premise that is the double Distance returns, without a
+  /// search; no counter moves. 0 for fewer than two vertices.
+  Weight RouteDistance(std::span<const VertexId> route) const;
 
   const RoadNetwork& graph() const { return *graph_; }
 

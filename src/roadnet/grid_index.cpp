@@ -45,7 +45,6 @@ util::Status GridIndex::BuildImpl(const RoadNetwork& graph) {
   FindBorderVertices();
   ComputeVertexMinToBorder();
   ComputeCellPairLowerBounds();
-  BuildSortedCellLists();
 
   build_stats_.build_seconds = timer.ElapsedSeconds();
   size_t non_empty = 0;
@@ -154,57 +153,51 @@ void GridIndex::ComputeVertexMinToBorder() {
 void GridIndex::ComputeCellPairLowerBounds() {
   const CellId m = NumCells();
   std::vector<Weight> lb_matrix(static_cast<size_t>(m) * m, kInfWeight);
-  for (CellId c = 0; c < m; ++c) {
-    lb_matrix[static_cast<size_t>(c) * m + c] = 0.0;
-  }
+  std::vector<char> is_border(graph_->NumVertices(), 0);
+  for (const VertexId b : bv_data_) is_border[b] = 1;
+  std::vector<size_t> offsets(static_cast<size_t>(m) + 1, 0);
+  std::vector<CellId> lists;
+  // A row lists at most m - 1 cells. Pages past the lists' final size
+  // are never written, so the bound costs address space, not memory.
+  lists.reserve(static_cast<size_t>(m) * static_cast<size_t>(m - 1));
 
   DijkstraEngine engine(*graph_);
+  std::vector<std::pair<VertexId, Weight>> sources;
+  std::vector<VertexId> settled;
+  DijkstraEngine::RunOptions opts;
+  opts.settle_order = &settled;
   for (CellId c = 0; c < m; ++c) {
+    Weight* row = &lb_matrix[static_cast<size_t>(c) * m];
+    row[c] = 0.0;
     const std::span<const VertexId> bvs = BorderVertices(c);
-    if (bvs.empty()) continue;
-    std::vector<std::pair<VertexId, Weight>> sources;
-    sources.reserve(bvs.size());
-    for (VertexId b : bvs) sources.push_back({b, 0.0});
-    engine.Run(sources);  // full-graph multi-source
-    for (CellId c2 = 0; c2 < m; ++c2) {
-      if (c2 == c) continue;
-      Weight best = kInfWeight;
-      for (VertexId y : BorderVertices(c2)) {
-        best = std::min(best, engine.DistanceTo(y));
+    if (!bvs.empty()) {
+      sources.clear();
+      for (VertexId b : bvs) sources.push_back({b, 0.0});
+      settled.clear();
+      engine.Run(sources, opts);  // full-graph multi-source
+      // Vertices settle in ascending distance, so the first border vertex
+      // of another cell to settle gives that cell's bound (the minimum
+      // over its border vertices), and cells are met in ascending bound
+      // order; unreached cells stay infinite and unlisted. Equal bounds
+      // are listed by id.
+      const auto row_begin = static_cast<ptrdiff_t>(lists.size());
+      for (const VertexId y : settled) {
+        const CellId c2 = cell_of_vertex_[y];
+        if (is_border[y] == 0 || row[c2] != kInfWeight) continue;
+        row[c2] = engine.DistanceTo(y);
+        auto at = lists.end();
+        while (at - lists.begin() > row_begin && row[at[-1]] == row[c2] &&
+               at[-1] > c2) {
+          --at;
+        }
+        lists.insert(at, c2);
       }
-      lb_matrix[static_cast<size_t>(c) * m + c2] = best;
     }
+    offsets[static_cast<size_t>(c) + 1] = lists.size();
   }
   lb_matrix_ = std::move(lb_matrix);
-}
-
-void GridIndex::BuildSortedCellLists() {
-  const CellId m = NumCells();
-  const auto listed = [&](CellId c, CellId c2) {
-    return c2 != c && !Vertices(c2).empty() &&
-           CellPairLowerBound(c, c2) != kInfWeight;  // skip unreachable
-  };
-  std::vector<size_t> offsets(static_cast<size_t>(m) + 1, 0);
-  for (CellId c = 0; c < m; ++c) {
-    size_t count = 0;
-    for (CellId c2 = 0; c2 < m; ++c2) count += listed(c, c2) ? 1 : 0;
-    offsets[static_cast<size_t>(c) + 1] = offsets[c] + count;
-  }
-  std::vector<CellId> data(offsets[m]);
-  for (CellId c = 0; c < m; ++c) {
-    const auto first = data.begin() + static_cast<ptrdiff_t>(offsets[c]);
-    auto out = first;
-    for (CellId c2 = 0; c2 < m; ++c2) {
-      if (listed(c, c2)) *out++ = c2;
-    }
-    const Weight* row = &lb_matrix_[static_cast<size_t>(c) * m];
-    std::sort(first, out, [row](CellId a, CellId b) {
-      if (row[a] != row[b]) return row[a] < row[b];
-      return a < b;
-    });
-  }
   sc_offsets_ = std::move(offsets);
-  sc_data_ = std::move(data);
+  sc_data_ = std::move(lists);
 }
 
 Weight GridIndex::CellPairLowerBound(CellId a, CellId b) const {

@@ -115,8 +115,9 @@ class GridIndex {
   void AssignCells();
   void FindBorderVertices();
   void ComputeVertexMinToBorder();
+  /// The cell-pair matrix and the sorted cell lists, both from one
+  /// multi-source search per cell.
   void ComputeCellPairLowerBounds();
-  void BuildSortedCellLists();
   size_t EstimateMemory() const;
 
   const RoadNetwork* graph_ = nullptr;

@@ -1,6 +1,7 @@
 #include "sim/movement.h"
 
 #include <algorithm>
+#include <span>
 #include <utility>
 
 #include "core/distance_providers.h"
@@ -172,11 +173,20 @@ MovementOutcome AdvanceVehicle(const core::PTRider& system,
     ++m.next;
     const std::vector<vehicle::Stop> executing =
         serving ? v.tree().BestBranch().stops : std::vector<vehicle::Stop>{};
+    // The rest of a planned route is a suffix of the oracle's shortest
+    // path to its end, so its sum is the exact root leg to that end
+    // (DESIGN.md section 7.5). A cruise segment is not planned.
+    vehicle::KnownRootLeg route_rest;
+    if (m.has_target) {
+      route_rest = {m.path.back(),
+                    oracle.RouteDistance(
+                        std::span(m.path).subspan(m.next - 1))};
+    }
     // UpdateVehicleLocation, scratch half: accrue the movement and walk
     // the tree forward (index registration happens once, at commit).
     v.AccrueMovement(m.meters_since_update, v.tree().OnboardRequests());
-    out.status = v.mutable_tree().AdvanceTo(to, m.meters_since_update,
-                                            sched, dist, executing);
+    out.status = v.mutable_tree().AdvanceTo(
+        to, m.meters_since_update, sched, dist, executing, route_rest);
     if (!out.status.ok()) return out;
     m.meters_since_update = 0.0;
     if (m.next >= m.path.size()) {

@@ -100,13 +100,15 @@ struct MetaSection {
   uint32_t reserved;  // zero
   double grid_cell_width;
   double grid_cell_height;
-  double grid_build_seconds;
+  // Zero. Formerly the wall-clock build times, which made snapshots of
+  // identical inputs differ.
+  double retired_grid_build_seconds;
   uint64_t grid_border_vertex_count;
   uint64_t grid_non_empty_cells;
   uint64_t grid_approx_memory_bytes;
   // CHIndex scalars.
   uint64_t ch_num_shortcuts;
-  double ch_build_seconds;
+  double retired_ch_build_seconds;  // zero (see above)
 };
 static_assert(sizeof(MetaSection) == 128, "on-disk meta layout drifted");
 

@@ -144,6 +144,29 @@ util::Status ValidateOffsets(const util::ArrayRef<size_t>& offsets,
   return util::Status::Ok();
 }
 
+// Searches and per-cell lookups index arrays with the ids these
+// sections hold, unchecked, so the loader refuses any id outside
+// [0, limit): a crafted file with a recomputed checksum would otherwise
+// send them out of bounds. `kind` and `whole` name the ids and their
+// range in the message ("vertex", "graph").
+template <typename T, typename IdOf>
+util::Status CheckIds(const std::string& path,
+                      const util::ArrayRef<T>& records, IdOf id_of,
+                      size_t limit, const char* array, const char* kind,
+                      const char* whole) {
+  for (const T& record : records) {
+    const int32_t id = id_of(record);
+    if (id < 0 || static_cast<size_t>(id) >= limit) {
+      return util::Status::IoError(util::StrFormat(
+          "'%s': %s names %s %d outside the %zu-%s %s", path.c_str(), array,
+          kind, id, limit, kind, whole));
+    }
+  }
+  return util::Status::Ok();
+}
+
+int32_t Id(int32_t id) { return id; }
+
 }  // namespace
 
 util::Status WriteSnapshot(const roadnet::RoadNetwork& graph,
@@ -168,8 +191,7 @@ util::Status WriteSnapshot(const roadnet::RoadNetwork& graph,
   const auto [gi_graph, gi_options, gi_cell_width, gi_cell_height,
               gi_stats] = SnapshotAccess::GridScalars(grid);
   const auto [ch_rank, ch_up_offsets, ch_down_offsets, ch_up_edges,
-              ch_down_edges, ch_num_shortcuts, ch_build_seconds] =
-      SnapshotAccess::CHFields(ch);
+              ch_down_edges, ch_num_shortcuts] = SnapshotAccess::CHFields(ch);
   (void)gi_graph;
 
   MetaSection meta;
@@ -185,12 +207,10 @@ util::Status WriteSnapshot(const roadnet::RoadNetwork& graph,
   meta.grid_cells_y = gi_options.cells_y;
   meta.grid_cell_width = gi_cell_width;
   meta.grid_cell_height = gi_cell_height;
-  meta.grid_build_seconds = gi_stats.build_seconds;
   meta.grid_border_vertex_count = gi_stats.border_vertex_count;
   meta.grid_non_empty_cells = gi_stats.non_empty_cells;
   meta.grid_approx_memory_bytes = gi_stats.approx_memory_bytes;
   meta.ch_num_shortcuts = ch_num_shortcuts;
-  meta.ch_build_seconds = ch_build_seconds;
 
   std::vector<SectionSpec> sections;
   const auto add = [&sections](uint32_t id, const auto& array,
@@ -406,6 +426,9 @@ util::Result<Snapshot> Snapshot::Load(const std::string& path) {
     }
     PTRIDER_RETURN_IF_ERROR(
         ValidateOffsets(offsets, n, m, "graph offsets"));
+    PTRIDER_RETURN_IF_ERROR(CheckIds(
+        path, edges, [](const roadnet::Edge& e) { return e.to; }, n,
+        "graph edge list", "vertex", "graph"));
     bounds.min_x = meta.bounds_min_x;
     bounds.min_y = meta.bounds_min_y;
     bounds.max_x = meta.bounds_max_x;
@@ -460,15 +483,14 @@ util::Result<Snapshot> Snapshot::Load(const std::string& path) {
     PTRIDER_RETURN_IF_ERROR(ValidateOffsets(sc_offsets, cells,
                                             sc_data.size(),
                                             "grid sorted cell lists"));
-    // The matcher indexes per-cell tables with these ids.
-    for (const roadnet::CellId c : sc_data) {
-      if (c < 0 || static_cast<size_t>(c) >= cells) {
-        return util::Status::IoError(util::StrFormat(
-            "'%s': sorted cell list names cell %d outside the %zu-cell "
-            "grid",
-            path.c_str(), c, cells));
-      }
-    }
+    PTRIDER_RETURN_IF_ERROR(CheckIds(path, cell_of_vertex, Id, cells,
+                                     "cell_of_vertex", "cell", "grid"));
+    PTRIDER_RETURN_IF_ERROR(CheckIds(path, cv_data, Id, n,
+                                     "grid vertex list", "vertex", "graph"));
+    PTRIDER_RETURN_IF_ERROR(CheckIds(path, bv_data, Id, n,
+                                     "grid border list", "vertex", "graph"));
+    PTRIDER_RETURN_IF_ERROR(CheckIds(path, sc_data, Id, cells,
+                                     "sorted cell list", "cell", "grid"));
 
     auto [grid_graph, grid_options, cell_width, cell_height,
           build_stats] = SnapshotAccess::GridScalars(state->grid);
@@ -477,7 +499,6 @@ util::Result<Snapshot> Snapshot::Load(const std::string& path) {
     grid_options.cells_y = meta.grid_cells_y;
     cell_width = meta.grid_cell_width;
     cell_height = meta.grid_cell_height;
-    build_stats.build_seconds = meta.grid_build_seconds;
     build_stats.border_vertex_count = meta.grid_border_vertex_count;
     build_stats.non_empty_cells = meta.grid_non_empty_cells;
     build_stats.approx_memory_bytes = meta.grid_approx_memory_bytes;
@@ -486,8 +507,7 @@ util::Result<Snapshot> Snapshot::Load(const std::string& path) {
   // --- CHIndex -------------------------------------------------------------
   {
     auto [rank, up_offsets, down_offsets, up_edges, down_edges,
-          num_shortcuts, build_seconds] =
-        SnapshotAccess::CHFields(state->ch);
+          num_shortcuts] = SnapshotAccess::CHFields(state->ch);
     PTRIDER_ASSIGN_OR_RETURN(
         rank, SectionView<uint32_t>(base, table, kSectionChRank));
     PTRIDER_ASSIGN_OR_RETURN(
@@ -510,8 +530,20 @@ util::Result<Snapshot> Snapshot::Load(const std::string& path) {
         up_offsets, n, up_edges.size(), "CH up adjacency"));
     PTRIDER_RETURN_IF_ERROR(ValidateOffsets(
         down_offsets, n, down_edges.size(), "CH down adjacency"));
+    const auto other = [](const roadnet::CHIndex::Edge& e) {
+      return e.other;
+    };
+    // An original edge has no middle vertex; it reads as vertex 0 here.
+    const auto middle = [](const roadnet::CHIndex::Edge& e) {
+      return e.middle == roadnet::kInvalidVertex ? 0 : e.middle;
+    };
+    for (const auto* edges : {&up_edges, &down_edges}) {
+      PTRIDER_RETURN_IF_ERROR(CheckIds(path, *edges, other, n,
+                                       "CH edge list", "vertex", "graph"));
+      PTRIDER_RETURN_IF_ERROR(CheckIds(path, *edges, middle, n,
+                                       "CH shortcut", "vertex", "graph"));
+    }
     num_shortcuts = meta.ch_num_shortcuts;
-    build_seconds = meta.ch_build_seconds;
   }
 
   state->mapping = std::move(mapping);

@@ -50,11 +50,11 @@ class SnapshotAccess {
   }
 
   /// rank, up_offsets, down_offsets, up_edges, down_edges,
-  /// num_shortcuts, build_seconds.
+  /// num_shortcuts.
   template <typename CHIndexT>
   static auto CHFields(CHIndexT& c) {
     return std::tie(c.rank_, c.up_offsets_, c.down_offsets_, c.up_edges_,
-                    c.down_edges_, c.num_shortcuts_, c.build_seconds_);
+                    c.down_edges_, c.num_shortcuts_);
   }
 };
 

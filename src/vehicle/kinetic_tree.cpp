@@ -418,7 +418,8 @@ util::Status KineticTree::AdvanceTo(roadnet::VertexId new_root,
                                     double distance_m,
                                     const ScheduleContext& ctx,
                                     DistanceProvider& dist,
-                                    const std::vector<Stop>& executing) {
+                                    const std::vector<Stop>& executing,
+                                    KnownRootLeg known) {
   for (auto& [id, p] : pending_) {
     if (p.onboard) p.consumed_trip_distance_m += distance_m;
   }
@@ -428,8 +429,11 @@ util::Status KineticTree::AdvanceTo(roadnet::VertexId new_root,
   std::vector<Branch> kept;
   for (Branch& b : branches_) {
     // Only the first leg depends on the root.
-    const roadnet::Weight first =
-        b.stops.empty() ? 0.0 : dist.Exact(root_, b.stops.front().location);
+    roadnet::Weight first = 0.0;
+    if (!b.stops.empty()) {
+      const roadnet::VertexId stop = b.stops.front().location;
+      first = stop == known.to ? known.distance : dist.Exact(root_, stop);
+    }
     b.total = b.total - b.legs.front() + first;
     b.legs.front() = first;
     const bool is_executing = !executing.empty() && b.stops == executing;

@@ -68,6 +68,15 @@ struct InsertionCandidate {
   std::vector<roadnet::Weight> legs;
 };
 
+/// A root leg the caller of KineticTree::AdvanceTo already knows: the
+/// exact distance from the new root to `to`. A moving vehicle knows the
+/// one to the end of the route it drives (DistanceOracle::RouteDistance
+/// of the route's rest); `to` is kInvalidVertex when there is none.
+struct KnownRootLeg {
+  roadnet::VertexId to = roadnet::kInvalidVertex;
+  roadnet::Weight distance = 0.0;
+};
+
 /// Insertion effort counters (experiment E3 / E10).
 struct InsertionStats {
   uint64_t sequences_generated = 0;
@@ -169,14 +178,18 @@ class KineticTree {
   // --- Simulation-side operations -------------------------------------------
   /// The vehicle moved `distance_m` meters and is now at vertex
   /// `new_root`. Accrues onboard trip consumption, recomputes first legs,
-  /// and prunes branches that became invalid. `executing` (may be empty)
-  /// names the stop sequence the vehicle is driving; that branch is never
-  /// pruned (it stays feasible under constant speed; this guards float
-  /// drift). Errors if every branch died.
+  /// and prunes branches that became invalid. A branch whose first stop
+  /// is at `known.to` takes `known.distance` as its first leg; every
+  /// other first leg is asked of `dist` (DESIGN.md section 7.5). The rest
+  /// of each branch is re-validated from its cached legs. `executing`
+  /// (may be empty) names the stop sequence the vehicle is driving; that
+  /// branch is never pruned (it stays feasible under constant speed;
+  /// this guards float drift). Errors if every branch died.
   util::Status AdvanceTo(roadnet::VertexId new_root, double distance_m,
                          const ScheduleContext& ctx,
                          DistanceProvider& dist,
-                         const std::vector<Stop>& executing);
+                         const std::vector<Stop>& executing,
+                         KnownRootLeg known = {});
 
   /// Consumes the best branch's first stop; the root must already be at
   /// that stop's location. Applies the pick-up/drop-off state change and

@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <span>
+#include <string>
+#include <vector>
+
 #include "roadnet/astar.h"
 #include "roadnet/dijkstra.h"
 #include "roadnet/distance_oracle.h"
@@ -322,6 +328,69 @@ TEST(DistanceOracleTest, ShortestPathExtraction) {
   EXPECT_EQ(self->size(), 1u);
 
   EXPECT_FALSE(oracle.ShortestPath(-1, 2).ok());
+}
+
+// Movement reads each root leg to the end of a vehicle's route from the
+// rest of that route (DESIGN.md 7.5): a suffix of a ShortestPath is a
+// shortest path too, summed in the oracle's order. Raw-bit equality with
+// a search holds under 7.4's premise, shortest paths unique beyond float
+// rounding, which every jittered generated graph meets. On an unjittered
+// lattice (weight_jitter = position_jitter = 0) rounding ties abound, a
+// search may sum a different tied path, and the engines themselves agree
+// only within a few ulps, so no such graph is tested here.
+TEST(DistanceOracleTest, RouteDistanceOfEverySuffixIsTheSearchedBits) {
+  std::vector<std::pair<std::string, RoadNetwork>> graphs;
+  for (const uint64_t seed : {5, 17, 29}) {
+    CityGridOptions city;
+    city.rows = 16;
+    city.cols = 16;
+    city.seed = seed;
+    auto g = MakeCityGrid(city);
+    ASSERT_TRUE(g.ok());
+    graphs.emplace_back("city seed " + std::to_string(seed),
+                        std::move(g).value());
+  }
+  RingCityOptions ring;
+  ring.rings = 10;
+  ring.spokes = 20;
+  ring.seed = 8;
+  auto r = MakeRingCity(ring);
+  ASSERT_TRUE(r.ok());
+  graphs.emplace_back("ring", std::move(r).value());
+
+  for (const auto& [name, g] : graphs) {
+    for (const SpAlgorithm algo :
+         {SpAlgorithm::kDijkstra, SpAlgorithm::kAStar,
+          SpAlgorithm::kContractionHierarchy}) {
+      DistanceOracleOptions opts;
+      opts.algorithm = algo;
+      opts.cache_capacity = 0;
+      DistanceOracle router(g, opts);
+      DistanceOracle reference = router.Clone();
+      util::Rng rng(7);
+      const auto n = static_cast<int64_t>(g.NumVertices());
+      size_t suffixes = 0;
+      for (int i = 0; i < 300; ++i) {
+        const auto u = static_cast<VertexId>(rng.UniformInt(0, n - 1));
+        const auto v = static_cast<VertexId>(rng.UniformInt(0, n - 1));
+        auto route = router.ShortestPath(u, v);
+        ASSERT_TRUE(route.ok());
+        const std::span<const VertexId> whole(*route);
+        for (size_t k = 0; k < whole.size(); ++k) {
+          const std::span<const VertexId> rest = whole.subspan(k);
+          ASSERT_EQ(std::bit_cast<uint64_t>(router.RouteDistance(rest)),
+                    std::bit_cast<uint64_t>(
+                        reference.Distance(rest.front(), rest.back())))
+              << name << ", " << SpAlgorithmName(algo) << ": route v" << u
+              << " -> v" << v << " from position " << k;
+          ++suffixes;
+        }
+      }
+      EXPECT_GT(suffixes, 2500u) << name;
+      // Summing a route is arithmetic, not a query.
+      EXPECT_EQ(router.queries(), 300u);
+    }
+  }
 }
 
 }  // namespace

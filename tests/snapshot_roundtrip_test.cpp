@@ -69,6 +69,13 @@ std::string WriteTempSnapshot(const Built& b, const char* name) {
   return path;
 }
 
+std::vector<char> ReadBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in.good()) << path;
+  return {std::istreambuf_iterator<char>(in),
+          std::istreambuf_iterator<char>()};
+}
+
 TEST(SnapshotRoundtripTest, StructuresSurviveExactly) {
   roadnet::GridIndexOptions gridopts;
   gridopts.cells_x = 5;
@@ -105,11 +112,17 @@ TEST(SnapshotRoundtripTest, StructuresSurviveExactly) {
 
   // Grid: same resolution, every array element for element (per-vertex
   // cells and v.min, each cell's three lists, every cell-pair bound), and
-  // the DebugString (which folds in the build stats) matches verbatim.
+  // the build stats, except the wall-clock build time, which the file
+  // does not hold.
   const roadnet::GridIndex& grid = loaded->grid();
   EXPECT_EQ(grid.cells_x(), b->grid->cells_x());
   EXPECT_EQ(grid.cells_y(), b->grid->cells_y());
-  EXPECT_EQ(grid.DebugString(), b->grid->DebugString());
+  const roadnet::GridIndex::BuildStats& stats = grid.build_stats();
+  const roadnet::GridIndex::BuildStats& want_stats = b->grid->build_stats();
+  EXPECT_EQ(stats.border_vertex_count, want_stats.border_vertex_count);
+  EXPECT_EQ(stats.non_empty_cells, want_stats.non_empty_cells);
+  EXPECT_EQ(stats.approx_memory_bytes, want_stats.approx_memory_bytes);
+  EXPECT_EQ(stats.build_seconds, 0.0);
   for (roadnet::VertexId v = 0;
        v < static_cast<roadnet::VertexId>(g.NumVertices()); ++v) {
     EXPECT_EQ(grid.CellOfVertex(v), b->grid->CellOfVertex(v));
@@ -145,7 +158,8 @@ TEST(SnapshotRoundtripTest, StructuresSurviveExactly) {
   ASSERT_EQ(ch->NumVertices(), b->ch->NumVertices());
   EXPECT_EQ(ch->num_shortcuts(), b->ch->num_shortcuts());
   EXPECT_EQ(ch->num_edges(), b->ch->num_edges());
-  EXPECT_EQ(ch->build_seconds(), b->ch->build_seconds());
+  // The file holds no wall-clock build times.
+  EXPECT_EQ(ch->build_seconds(), 0.0);
   for (roadnet::VertexId v = 0;
        v < static_cast<roadnet::VertexId>(g.NumVertices()); ++v) {
     EXPECT_EQ(ch->Rank(v), b->ch->Rank(v));
@@ -252,6 +266,24 @@ TEST(SnapshotRoundtripTest, SimulationReportIdenticalFreshVsLoaded) {
   std::remove(path.c_str());
 }
 
+// DESIGN.md section 12.2: identical inputs produce byte-identical files.
+// Two independent builds of one city take different wall-clock times,
+// which the file must not record.
+TEST(SnapshotRoundtripTest, IdenticalInputsWriteIdenticalBytes) {
+  roadnet::GridIndexOptions gridopts;
+  gridopts.cells_x = 4;
+  gridopts.cells_y = 3;
+  const auto first = BuildCity(/*seed=*/17, gridopts);
+  const auto second = BuildCity(/*seed=*/17, gridopts);
+  const std::string a = WriteTempSnapshot(*first, "identical_a.snap");
+  const std::string b = WriteTempSnapshot(*second, "identical_b.snap");
+  const std::vector<char> a_bytes = ReadBytes(a);
+  EXPECT_GT(a_bytes.size(), sizeof(FileHeader));
+  EXPECT_TRUE(a_bytes == ReadBytes(b));
+  std::remove(a.c_str());
+  std::remove(b.c_str());
+}
+
 // --- Rejection: the loader must fail cleanly, never crash ------------------
 
 class SnapshotRejectionTest : public ::testing::Test {
@@ -262,10 +294,7 @@ class SnapshotRejectionTest : public ::testing::Test {
     gridopts.cells_y = 3;
     const auto b = BuildCity(/*seed=*/911, gridopts);
     path_ = WriteTempSnapshot(*b, "reject.snap");
-    std::ifstream in(path_, std::ios::binary);
-    ASSERT_TRUE(in.good());
-    bytes_.assign(std::istreambuf_iterator<char>(in),
-                  std::istreambuf_iterator<char>());
+    bytes_ = ReadBytes(path_);
     ASSERT_GT(bytes_.size(), sizeof(FileHeader));
   }
 
@@ -274,6 +303,30 @@ class SnapshotRejectionTest : public ::testing::Test {
   void Rewrite(const std::vector<char>& bytes) {
     std::ofstream out(path_, std::ios::binary | std::ios::trunc);
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+
+  // Rewrites the file with `id` at byte `at` of section `section` and
+  // the checksum recomputed, so only the loader's own checks stand
+  // between the planted id and the structures that index with it.
+  void PlantId(uint32_t section, size_t at, int32_t id) {
+    std::vector<char> bad = bytes_;
+    FileHeader header;
+    std::memcpy(&header, bad.data(), sizeof(header));
+    SectionEntry found{};
+    for (uint32_t i = 0; i < header.section_count; ++i) {
+      SectionEntry entry;
+      std::memcpy(&entry,
+                  bad.data() + sizeof(FileHeader) + i * sizeof(SectionEntry),
+                  sizeof(entry));
+      if (entry.id == section) found = entry;
+    }
+    ASSERT_GE(found.size, at + sizeof(id)) << "section " << section;
+    std::memcpy(bad.data() + found.offset + at, &id, sizeof(id));
+    header.checksum = HashBytes(bad.data() + header.header_size,
+                                header.file_size - header.header_size);
+    std::memcpy(bad.data() + offsetof(FileHeader, checksum),
+                &header.checksum, sizeof(header.checksum));
+    Rewrite(bad);
   }
 
   // Expects Load to fail with `needle` somewhere in the message.
@@ -368,27 +421,46 @@ TEST_F(SnapshotRejectionTest, GridDimensionsDisagreeWithArrays) {
 // grid: the matcher would index the vehicle index's per-cell table with
 // it, so the loader must refuse the file.
 TEST_F(SnapshotRejectionTest, SortedCellListNamesCellOutsideGrid) {
-  std::vector<char> bad = bytes_;
-  FileHeader header;
-  std::memcpy(&header, bad.data(), sizeof(header));
-  SectionEntry lists{};
-  for (uint32_t i = 0; i < header.section_count; ++i) {
-    SectionEntry entry;
-    std::memcpy(&entry,
-                bad.data() + sizeof(FileHeader) + i * sizeof(SectionEntry),
-                sizeof(entry));
-    if (entry.id == kSectionGridScData) lists = entry;
-  }
-  ASSERT_GE(lists.size, sizeof(roadnet::CellId));
   const roadnet::CellId outside = 3 * 3;  // the fixture's grid is 3x3
-  std::memcpy(bad.data() + lists.offset + lists.size - sizeof(outside),
-              &outside, sizeof(outside));
-  header.checksum = HashBytes(bad.data() + header.header_size,
-                              header.file_size - header.header_size);
-  std::memcpy(bad.data() + offsetof(FileHeader, checksum), &header.checksum,
-              sizeof(header.checksum));
-  Rewrite(bad);
+  PlantId(kSectionGridScData, 0, outside);
   ExpectRejected("outside the 9-cell grid");
+}
+
+// Every other id array the loaded structures index with, one case each.
+// 99999 names no vertex of the fixture's 14x11 city and no cell of its
+// 3x3 grid.
+TEST_F(SnapshotRejectionTest, GraphEdgeNamesVertexOutsideGraph) {
+  PlantId(kSectionGraphEdges, offsetof(roadnet::Edge, to), 99999);
+  ExpectRejected("graph edge list names vertex 99999 outside the");
+}
+
+TEST_F(SnapshotRejectionTest, ChEdgeNamesVertexOutsideGraph) {
+  PlantId(kSectionChUpEdges, offsetof(roadnet::CHIndex::Edge, other),
+          99999);
+  ExpectRejected("CH edge list names vertex 99999 outside the");
+}
+
+// kInvalidVertex marks an original edge (the pristine file is full of
+// them); any other id outside the graph is refused.
+TEST_F(SnapshotRejectionTest, ChShortcutMiddleOutsideGraph) {
+  PlantId(kSectionChDownEdges, offsetof(roadnet::CHIndex::Edge, middle),
+          -2);
+  ExpectRejected("CH shortcut names vertex -2 outside the");
+}
+
+TEST_F(SnapshotRejectionTest, CellOfVertexNamesCellOutsideGrid) {
+  PlantId(kSectionGridCellOfVertex, 0, 99999);
+  ExpectRejected("cell_of_vertex names cell 99999 outside the 9-cell grid");
+}
+
+TEST_F(SnapshotRejectionTest, CellVertexListNamesVertexOutsideGraph) {
+  PlantId(kSectionGridCvData, 0, 99999);
+  ExpectRejected("grid vertex list names vertex 99999 outside the");
+}
+
+TEST_F(SnapshotRejectionTest, BorderListNamesVertexOutsideGraph) {
+  PlantId(kSectionGridBvData, 0, 99999);
+  ExpectRejected("grid border list names vertex 99999 outside the");
 }
 
 TEST_F(SnapshotRejectionTest, FlippedTableByte) {
