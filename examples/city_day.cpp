@@ -29,6 +29,7 @@
 #include <cstring>
 #include <memory>
 #include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -40,6 +41,7 @@
 #include "snapshot/snapshot.h"
 #include "snapshot/system.h"
 #include "util/logging.h"
+#include "util/string_util.h"
 
 namespace {
 
@@ -183,9 +185,14 @@ int main(int argc, char** argv) {
   std::printf("Index: %s\n", pt.grid().DebugString().c_str());
   std::printf("SP engine: %s", roadnet::SpAlgorithmName(sp_algo));
   if (const roadnet::CHIndex* ch = pt.oracle().ch_index()) {
-    std::printf(" (preprocessed %.2f s, %zu shortcuts, %.1f MiB, "
-                "shared across worker clones)",
-                ch->build_seconds(), ch->num_shortcuts(),
+    // A snapshot holds no wall clock: a mapped CH was not built here.
+    const std::string origin =
+        snap.has_value()
+            ? std::string("loaded from snapshot")
+            : util::StrFormat("preprocessed %.2f s", ch->build_seconds());
+    std::printf(" (%s, %zu shortcuts, %.1f MiB, shared across worker "
+                "clones)",
+                origin.c_str(), ch->num_shortcuts(),
                 static_cast<double>(ch->MemoryBytes()) / (1024.0 * 1024.0));
   }
   std::printf("\n");

@@ -62,6 +62,10 @@ void IndexedMatcherBase::SearchCells(const vehicle::Request& request,
   const roadnet::GridIndex& grid = *ctx_.grid;
   const vehicle::VehicleIndex& vindex = *ctx_.vehicle_index;
   const MatchEffort& effort = ctx_.effort;
+  // Each schedule is screened with the price bound its vehicle was
+  // pruned with: the detour bound on the dual side, the floor otherwise.
+  const ScreenPrice screen_price =
+      dual_side_ ? ScreenPrice::kDetourLb : ScreenPrice::kMinPrice;
 
   util::VisitMarks& seen = ctx_.oracle->match_marks();
   seen.Reset(ctx_.fleet->size());
@@ -103,7 +107,8 @@ void IndexedMatcherBase::SearchCells(const vehicle::Request& request,
           continue;
         }
         EvaluateVehicle(v, request, ctx, dist, price, direct, radius,
-                        skyline, result, effort.max_probe_branches);
+                        skyline, result, screen_price,
+                        effort.max_probe_branches);
       }
     }
 
@@ -132,21 +137,18 @@ void IndexedMatcherBase::SearchCells(const vehicle::Request& request,
         continue;
       }
       EvaluateVehicle(v, request, ctx, dist, price, direct, radius, skyline,
-                      result, effort.max_probe_branches);
+                      result, screen_price, effort.max_probe_branches);
     }
     return true;
   };
 
   const roadnet::CellId start_cell = grid.CellOfVertex(request.start);
-  const roadnet::Weight s_min = grid.VertexMinToBorder(request.start);
   if (process_cell(start_cell, 0.0)) {
+    // The list ascends by cell-pair bound, so enter_lb ascends too.
     for (const roadnet::CellId cell : grid.SortedCellList(start_cell)) {
-      // dist(l, s) >= LB(cell(l), cell(s)) + s.min for l outside s's cell.
-      const roadnet::Weight enter_lb =
-          s_min == roadnet::kInfWeight
-              ? roadnet::kInfWeight
-              : grid.CellPairLowerBound(start_cell, cell) + s_min;
-      if (!process_cell(cell, enter_lb)) break;
+      if (!process_cell(cell, grid.CellLowerBound(cell, request.start))) {
+        break;
+      }
     }
   }
 }

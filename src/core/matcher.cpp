@@ -11,6 +11,49 @@ namespace {
 /// Clamp-to-zero helper for detour terms.
 roadnet::Weight Positive(roadnet::Weight x) { return x > 0.0 ? x : 0.0; }
 
+/// EvaluateVehicle's screen: rejects a schedule whose option the
+/// skyline would refuse. Exact because both bounds are <= the option's
+/// doubles (the walk sums as the exact walk does, and the price bound
+/// repeats Price's arithmetic on a smaller total), and the region the
+/// skyline strictly covers is upward closed and only grows.
+class SkylineScreen final : public vehicle::InsertionScreen {
+ public:
+  SkylineScreen(const Skyline& skyline, const pricing::PricingPolicy& pricing,
+                const vehicle::Request& request, roadnet::Weight direct,
+                roadnet::Weight radius, roadnet::Weight current_total,
+                ScreenPrice price)
+      : skyline_(skyline),
+        pricing_(pricing),
+        num_riders_(request.num_riders),
+        direct_(direct),
+        radius_(radius),
+        current_total_(current_total),
+        detour_(price == ScreenPrice::kDetourLb),
+        min_price_(pricing.MinPrice(request.num_riders, direct)) {}
+
+  bool Rejects(roadnet::Weight pickup_lb,
+               roadnet::Weight total_lb) const override {
+    if (pickup_lb > radius_) return true;
+    // Not clamped at 0: a schedule's total may round below the current
+    // one, and Price does not clamp either.
+    const double price_lb =
+        detour_ ? pricing_.PriceWithDetourLb(
+                      num_riders_, total_lb - current_total_, direct_)
+                : min_price_;
+    return skyline_.CoveredBy(pickup_lb, price_lb);
+  }
+
+ private:
+  const Skyline& skyline_;
+  const pricing::PricingPolicy& pricing_;
+  int num_riders_;
+  roadnet::Weight direct_;
+  roadnet::Weight radius_;
+  roadnet::Weight current_total_;
+  bool detour_;
+  double min_price_;
+};
+
 }  // namespace
 
 roadnet::Weight VehiclePickupLowerBound(const roadnet::GridIndex& grid,
@@ -84,12 +127,16 @@ size_t EvaluateVehicle(const vehicle::Vehicle& v,
                        const pricing::PricingPolicy& pricing,
                        roadnet::Weight direct, roadnet::Weight radius_m,
                        Skyline& skyline, MatchResult& result,
+                       ScreenPrice screen_price,
                        size_t max_probe_branches) {
   ++result.vehicles_examined;
   const roadnet::Weight current_total = v.tree().BestTotalDistance();
   const int committed_riders = v.tree().RidersCommitted();
+  const SkylineScreen screen(skyline, pricing, request, direct, radius_m,
+                             current_total, screen_price);
   std::vector<vehicle::InsertionCandidate> candidates = v.tree().TrialInsert(
-      request, ctx, dist, &result.insertion, max_probe_branches);
+      request, ctx, dist, &result.insertion, max_probe_branches,
+      screen_price == ScreenPrice::kNone ? nullptr : &screen);
   size_t accepted = 0;
   for (vehicle::InsertionCandidate& c : candidates) {
     if (c.pickup_distance > radius_m) continue;

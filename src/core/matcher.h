@@ -105,11 +105,27 @@ class Matcher {
   virtual const char* name() const = 0;
 };
 
-/// Evaluates a single vehicle exhaustively: trial-inserts the request into
-/// its kinetic tree and feeds every candidate within the pick-up radius
-/// into the skyline. Shared by all matchers. Returns the number of
-/// accepted candidates. `max_probe_branches` (0 = unlimited) is the
-/// MatchEffort branch cap, forwarded to KineticTree::TrialInsert.
+/// The price bound EvaluateVehicle's insertion screen gives a schedule
+/// from its lower-bound walk (DESIGN.md section 4.5).
+enum class ScreenPrice {
+  /// No screen: every schedule the bound walk passes is walked exactly
+  /// (the naive matcher).
+  kNone,
+  /// MinPrice(n, direct), the single-side matcher's floor.
+  kMinPrice,
+  /// PriceWithDetourLb(n, total_lb - current_total, direct): dual-side
+  /// matching and the dispatcher's re-probe.
+  kDetourLb,
+};
+
+/// Evaluates a single vehicle: trial-inserts the request into its
+/// kinetic tree and feeds every candidate within the pick-up radius into
+/// the skyline. Shared by all matchers. Unless `screen_price` is kNone,
+/// a schedule whose pick-up bound exceeds the radius, or whose (pick-up,
+/// price) bounds the skyline strictly covers, skips its exact walk: its
+/// option could not enter the skyline. Returns the number of accepted
+/// candidates. `max_probe_branches` (0 = unlimited) is the MatchEffort
+/// branch cap, forwarded to KineticTree::TrialInsert.
 size_t EvaluateVehicle(const vehicle::Vehicle& v,
                        const vehicle::Request& request,
                        const vehicle::ScheduleContext& ctx,
@@ -117,7 +133,8 @@ size_t EvaluateVehicle(const vehicle::Vehicle& v,
                        const pricing::PricingPolicy& pricing,
                        roadnet::Weight direct, roadnet::Weight radius_m,
                        class Skyline& skyline, MatchResult& result,
-                       size_t max_probe_branches = 0);
+                       ScreenPrice screen_price,
+                       size_t max_probe_branches);
 
 /// Admissible lower bound on the pick-up distance any schedule of `v`
 /// could offer a request starting at `start`: the minimum grid lower

@@ -25,7 +25,7 @@ MatchResult NaiveMatcher::Match(const vehicle::Request& request,
     for (const vehicle::Vehicle& v : ctx_.fleet->vehicles()) {
       if (effort.empty_vehicle_only && !v.tree().empty()) continue;
       EvaluateVehicle(v, request, ctx, dist, price, direct, radius, skyline,
-                      result, effort.max_probe_branches);
+                      result, ScreenPrice::kNone, effort.max_probe_branches);
     }
   }
   result.options = skyline.TakeSorted();

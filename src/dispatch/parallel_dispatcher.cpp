@@ -250,6 +250,7 @@ util::Result<std::vector<core::BatchItem>> ParallelDispatcher::Dispatch(
       core::IndexedDistanceProvider dist(system_->oracle(), grid);
       EvaluateVehicle(v, r, system_->MakeScheduleContext(now_s), dist,
                       pricing, m.direct_distance_m, radius, skyline, m,
+                      core::ScreenPrice::kDetourLb,
                       degrade_.effort.max_probe_branches);
     }
     if (reprobing) m.options = skyline.TakeSorted();

@@ -3,12 +3,37 @@
 #include <algorithm>
 #include <cmath>
 #include <sstream>
+#include <string>
 
 #include "roadnet/dijkstra.h"
 #include "util/string_util.h"
 #include "util/timer.h"
 
 namespace ptrider::roadnet {
+
+namespace {
+
+/// Every bound is scaled down by 1 - 2^-29, which makes it admissible in
+/// computed doubles, not only in real numbers (DESIGN.md section 3).
+/// With unit roundoff u = 2^-53 and n = |V|:
+///   * the oracle's distance is a floating sum of at most n - 1 positive
+///     edge weights along some path, so it is >= (1 - (n - 1)u') D,
+///     where D is the real shortest distance and u' = u / (1 - nu);
+///   * a stored v.min or cell-pair value is a Dijkstra label, which by
+///     monotone rounding is <= the left-to-right floating sum along the
+///     real shortest path it stands for, so <= (1 + (n - 1)u') times it;
+///     adding three such terms rounds twice more, and the real sum is
+///     <= D, so the unscaled cell bound is <= (1 + (n + 1)u') D;
+///   * an edge may be up to 1e-9 shorter than its straight line
+///     (RoadNetwork::GeometricLowerBoundValid), so the straight-line bound
+///     is <= (1 + 1e-9 + 10u) D.
+/// The scaled bound rounds once more. It stays <= the oracle's distance
+/// while 2^-29 exceeds both (2n + 2)u' and 1e-9 + (n + 11)u', which holds
+/// up to n = 7.7M, so for every graph Build accepts (kMaxVertices).
+constexpr Weight kBoundScale = 1.0 - 0x1p-29;
+constexpr size_t kMaxVertices = size_t{1} << 22;
+
+}  // namespace
 
 util::Result<GridIndex> GridIndex::Build(const RoadNetwork& graph,
                                          GridIndexOptions options) {
@@ -19,6 +44,11 @@ util::Result<GridIndex> GridIndex::Build(const RoadNetwork& graph,
   }
   if (graph.NumVertices() == 0) {
     return util::Status::FailedPrecondition("empty road network");
+  }
+  if (graph.NumVertices() > kMaxVertices) {
+    return util::Status::FailedPrecondition(util::StrFormat(
+        "grid bounds are proven admissible up to %zu vertices, got %zu",
+        kMaxVertices, graph.NumVertices()));
   }
   if (!IsSymmetric(graph)) {
     return util::Status::FailedPrecondition(
@@ -206,16 +236,21 @@ Weight GridIndex::CellPairLowerBound(CellId a, CellId b) const {
 
 Weight GridIndex::LowerBound(VertexId u, VertexId v) const {
   if (u == v) return 0.0;
-  const Weight geo = graph_->GeoLowerBound(u, v);
+  Weight lb = graph_->GeoLowerBound(u, v);
   const CellId cu = cell_of_vertex_[u];
   const CellId cv = cell_of_vertex_[v];
-  if (cu == cv) return geo;
-  const Weight cell_lb = CellPairLowerBound(cu, cv);
-  if (cell_lb == kInfWeight) return kInfWeight;  // provably unreachable
-  const Weight umin = vertex_min_[u];
-  const Weight vmin = vertex_min_[v];
-  if (umin == kInfWeight || vmin == kInfWeight) return kInfWeight;
-  return std::max(geo, umin + cell_lb + vmin);
+  // An infinite term (no border, or no path between the cells) proves
+  // v unreachable, and stays infinite through the sum and the scale.
+  if (cu != cv) {
+    lb = std::max(lb, vertex_min_[u] + CellPairLowerBound(cu, cv) +
+                          vertex_min_[v]);
+  }
+  return lb * kBoundScale;
+}
+
+Weight GridIndex::CellLowerBound(CellId c, VertexId v) const {
+  return (CellPairLowerBound(cell_of_vertex_[v], c) + vertex_min_[v]) *
+         kBoundScale;
 }
 
 Weight GridIndex::UpperBound(VertexId u, VertexId v) const {
@@ -272,8 +307,10 @@ std::string GridIndex::DebugString() const {
   os << "GridIndex{" << options_.cells_x << "x" << options_.cells_y
      << ", non_empty=" << build_stats_.non_empty_cells
      << ", borders=" << build_stats_.border_vertex_count
-     << ", mem=" << build_stats_.approx_memory_bytes / 1024 << " KiB"
-     << ", build=" << util::FormatDuration(build_stats_.build_seconds)
+     << ", mem=" << build_stats_.approx_memory_bytes / 1024 << " KiB, "
+     << (build_stats_.loaded
+             ? std::string("loaded from snapshot")
+             : "build=" + util::FormatDuration(build_stats_.build_seconds))
      << "}";
   return os.str();
 }

@@ -83,8 +83,15 @@ class GridIndex {
 
   /// Admissible lower bound on dist(u, v):
   /// max(geo_lb, u.min + LB(cell(u), cell(v)) + v.min) across cells,
-  /// geo_lb within a cell. Never exceeds the true distance.
+  /// geo_lb within a cell, scaled down by a proven margin so that it
+  /// never exceeds the double the distance oracle returns (DESIGN.md
+  /// section 3).
   Weight LowerBound(VertexId u, VertexId v) const;
+
+  /// Admissible lower bound on dist(x, v) for every vertex x of cell
+  /// `c` other than v's own: LB(cell(v), c) + v.min, scaled like
+  /// LowerBound. The time lemma's bound for a whole cell.
+  Weight CellLowerBound(CellId c, VertexId v) const;
 
   /// Returns kInfWeight ("no upper bound known") for every pair. Kept
   /// because bench/ptrider_bench still calls it from its distance
@@ -97,7 +104,10 @@ class GridIndex {
 
   // --- Introspection --------------------------------------------------------
   struct BuildStats {
+    /// Wall time of Build; 0 for an index mapped from a snapshot.
     double build_seconds = 0.0;
+    /// True when the index was mapped from a snapshot, not built here.
+    bool loaded = false;
     size_t border_vertex_count = 0;
     size_t non_empty_cells = 0;
     size_t approx_memory_bytes = 0;

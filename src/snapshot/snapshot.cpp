@@ -502,6 +502,7 @@ util::Result<Snapshot> Snapshot::Load(const std::string& path) {
     build_stats.border_vertex_count = meta.grid_border_vertex_count;
     build_stats.non_empty_cells = meta.grid_non_empty_cells;
     build_stats.approx_memory_bytes = meta.grid_approx_memory_bytes;
+    build_stats.loaded = true;
   }
 
   // --- CHIndex -------------------------------------------------------------

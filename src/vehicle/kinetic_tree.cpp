@@ -96,12 +96,13 @@ bool KineticTree::WalkSequence(const std::vector<Stop>& stops,
                                double new_request_max_trip,
                                roadnet::Weight* total_out,
                                roadnet::Weight* new_pickup_out) const {
-  const bool known_legs = exact && !legs.empty();
+  const bool known_legs = !legs.empty();
   auto distance = [&](size_t k, roadnet::VertexId u, roadnet::VertexId v) {
+    if (known_legs && legs[k] >= 0.0) return legs[k];
     if (!exact) return dist.Lower(u, v);
-    if (!known_legs) return dist.Exact(u, v);
-    if (legs[k] < 0.0) legs[k] = dist.Exact(u, v);
-    return legs[k];
+    const roadnet::Weight d = dist.Exact(u, v);
+    if (known_legs) legs[k] = d;
+    return d;
   };
 
   // Cum distance at each stop, so a drop-off finds its pick-up's by
@@ -240,32 +241,10 @@ bool KineticTree::ValidateSequence(const std::vector<Stop>& stops,
                       new_request_max_trip, total_out, new_pickup_out);
 }
 
-bool KineticTree::ValidateWithBounds(const std::vector<Stop>& stops,
-                                     std::span<roadnet::Weight> legs,
-                                     const ScheduleContext& ctx,
-                                     DistanceProvider& dist,
-                                     const Request* new_request,
-                                     double new_request_max_trip,
-                                     roadnet::Weight* total_out,
-                                     roadnet::Weight* new_pickup_out,
-                                     bool* pruned_by_bounds) const {
-  *pruned_by_bounds = false;
-  // Lower-bound screen: if the walk fails with admissible lower bounds it
-  // must fail with exact distances (constraints are monotone in distance).
-  if (!WalkSequence(stops, {}, ctx, dist, /*exact=*/false, new_request,
-                    new_request_max_trip, nullptr, nullptr)) {
-    *pruned_by_bounds = true;
-    return false;
-  }
-  return StructureValid(stops, new_request) &&
-         WalkSequence(stops, legs, ctx, dist, /*exact=*/true, new_request,
-                      new_request_max_trip, total_out, new_pickup_out);
-}
-
 std::vector<InsertionCandidate> KineticTree::TrialInsert(
     const Request& request, const ScheduleContext& ctx,
     DistanceProvider& dist, InsertionStats* stats,
-    size_t max_probe_branches) const {
+    size_t max_probe_branches, const InsertionScreen* screen) const {
   std::vector<InsertionCandidate> out;
   InsertionStats local;
 
@@ -290,16 +269,21 @@ std::vector<InsertionCandidate> KineticTree::TrialInsert(
     ++local.sequences_generated;
     roadnet::Weight total = 0.0;
     roadnet::Weight pickup_dist = 0.0;
-    bool by_bounds = false;
-    if (ValidateWithBounds(seq, legs, ctx, dist, &request, max_trip, &total,
-                           &pickup_dist, &by_bounds)) {
-      ++local.exact_validated;
+    // Lower-bound walk first: constraints are monotone in every leg, so a
+    // schedule that fails it fails exactly too. Its sums bound the exact
+    // walk's, which is what the screen compares.
+    if (!WalkSequence(seq, legs, ctx, dist, /*exact=*/false, &request,
+                      max_trip, &total, &pickup_dist) ||
+        (screen != nullptr && screen->Rejects(pickup_dist, total))) {
+      ++local.bound_pruned;
+      return;
+    }
+    ++local.exact_validated;
+    if (StructureValid(seq, &request) &&
+        WalkSequence(seq, legs, ctx, dist, /*exact=*/true, &request,
+                     max_trip, &total, &pickup_dist)) {
       ++local.accepted;
       out.push_back({pickup_dist, total, seq, legs});
-    } else if (by_bounds) {
-      ++local.bound_pruned;
-    } else {
-      ++local.exact_validated;
     }
   };
 

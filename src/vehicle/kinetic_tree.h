@@ -77,7 +77,24 @@ struct KnownRootLeg {
   roadnet::Weight distance = 0.0;
 };
 
-/// Insertion effort counters (experiment E3 / E10).
+/// A per-schedule screen that TrialInsert consults between a schedule's
+/// lower-bound walk and its exact walk (DESIGN.md section 4.5). The walk
+/// reads every kept leg exactly and bounds only the legs into and out of
+/// the new stops, summing left to right as the exact walk does, so each
+/// bound is <= the double the exact walk would produce.
+class InsertionScreen {
+ public:
+  virtual ~InsertionScreen() = default;
+  /// True when no schedule whose new pick-up distance is >= `pickup_lb`
+  /// and whose total is >= `total_lb` can change the caller's result;
+  /// the schedule's exact walk is then skipped.
+  virtual bool Rejects(roadnet::Weight pickup_lb,
+                       roadnet::Weight total_lb) const = 0;
+};
+
+/// Insertion effort counters (experiment E3 / E10). A schedule the
+/// lower-bound walk fails or the screen rejects is `bound_pruned`; the
+/// others are `exact_validated`, and the valid ones also `accepted`.
 struct InsertionStats {
   uint64_t sequences_generated = 0;
   uint64_t bound_pruned = 0;
@@ -157,13 +174,14 @@ class KineticTree {
   /// the service-mode degradation ladder's bounded-effort knob
   /// (core::MatchEffort): every returned candidate is still exactly
   /// validated, the cap only skips the longer-schedule tail of the
-  /// enumeration.
-  std::vector<InsertionCandidate> TrialInsert(const Request& request,
-                                              const ScheduleContext& ctx,
-                                              DistanceProvider& dist,
-                                              InsertionStats* stats,
-                                              size_t max_probe_branches =
-                                                  0) const;
+  /// enumeration. A `screen` (may be null) skips the exact walk of each
+  /// schedule it rejects on its lower bounds; such schedules yield no
+  /// candidate even when valid.
+  std::vector<InsertionCandidate> TrialInsert(
+      const Request& request, const ScheduleContext& ctx,
+      DistanceProvider& dist, InsertionStats* stats,
+      size_t max_probe_branches = 0,
+      const InsertionScreen* screen = nullptr) const;
 
   /// Commits `request` with the rider-chosen planned pick-up distance:
   /// sets planned pick-up time now + dist/speed, deadline = planned + w,
@@ -217,31 +235,18 @@ class KineticTree {
                         roadnet::Weight* new_pickup_out) const;
 
  private:
-  /// Like ValidateSequence but first screens with lower bounds; returns
-  /// false early (cheap) when bounds prove invalidity. `pruned_by_bounds`
-  /// reports whether the rejection used bounds only. `legs` is the exact
-  /// walk's leg buffer (see WalkSequence).
-  bool ValidateWithBounds(const std::vector<Stop>& stops,
-                          std::span<roadnet::Weight> legs,
-                          const ScheduleContext& ctx, DistanceProvider& dist,
-                          const Request* new_request,
-                          double new_request_max_trip,
-                          roadnet::Weight* total_out,
-                          roadnet::Weight* new_pickup_out,
-                          bool* pruned_by_bounds) const;
-
   /// Structural half of ValidateSequence (condition 2 plus completeness):
   /// every onboard request dropped off once, every waiting request picked
   /// up then dropped off once, and the new request likewise.
   bool StructureValid(const std::vector<Stop>& stops,
                       const Request* new_request) const;
 
-  /// Core walk shared by validation paths. `exact` selects exact vs
-  /// lower-bound distances. For an exact walk `legs` (empty, or one entry
-  /// per stop) supplies known exact legs: an entry >= 0 is used as is,
-  /// a negative one is computed and written back, so an accepted walk
-  /// leaves the schedule's complete legs behind. Lower-bound walks
-  /// ignore it.
+  /// Core walk shared by validation paths. `legs` (empty, or one entry
+  /// per stop) supplies known exact legs: an entry >= 0 is used as is.
+  /// A negative entry is asked of `dist`: exactly when `exact`, and then
+  /// written back, so an accepted walk leaves the schedule's complete
+  /// legs behind; as a lower bound otherwise. Either walk sums the legs
+  /// left to right from 0.
   bool WalkSequence(const std::vector<Stop>& stops,
                     std::span<roadnet::Weight> legs,
                     const ScheduleContext& ctx, DistanceProvider& dist,

@@ -243,11 +243,15 @@ TEST(MatcherValidationTest, PickupRadiusTruncatesFarOptions) {
 }
 
 /// Randomized scenario equivalence: naive, single-side and dual-side must
-/// return the same option sets after any sequence of commitments.
+/// return the same option sets, in raw bits, after any sequence of
+/// commitments.
 struct EquivalenceParam {
   uint64_t seed;
   size_t num_vehicles;
   int capacity;
+  int steps = 25;
+  /// Taxis added at the first taxis' vertices, so options tie.
+  size_t colocated = 0;
 };
 
 class MatcherEquivalenceTest
@@ -274,6 +278,10 @@ TEST_P(MatcherEquivalenceTest, AllMatchersAgree) {
   ASSERT_TRUE(sys.ok());
   ASSERT_TRUE(
       (*sys)->InitFleetUniform(param.num_vehicles, param.seed).ok());
+  for (size_t i = 0; i < param.colocated; ++i) {
+    const auto id = static_cast<vehicle::VehicleId>(i);
+    ASSERT_TRUE((*sys)->AddVehicle((*sys)->fleet().at(id).location()).ok());
+  }
 
   util::Rng rng(param.seed * 7919 + 13);
   const auto random_vertex = [&]() {
@@ -282,7 +290,9 @@ TEST_P(MatcherEquivalenceTest, AllMatchersAgree) {
   };
 
   double now = 0.0;
-  for (int step = 0; step < 25; ++step) {
+  int commits = 0;
+  int ties = 0;  // naive options tied in both coordinates with the next
+  for (int step = 0; step < param.steps; ++step) {
     vehicle::Request r;
     r.id = step + 1;
     r.start = random_vertex();
@@ -312,8 +322,8 @@ TEST_P(MatcherEquivalenceTest, AllMatchersAgree) {
         const Option& expect = results[0].options[i];
         const Option& got = results[a].options[i];
         EXPECT_EQ(got.vehicle, expect.vehicle) << "step " << step;
-        EXPECT_DOUBLE_EQ(got.pickup_distance, expect.pickup_distance);
-        EXPECT_DOUBLE_EQ(got.price, expect.price);
+        EXPECT_EQ(got.pickup_distance, expect.pickup_distance);
+        EXPECT_EQ(got.price, expect.price);
       }
       // Indexed matchers must never examine more vehicles than naive.
       EXPECT_LE(results[a].vehicles_examined, results[0].vehicles_examined);
@@ -342,14 +352,25 @@ TEST_P(MatcherEquivalenceTest, AllMatchersAgree) {
       }
     }
 
+    const std::vector<Option>& opts = results[0].options;
+    for (size_t i = 1; i < opts.size(); ++i) {
+      if (opts[i].pickup_distance == opts[i - 1].pickup_distance &&
+          opts[i].price == opts[i - 1].price) {
+        ++ties;
+      }
+    }
     // Commit a random option (rider choice) to evolve vehicle state.
-    if (!results[0].options.empty()) {
-      const size_t pick = static_cast<size_t>(rng.UniformInt(
-          0, static_cast<int64_t>(results[0].options.size()) - 1));
-      ASSERT_TRUE(
-          (*sys)->ChooseOption(r, results[0].options[pick], now).ok());
+    if (!opts.empty()) {
+      const size_t pick = static_cast<size_t>(
+          rng.UniformInt(0, static_cast<int64_t>(opts.size()) - 1));
+      ASSERT_TRUE((*sys)->ChooseOption(r, opts[pick], now).ok());
+      ++commits;
     }
     now += rng.UniformDouble(5.0, 30.0);
+  }
+  if (param.colocated > 0) {
+    EXPECT_GE(commits, 60);
+    EXPECT_GT(ties, 0);
   }
 }
 
@@ -362,7 +383,9 @@ INSTANTIATE_TEST_SUITE_P(
                       EquivalenceParam{5, 45, 6},
                       // Dense idle fleet: the empty-vehicle cutoff fires
                       // on most requests.
-                      EquivalenceParam{6, 400, 3}));
+                      EquivalenceParam{6, 400, 3},
+                      // Busy fleet of taxis parked in pairs: ties.
+                      EquivalenceParam{7, 40, 4, 90, 40}));
 
 /// The empty-vehicle cutoff at its boundary. On a 2 km ladder street
 /// (cells 200 m wide), a busy taxi next to s offers an early but pricey
@@ -433,6 +456,92 @@ TEST(MatcherValidationTest, EmptyCutoffKeepsCheaperFartherEmptyTaxi) {
     EXPECT_EQ(result->options[1].vehicle, *empty);
     EXPECT_DOUBLE_EQ(result->options[1].pickup_distance, 300.0);
     EXPECT_LT(result->options[1].price, result->options[0].price);
+  }
+}
+
+/// The grid's bound on dist(u, v) without its admissibility margin
+/// (DESIGN.md section 3): u.min + LB(cell(u), cell(v)) + v.min summed in
+/// another order than any path, so it can exceed the oracle's double.
+roadnet::Weight UnscaledLowerBound(const roadnet::GridIndex& grid,
+                                   roadnet::VertexId u, roadnet::VertexId v) {
+  return std::max(grid.graph().GeoLowerBound(u, v),
+                  grid.VertexMinToBorder(u) +
+                      grid.CellPairLowerBound(grid.CellOfVertex(u),
+                                              grid.CellOfVertex(v)) +
+                      grid.VertexMinToBorder(v));
+}
+
+/// Two empty taxis parked at one vertex u quote the same option, and
+/// Definition 4 keeps both. u is chosen where the unscaled grid bound
+/// exceeds the oracle's dist(u, s): with that bound the second taxi's
+/// own pick-up bound lies above the first taxi's option, so the skyline
+/// strictly covers it and an indexed matcher drops the tie.
+TEST(MatcherValidationTest, TiedTaxisSurviveWhereUnscaledBoundOvershoots) {
+  roadnet::CityGridOptions gopts;
+  gopts.rows = 14;
+  gopts.cols = 14;
+  gopts.seed = 5;
+  auto graph = roadnet::MakeCityGrid(gopts);
+  ASSERT_TRUE(graph.ok());
+  Config cfg;
+  cfg.default_max_wait_s = 1e6;
+  cfg.max_planned_pickup_s = 1e6;
+  roadnet::GridIndexOptions gridopts;
+  gridopts.cells_x = 6;
+  gridopts.cells_y = 6;
+  auto grid = roadnet::GridIndex::Build(*graph, gridopts);
+  ASSERT_TRUE(grid.ok());
+  roadnet::DistanceOracle oracle(*graph, {cfg.sp_algorithm, 0, true});
+  const auto n = static_cast<roadnet::VertexId>(graph->NumVertices());
+  roadnet::VertexId u = roadnet::kInvalidVertex;
+  roadnet::VertexId s = roadnet::kInvalidVertex;
+  for (roadnet::VertexId a = 0; a < n && u == roadnet::kInvalidVertex; ++a) {
+    for (roadnet::VertexId b = 0; b < n; ++b) {
+      if (grid->CellOfVertex(a) != grid->CellOfVertex(b) &&
+          UnscaledLowerBound(*grid, a, b) > oracle.Distance(a, b)) {
+        u = a;
+        s = b;
+        break;
+      }
+    }
+  }
+  ASSERT_NE(u, roadnet::kInvalidVertex) << "no overshooting pair found";
+  EXPECT_LE(grid->LowerBound(u, s), oracle.Distance(u, s));
+
+  vehicle::Request r;
+  r.id = 1;
+  r.start = s;
+  r.destination = s == 0 ? 1 : 0;
+  r.num_riders = 1;
+  r.max_wait_s = cfg.default_max_wait_s;
+  r.service_sigma = cfg.default_service_sigma;
+  std::vector<Option> naive;
+  for (const MatcherAlgorithm algo :
+       {MatcherAlgorithm::kNaive, MatcherAlgorithm::kSingleSide,
+        MatcherAlgorithm::kDualSide}) {
+    SCOPED_TRACE(MatcherAlgorithmName(algo));
+    cfg.matcher = algo;
+    auto sys = PTRider::Create(*graph, cfg, gridopts);
+    ASSERT_TRUE(sys.ok());
+    ASSERT_TRUE((*sys)->AddVehicle(u).ok());
+    ASSERT_TRUE((*sys)->AddVehicle(u).ok());
+    const auto result = (*sys)->QuoteRequest(r, 0.0);
+    ASSERT_TRUE(result.ok());
+    ASSERT_EQ(result->options.size(), 2u);
+    EXPECT_EQ(result->options[0].vehicle, 0);
+    EXPECT_EQ(result->options[1].vehicle, 1);
+    EXPECT_EQ(result->options[0].pickup_distance,
+              result->options[1].pickup_distance);
+    EXPECT_EQ(result->options[0].price, result->options[1].price);
+    if (algo == MatcherAlgorithm::kNaive) {
+      naive = result->options;
+      continue;
+    }
+    for (size_t i = 0; i < 2; ++i) {
+      EXPECT_EQ(result->options[i].pickup_distance,
+                naive[i].pickup_distance);
+      EXPECT_EQ(result->options[i].price, naive[i].price);
+    }
   }
 }
 

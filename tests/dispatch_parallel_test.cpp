@@ -311,34 +311,66 @@ TEST(DispatchParallelTest, AnchorCountsEqualAcrossThreadCounts) {
   EXPECT_GT(settles, 0u);
 }
 
-// A commit resumes the anchor searches its match ran: ChooseOption
-// re-walks only lookups the match already made, so the system oracle
-// answers every one from the lent pair and computes nothing.
-TEST(DispatchParallelTest, CommitsComputeNothingTheirMatchLookedUp) {
+// A commit resumes the anchor searches its match ran. The match skips
+// the exact walk of schedules its skyline covers, while the commit walks
+// every schedule it may keep, so a commit can still compute distances.
+// With the pair lent it computes fewer, and settles fewer anchor
+// vertices, than the same commit on a fresh pair, and answers the
+// match's lookups (dist(s, d) at least) from the lent searches.
+TEST(DispatchParallelTest, CommitsResumeTheirMatchAnchors) {
   const roadnet::RoadNetwork graph = TestCity();
   const core::Config cfg = ContendedConfig(core::PricingPolicyKind::kPaper);
   for (const size_t threads : {1u, 2u}) {
     SCOPED_TRACE("threads " + std::to_string(threads));
     auto sys = core::PTRider::Create(graph, cfg);
+    auto twin = core::PTRider::Create(graph, cfg);
     ASSERT_TRUE(sys.ok());
+    ASSERT_TRUE(twin.ok());
     ASSERT_TRUE((*sys)->InitFleetUniform(25, 3).ok());
+    ASSERT_TRUE((*twin)->InitFleetUniform(25, 3).ok());
     ParallelDispatcher dispatcher(**sys, threads);
     const roadnet::DistanceOracle& oracle = (*sys)->oracle();
+    const roadnet::DistanceOracle& twin_oracle = (*twin)->oracle();
     size_t assigned = 0;
     for (const vehicle::Request& r :
          MakeBatch(graph, cfg, /*count=*/10, /*seed=*/41, /*first_id=*/1)) {
-      const uint64_t computed = oracle.computed();
-      const uint64_t hits = oracle.cache_hits();
-      auto out =
-          dispatcher.Dispatch({r}, 100.0, core::Dispatcher::ChooseEarliest);
+      // The chooser runs between the match and the commit, with the
+      // request's pair already lent to the system oracle.
+      uint64_t computed = 0;
+      uint64_t settles = 0;
+      uint64_t hits = 0;
+      auto out = dispatcher.Dispatch(
+          {r}, 100.0,
+          [&](const vehicle::Request& req, const core::MatchResult& m) {
+            computed = oracle.computed();
+            settles = oracle.anchor_settles();
+            hits = oracle.cache_hits();
+            return core::Dispatcher::ChooseEarliest(req, m);
+          });
       ASSERT_TRUE(out.ok());
       ASSERT_EQ(out->size(), 1u);
       if (!(*out)[0].assigned) continue;
       ++assigned;
-      EXPECT_EQ(oracle.computed(), computed) << "request " << r.id;
+      // The same commit on the twin, whose state matches, on a fresh pair.
+      const uint64_t twin_computed = twin_oracle.computed();
+      const uint64_t twin_settles = twin_oracle.anchor_settles();
+      {
+        roadnet::DistanceOracle::AnchorPair fresh;
+        const roadnet::DistanceOracle::AnchorLoan loan((*twin)->oracle(),
+                                                       &fresh);
+        ASSERT_TRUE(
+            (*twin)->ChooseOption(r, (*out)[0].chosen, 100.0).ok());
+      }
+      EXPECT_LT(oracle.computed() - computed,
+                twin_oracle.computed() - twin_computed)
+          << "request " << r.id;
+      EXPECT_LT(oracle.anchor_settles() - settles,
+                twin_oracle.anchor_settles() - twin_settles)
+          << "request " << r.id;
       EXPECT_GT(oracle.cache_hits(), hits) << "request " << r.id;
     }
     EXPECT_GE(assigned, 5u);
+    ExpectSystemsEqual(**sys, **twin);
   }
 }
 

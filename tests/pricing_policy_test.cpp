@@ -84,8 +84,8 @@ void CheckBoundAdmissibility(PricingPolicy& policy, uint64_t seed) {
         committed == 0 ? 0.0 : rng.UniformDouble(0.0, 9000.0);
     const double detour_lb = rng.UniformDouble(0.0, 1000.0);
     const double delta = detour_lb + rng.UniformDouble(0.0, 2000.0);
-    const double price =
-        policy.Price(MakeQuote(n, committed, current, delta, direct));
+    const QuoteInputs quote = MakeQuote(n, committed, current, delta, direct);
+    const double price = policy.Price(quote);
 
     // MinPrice floors every realizable quote (Delta >= 0).
     EXPECT_LE(policy.MinPrice(n, direct), price + 1e-9)
@@ -93,6 +93,14 @@ void CheckBoundAdmissibility(PricingPolicy& policy, uint64_t seed) {
     // PriceWithDetourLb floors every quote whose detour >= the bound.
     EXPECT_LE(policy.PriceWithDetourLb(n, detour_lb, direct), price + 1e-9)
         << policy.name() << " PriceWithDetourLb not admissible";
+    // The insertion screen's bound (DESIGN.md 4.5): any total_lb at most
+    // the schedule's total, the detour below zero included, prices at
+    // most the quote in raw doubles, with no slack.
+    const double total_lb = i % 5 == 0
+                                ? quote.new_total
+                                : rng.UniformDouble(0.0, 1.0) * quote.new_total;
+    EXPECT_LE(policy.PriceWithDetourLb(n, total_lb - current, direct), price)
+        << policy.name() << " screen price bound not admissible";
 
     // Empty vehicles: quote with pickup >= pickup_lb must dominate the
     // bound, and the bound must be monotone in the pickup lower bound.

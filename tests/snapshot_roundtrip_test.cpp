@@ -123,6 +123,11 @@ TEST(SnapshotRoundtripTest, StructuresSurviveExactly) {
   EXPECT_EQ(stats.non_empty_cells, want_stats.non_empty_cells);
   EXPECT_EQ(stats.approx_memory_bytes, want_stats.approx_memory_bytes);
   EXPECT_EQ(stats.build_seconds, 0.0);
+  EXPECT_TRUE(stats.loaded);
+  EXPECT_FALSE(want_stats.loaded);
+  EXPECT_NE(grid.DebugString().find("loaded from snapshot"),
+            std::string::npos);
+  EXPECT_EQ(grid.DebugString().find("build="), std::string::npos);
   for (roadnet::VertexId v = 0;
        v < static_cast<roadnet::VertexId>(g.NumVertices()); ++v) {
     EXPECT_EQ(grid.CellOfVertex(v), b->grid->CellOfVertex(v));

@@ -2,9 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <vector>
+
 #include "core/distance_providers.h"
 #include "roadnet/distance_oracle.h"
+#include "roadnet/graph_generator.h"
+#include "roadnet/grid_index.h"
 #include "roadnet/paper_example.h"
+#include "util/random.h"
 
 namespace ptrider::vehicle {
 namespace {
@@ -308,6 +315,139 @@ TEST_F(KineticTreeTest, AdvanceAccruesOnboardConsumption) {
       tree.AdvanceTo(ex_.v(16), 4.0, ctx, dist_, tree.BestBranch().stops)
           .ok());
   EXPECT_DOUBLE_EQ(tree.pending().at(2).consumed_trip_distance_m, 4.0);
+}
+
+/// Counts the exact lookups a trial insertion makes.
+class CountingProvider : public DistanceProvider {
+ public:
+  explicit CountingProvider(DistanceProvider& inner) : inner_(inner) {}
+  roadnet::Weight Exact(roadnet::VertexId u, roadnet::VertexId v) override {
+    ++exact_calls;
+    return inner_.Exact(u, v);
+  }
+  roadnet::Weight Lower(roadnet::VertexId u, roadnet::VertexId v) override {
+    return inner_.Lower(u, v);
+  }
+  size_t exact_calls = 0;
+
+ private:
+  DistanceProvider& inner_;
+};
+
+/// Rejects every schedule whose bounds exceed (max_pickup, max_total).
+class ThresholdScreen : public InsertionScreen {
+ public:
+  ThresholdScreen(roadnet::Weight max_pickup, roadnet::Weight max_total)
+      : max_pickup_(max_pickup), max_total_(max_total) {}
+  bool Rejects(roadnet::Weight pickup_lb,
+               roadnet::Weight total_lb) const override {
+    return pickup_lb > max_pickup_ || total_lb > max_total_;
+  }
+
+ private:
+  roadnet::Weight max_pickup_;
+  roadnet::Weight max_total_;
+};
+
+void ExpectSameBits(const std::vector<InsertionCandidate>& got,
+                    const std::vector<InsertionCandidate>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(got[i].pickup_distance),
+              std::bit_cast<uint64_t>(want[i].pickup_distance));
+    EXPECT_EQ(std::bit_cast<uint64_t>(got[i].total_distance),
+              std::bit_cast<uint64_t>(want[i].total_distance));
+    EXPECT_EQ(got[i].stops, want[i].stops);
+    ASSERT_EQ(got[i].legs.size(), want[i].legs.size());
+    for (size_t k = 0; k < got[i].legs.size(); ++k) {
+      EXPECT_EQ(std::bit_cast<uint64_t>(got[i].legs[k]),
+                std::bit_cast<uint64_t>(want[i].legs[k]));
+    }
+  }
+}
+
+/// The insertion screen on busy trees with grid bounds: a screen that
+/// rejects everything walks nothing exactly, one that rejects nothing
+/// changes nothing, and one that rejects only bounds above a candidate's
+/// own doubles keeps that candidate (the walk's bounds never exceed the
+/// exact walk's sums).
+TEST(InsertionScreenTest, ScreensOnlyWhatItRejects) {
+  roadnet::CityGridOptions city;
+  city.rows = 12;
+  city.cols = 12;
+  city.seed = 4;
+  auto graph = roadnet::MakeCityGrid(city);
+  ASSERT_TRUE(graph.ok());
+  roadnet::GridIndexOptions gopts;
+  gopts.cells_x = 5;
+  gopts.cells_y = 5;
+  auto grid = roadnet::GridIndex::Build(*graph, gopts);
+  ASSERT_TRUE(grid.ok());
+  roadnet::DistanceOracle oracle(*graph);
+  core::IndexedDistanceProvider bounded(oracle, *grid);
+  ScheduleContext ctx;
+  util::Rng rng(17);
+  const auto random_request = [&](RequestId id) {
+    Request r;
+    r.id = id;
+    r.start = static_cast<roadnet::VertexId>(
+        rng.UniformInt(0, static_cast<int64_t>(graph->NumVertices()) - 1));
+    do {
+      r.destination = static_cast<roadnet::VertexId>(rng.UniformInt(
+          0, static_cast<int64_t>(graph->NumVertices()) - 1));
+    } while (r.destination == r.start);
+    r.num_riders = 1;
+    r.max_wait_s = 1e6;
+    r.service_sigma = 0.6;
+    return r;
+  };
+
+  const ThresholdScreen everything(-1.0, -1.0);
+  const ThresholdScreen nothing(roadnet::kInfWeight, roadnet::kInfWeight);
+  size_t candidates_seen = 0;
+  for (int vehicle = 0; vehicle < 6; ++vehicle) {
+    KineticTree tree(static_cast<roadnet::VertexId>(vehicle * 17), 4);
+    RequestId next_id = 1;
+    for (int pending = 0; pending < 3; ++pending) {
+      const Request r = random_request(next_id++);
+      ASSERT_TRUE(tree.CommitInsert(r, 1e6, 0.0, ctx, bounded).ok());
+    }
+    ASSERT_GT(tree.NumBranches(), 1u);
+    for (int probe = 0; probe < 5; ++probe) {
+      const Request r = random_request(next_id++);
+      InsertionStats unscreened_stats;
+      const std::vector<InsertionCandidate> unscreened =
+          tree.TrialInsert(r, ctx, bounded, &unscreened_stats);
+      candidates_seen += unscreened.size();
+
+      CountingProvider counting(bounded);
+      InsertionStats stats;
+      EXPECT_TRUE(
+          tree.TrialInsert(r, ctx, counting, &stats, 0, &everything).empty());
+      EXPECT_EQ(counting.exact_calls, 1u);  // dist(s, d) only
+      EXPECT_EQ(stats.exact_validated, 0u);
+      EXPECT_EQ(stats.bound_pruned, stats.sequences_generated);
+
+      InsertionStats kept_stats;
+      ExpectSameBits(
+          tree.TrialInsert(r, ctx, bounded, &kept_stats, 0, &nothing),
+          unscreened);
+      EXPECT_EQ(kept_stats.bound_pruned, unscreened_stats.bound_pruned);
+      EXPECT_EQ(kept_stats.accepted, unscreened_stats.accepted);
+
+      for (const InsertionCandidate& c : unscreened) {
+        const ThresholdScreen at_c(c.pickup_distance, c.total_distance);
+        const std::vector<InsertionCandidate> screened =
+            tree.TrialInsert(r, ctx, bounded, nullptr, 0, &at_c);
+        bool found = false;
+        for (const InsertionCandidate& k : screened) {
+          found = found || k.stops == c.stops;
+        }
+        EXPECT_TRUE(found) << "a candidate's bounds exceeded its doubles";
+      }
+    }
+  }
+  EXPECT_GT(candidates_seen, 100u);
 }
 
 }  // namespace
