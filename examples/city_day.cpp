@@ -8,10 +8,11 @@
 //             [--jobs N] [--batch-window S] [--move-jobs N]
 //             [--sp-algo dijkstra|astar|ch]
 //             [--snapshot FILE]
-// Defaults: 150 taxis, 2000 trips, 4 hours, per-request dispatch (each
-// request matched alone as it arrives). `--batch-window S` batches the
-// arrivals of every S simulated seconds through the batch dispatcher
-// (src/dispatch/); `--jobs N` matches each batch on N threads (1 to 256,
+// Defaults: 150 taxis, 2000 trips, 4 hours, and the arrivals of each
+// one-second tick dispatched together through the batch dispatcher
+// (src/dispatch/). `--batch-window S` dispatches the arrivals of every S
+// simulated seconds together instead (0, the default, is one window per
+// tick); `--jobs N` matches each batch on N threads (1 to 256,
 // default 1) and, given without `--batch-window`, implies a 2 s window;
 // `--move-jobs N` runs the per-tick vehicle-movement advance on N
 // threads (1 to 256); `--sp-algo`
@@ -49,7 +50,9 @@ constexpr char kUsage[] =
     "usage: example_city_day [taxis] [trips] [hours] [--jobs N] "
     "[--batch-window S]\n"
     "           [--move-jobs N] [--sp-algo dijkstra|astar|ch] "
-    "[--snapshot FILE]\n";
+    "[--snapshot FILE]\n"
+    "  --batch-window S: dispatch window, simulated seconds (default 0:\n"
+    "                    one per tick; --jobs alone implies 2)\n";
 
 }  // namespace
 
@@ -215,7 +218,9 @@ int main(int argc, char** argv) {
                 "window\n",
                 jobs, batch_window_s);
   } else {
-    std::printf("Dispatch: per-request (seed behavior)\n");
+    std::printf("Dispatch: batch, %d matching thread(s), one window per "
+                "tick\n",
+                jobs);
   }
   std::printf("Movement: %d thread(s)\n\n", move_jobs);
 

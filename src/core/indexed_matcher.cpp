@@ -9,19 +9,8 @@
 
 namespace ptrider::core {
 
-roadnet::Weight IndexedMatcherBase::PickupLowerBound(
-    const vehicle::Vehicle& v, roadnet::VertexId start) const {
-  return VehiclePickupLowerBound(*ctx_.grid, v, start);
-}
-
-roadnet::Weight IndexedMatcherBase::DetourLowerBound(
-    const vehicle::Vehicle& v, const vehicle::Request& request,
-    roadnet::Weight direct) const {
-  return VehicleDetourLowerBound(*ctx_.grid, v, request, direct);
-}
-
-MatchResult IndexedMatcherBase::Match(const vehicle::Request& request,
-                                      const vehicle::ScheduleContext& ctx) {
+MatchResult IndexedMatcher::Match(const vehicle::Request& request,
+                                  const vehicle::ScheduleContext& ctx) {
   util::WallTimer timer;
   MatchResult result;
   const uint64_t computed_before = ctx_.oracle->computed();
@@ -50,12 +39,11 @@ MatchResult IndexedMatcherBase::Match(const vehicle::Request& request,
   return result;
 }
 
-void IndexedMatcherBase::SearchCells(const vehicle::Request& request,
-                                     const vehicle::ScheduleContext& ctx,
-                                     vehicle::DistanceProvider& dist,
-                                     roadnet::Weight direct,
-                                     Skyline& skyline,
-                                     MatchResult& result) const {
+void IndexedMatcher::SearchCells(const vehicle::Request& request,
+                                 const vehicle::ScheduleContext& ctx,
+                                 vehicle::DistanceProvider& dist,
+                                 roadnet::Weight direct, Skyline& skyline,
+                                 MatchResult& result) const {
   const pricing::PricingPolicy& price = *ctx_.pricing;
   const roadnet::Weight radius = ctx_.config->MaxPickupRadiusM();
   const double price_floor = price.MinPrice(request.num_riders, direct);
@@ -120,7 +108,8 @@ void IndexedMatcherBase::SearchCells(const vehicle::Request& request,
     for (const vehicle::VehicleId id : vindex.NonEmptyVehicles(cell)) {
       if (!seen.Mark(static_cast<size_t>(id))) continue;
       const vehicle::Vehicle& v = ctx_.fleet->at(id);
-      const roadnet::Weight t_lb = PickupLowerBound(v, request.start);
+      const roadnet::Weight t_lb =
+          VehiclePickupLowerBound(grid, v, request.start);
       if (t_lb > radius) {
         ++result.vehicles_pruned;
         continue;
@@ -128,7 +117,7 @@ void IndexedMatcherBase::SearchCells(const vehicle::Request& request,
       double p_lb = price_floor;
       if (dual_side_) {
         const roadnet::Weight delta_lb =
-            DetourLowerBound(v, request, direct);
+            VehicleDetourLowerBound(grid, v, request, direct);
         p_lb = price.PriceWithDetourLb(request.num_riders, delta_lb,
                                        direct);
       }

@@ -8,11 +8,11 @@
 
 namespace ptrider::core {
 
-/// Common machinery of the single-side and dual-side search algorithms
-/// (Section 3.3). Both expand grid cells outward from the request start in
-/// ascending lower-bound order, prune vehicles whose cheapest conceivable
-/// option is already covered by the skyline, and terminate once no
-/// unexamined vehicle can contribute:
+/// The single-side and dual-side search algorithms (Section 3.3). Both
+/// expand grid cells outward from the request start in ascending
+/// lower-bound order, prune vehicles whose cheapest conceivable option is
+/// already covered by the skyline, and terminate once no unexamined
+/// vehicle can contribute:
 ///
 ///   * Time lemma. Any vehicle first encountered in cell g has every
 ///     insertion point in cells no closer than g, so its pick-up distance
@@ -32,32 +32,20 @@ namespace ptrider::core {
 ///     empty-vehicle price at that LB), every remaining empty-vehicle list
 ///     is skipped and counted as pruned; a group larger than every
 ///     vehicle's capacity visits no cell at all.
-class IndexedMatcherBase : public Matcher {
+///
+/// Single-side search (`dual_side` false) prunes with the time lemma and
+/// the global price floor; dual-side search additionally folds
+/// destination-side detour lower bounds into each vehicle's price floor
+/// before exact verification.
+class IndexedMatcher {
  public:
-  IndexedMatcherBase(const MatchContext& context, bool dual_side)
+  IndexedMatcher(const MatchContext& context, bool dual_side)
       : ctx_(context), dual_side_(dual_side) {}
 
+  /// Finds all qualified non-dominated options for `request` given the
+  /// current vehicle states at time `ctx.now_s`.
   MatchResult Match(const vehicle::Request& request,
-                    const vehicle::ScheduleContext& ctx) override;
-
- protected:
-  /// Lower bound on the added detour Delta = dist_trj - dist_tri for
-  /// serving `request` with vehicle `v`, derived from grid lower bounds
-  /// and the exact slot legs already cached in the branches. Sound: never
-  /// exceeds the true Delta of any insertion candidate (DESIGN.md 4.3).
-  /// `direct` is dist(s, d).
-  roadnet::Weight DetourLowerBound(const vehicle::Vehicle& v,
-                                   const vehicle::Request& request,
-                                   roadnet::Weight direct) const;
-
-  /// Lower bound on the pick-up distance for vehicle `v` (minimum grid LB
-  /// from any insertion point — current location or any scheduled stop —
-  /// to the request start).
-  roadnet::Weight PickupLowerBound(const vehicle::Vehicle& v,
-                                   roadnet::VertexId start) const;
-
-  MatchContext ctx_;
-  bool dual_side_;
+                    const vehicle::ScheduleContext& ctx);
 
  private:
   /// Expands cells outward from the request start, feeding every vehicle
@@ -67,24 +55,9 @@ class IndexedMatcherBase : public Matcher {
                    const vehicle::ScheduleContext& ctx,
                    vehicle::DistanceProvider& dist, roadnet::Weight direct,
                    Skyline& skyline, MatchResult& result) const;
-};
 
-/// Single-side search: expands from the start location only; prunes with
-/// the time lemma and the global price floor.
-class SingleSideMatcher : public IndexedMatcherBase {
- public:
-  explicit SingleSideMatcher(const MatchContext& context)
-      : IndexedMatcherBase(context, /*dual_side=*/false) {}
-  const char* name() const override { return "single-side"; }
-};
-
-/// Dual-side search: additionally folds destination-side detour lower
-/// bounds into each vehicle's price floor before exact verification.
-class DualSideMatcher : public IndexedMatcherBase {
- public:
-  explicit DualSideMatcher(const MatchContext& context)
-      : IndexedMatcherBase(context, /*dual_side=*/true) {}
-  const char* name() const override { return "dual-side"; }
+  MatchContext ctx_;
+  bool dual_side_;
 };
 
 }  // namespace ptrider::core

@@ -92,19 +92,6 @@ struct MatchContext {
   MatchEffort effort;
 };
 
-/// Matching-method interface (the demo's matching algorithm module).
-class Matcher {
- public:
-  virtual ~Matcher() = default;
-
-  /// Finds all qualified non-dominated options for `request` given the
-  /// current vehicle states at time `ctx.now_s`.
-  virtual MatchResult Match(const vehicle::Request& request,
-                            const vehicle::ScheduleContext& ctx) = 0;
-
-  virtual const char* name() const = 0;
-};
-
 /// The price bound EvaluateVehicle's insertion screen gives a schedule
 /// from its lower-bound walk (DESIGN.md section 4.5).
 enum class ScreenPrice {

@@ -9,14 +9,14 @@ namespace ptrider::core {
 /// algorithm [7] directly — evaluate *every* vehicle, inserting the
 /// request into its kinetic tree with exact distances, and keep the
 /// non-dominated (time, price) pairs.
-class NaiveMatcher : public Matcher {
+class NaiveMatcher {
  public:
   explicit NaiveMatcher(const MatchContext& context) : ctx_(context) {}
 
+  /// Finds all qualified non-dominated options for `request` given the
+  /// current vehicle states at time `ctx.now_s`.
   MatchResult Match(const vehicle::Request& request,
-                    const vehicle::ScheduleContext& ctx) override;
-
-  const char* name() const override { return "naive"; }
+                    const vehicle::ScheduleContext& ctx);
 
  private:
   MatchContext ctx_;

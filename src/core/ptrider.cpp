@@ -139,11 +139,11 @@ MatchResult PTRider::MatchReadOnly(const vehicle::Request& request,
     case MatcherAlgorithm::kNaive:
       return NaiveMatcher(ctx).Match(request, sched);
     case MatcherAlgorithm::kSingleSide:
-      return SingleSideMatcher(ctx).Match(request, sched);
+      return IndexedMatcher(ctx, /*dual_side=*/false).Match(request, sched);
     case MatcherAlgorithm::kDualSide:
       break;
   }
-  return DualSideMatcher(ctx).Match(request, sched);
+  return IndexedMatcher(ctx, /*dual_side=*/true).Match(request, sched);
 }
 
 util::Result<MatchResult> PTRider::SubmitRequest(

@@ -73,8 +73,13 @@ util::Result<ServiceReport> DispatchService::Run(ArrivalProcess& process) {
   }
   impl_->ran = true;
   const ServiceOptions& opt = impl_->options;
-  if (opt.batch_window_s <= 0.0) {
-    return util::Status::InvalidArgument("batch window must be positive");
+  // NaN fails every comparison, so each check asks for the valid range.
+  if (!(std::isfinite(opt.batch_window_s) && opt.batch_window_s > 0.0)) {
+    return util::Status::InvalidArgument(
+        "batch window must be finite and positive");
+  }
+  if (!(std::isfinite(opt.drain_s) && opt.drain_s >= 0.0)) {
+    return util::Status::InvalidArgument("drain must be finite and >= 0");
   }
   if (opt.assign_cost_s < 0.0 || opt.quote_cost_s < 0.0) {
     return util::Status::InvalidArgument("service costs must be >= 0");
@@ -386,8 +391,8 @@ util::Result<ServiceReport> DispatchService::Run(ArrivalProcess& process) {
 
   if (producer != nullptr) producer->Join();
   // Final partial window: anything still queued (arrivals between the
-  // last flush and end_time) gets one last dispatch, like Run's
-  // epilogue. Pending ingestion retries are declared failed first — the
+  // last flush and end_time) gets one last dispatch, with no tick left to
+  // pair with. Pending ingestion retries are declared failed first — the
   // run is over, their arrivals never made it in.
   if (virt) driver.PumpUntil(end_time);
   ingress_faults(end_time);

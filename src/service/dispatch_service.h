@@ -22,10 +22,11 @@ class FaultInjector;
 struct ServiceOptions {
   /// Movement/update granularity, simulated seconds per tick.
   double tick_s = 1.0;
-  /// Batch dispatch window, simulated seconds (must be >= tick_s grid;
-  /// the service always runs the batched pipeline).
+  /// Batch dispatch window, simulated seconds (finite and > 0, meant to
+  /// be >= tick_s; the service always runs the batched pipeline).
   double batch_window_s = 2.0;
-  /// Extra time after the last arrival for onboard trips to finish.
+  /// Extra time after the last arrival for onboard trips to finish
+  /// (finite and >= 0).
   double drain_s = 600.0;
 
   /// Ingestion queue capacity (admission stage 1: reject-on-full).

@@ -31,9 +31,7 @@ struct SimulationReport {
   util::RunningStats response_time_s;   // matcher wall-clock per request
   util::Percentiles response_percentiles_s;
   /// Simulated seconds between a trip's arrival (Request::submit_time_s)
-  /// and the instant it was matched: tick rounding in per-request mode,
-  /// tick rounding plus window queueing in batched mode. Both submission
-  /// paths stamp the true arrival, so this is comparable across modes.
+  /// and the instant it was matched: tick rounding plus window queueing.
   util::RunningStats submit_delay_s;
   util::RunningStats options_per_request;
   util::RunningStats vehicles_examined;
@@ -42,8 +40,8 @@ struct SimulationReport {
   /// (MatchResult::anchor_settles). Exact at every dispatch thread count
   /// while each batch fits the dispatcher's anchor budget: a batch
   /// position's searches resume the ones its previous request left
-  /// (DESIGN.md section 7.5). Per-request and batched runs of one input
-  /// differ here, with identical outcomes.
+  /// (DESIGN.md section 7.5). Runs of one input at different windows
+  /// can differ here with identical outcomes.
   util::RunningStats anchor_settles;
 
   // --- Service quality --------------------------------------------------------

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "util/logging.h"
 #include "util/string_util.h"
@@ -20,7 +21,7 @@ constexpr size_t kParallelAdvanceMin = 16;
 Simulator::Simulator(core::PTRider& system, SimulatorOptions options)
     : system_(&system), options_(options), rng_(options.seed) {}
 
-vehicle::Request Simulator::BuildRequest(const Trip& t) {
+vehicle::Request Simulator::MakeRequest(const Trip& t) {
   const core::Config& cfg = system_->config();
   vehicle::Request r;
   r.id = next_request_id_++;
@@ -31,8 +32,7 @@ vehicle::Request Simulator::BuildRequest(const Trip& t) {
   r.service_sigma = cfg.default_service_sigma;
   // The arrival instant, not the processing tick: batch dispatch order
   // is the paper's (submit_time, id) order over real arrivals, and
-  // submit-delay accounting measures dispatch lag from the same epoch
-  // in both submission modes.
+  // submit-delay accounting measures dispatch lag from that epoch.
   r.submit_time_s = t.time_s;
   return r;
 }
@@ -73,37 +73,6 @@ util::Status Simulator::RecordOutcome(const vehicle::Request& request,
                       system_->oracle());
 }
 
-util::Status Simulator::SubmitDueRequests(const std::vector<Trip>& trips,
-                                          size_t& next_trip, double now,
-                                          SimulationReport& report) {
-  while (next_trip < trips.size() && trips[next_trip].time_s <= now) {
-    const vehicle::Request r = BuildRequest(trips[next_trip++]);
-    auto match = system_->SubmitRequest(r, now);
-    PTRIDER_RETURN_IF_ERROR(match.status());
-    const std::optional<size_t> pick = PickOption(r, *match, now);
-    const core::Option* chosen =
-        pick.has_value() ? &match->options[*pick] : nullptr;
-    if (chosen != nullptr) {
-      PTRIDER_RETURN_IF_ERROR(system_->ChooseOption(r, *chosen, now));
-    }
-    PTRIDER_RETURN_IF_ERROR(RecordOutcome(r, *match, chosen, now, report));
-  }
-  return util::Status::Ok();
-}
-
-util::Status Simulator::CollectDueRequests(const std::vector<Trip>& trips,
-                                           size_t& next_trip, double now) {
-  while (next_trip < trips.size() && trips[next_trip].time_s <= now) {
-    const vehicle::Request r = BuildRequest(trips[next_trip++]);
-    // Reject bad trips here, as the per-request path does via
-    // SubmitRequest — folding them into the batch would instead skew
-    // the report with zero-valued never-matched samples.
-    PTRIDER_RETURN_IF_ERROR(system_->ValidateRequest(r));
-    pending_.push_back(r);
-  }
-  return util::Status::Ok();
-}
-
 std::optional<size_t> Simulator::PickOption(const vehicle::Request& request,
                                             const core::MatchResult& match,
                                             double now) {
@@ -124,7 +93,7 @@ util::Result<std::vector<core::BatchItem>> Simulator::DispatchBatch(
     SimulationReport& report) {
   if (dispatcher_ == nullptr) {
     return util::Status::FailedPrecondition(
-        "DispatchBatch needs BeginStepping (or a batched Run) first");
+        "DispatchBatch needs BeginStepping first");
   }
   if (batch.empty()) return std::vector<core::BatchItem>{};
   // The chooser runs in the dispatcher's sequential commit phase, in
@@ -145,32 +114,26 @@ util::Result<std::vector<core::BatchItem>> Simulator::DispatchBatch(
   return items;
 }
 
-util::Status Simulator::DispatchPending(double now,
-                                        SimulationReport& report) {
-  if (pending_.empty()) return util::Status::Ok();
-  auto items = DispatchBatch(std::move(pending_), now, report);
-  pending_.clear();
-  return items.status();
-}
-
 util::Status Simulator::BeginStepping() {
-  if (options_.tick_s <= 0.0) {
-    return util::Status::InvalidArgument("tick must be positive");
+  // NaN fails every comparison, so each check asks for the valid range.
+  if (!(std::isfinite(options_.tick_s) && options_.tick_s > 0.0)) {
+    return util::Status::InvalidArgument("tick must be finite and positive");
   }
-  if (system_->fleet().empty()) {
-    return util::Status::FailedPrecondition("fleet is empty");
+  for (const double seconds : {options_.batch_window_s, options_.end_time_s,
+                               options_.drain_s}) {
+    if (!(std::isfinite(seconds) && seconds >= 0.0)) {
+      return util::Status::InvalidArgument(
+          "batch window, end time and drain must be finite and >= 0");
+    }
   }
-  PTRIDER_RETURN_IF_ERROR(CreatePools(/*batched=*/true));
-  motions_.assign(system_->fleet().size(), Motion{});
-  return util::Status::Ok();
-}
-
-util::Status Simulator::CreatePools(bool batched) {
   if (options_.move_jobs > core::kMaxThreads) {
     return util::Status::InvalidArgument(util::StrFormat(
         "move jobs must be at most %d", core::kMaxThreads));
   }
-  if (batched && dispatcher_ == nullptr) {
+  if (system_->fleet().empty()) {
+    return util::Status::FailedPrecondition("fleet is empty");
+  }
+  if (dispatcher_ == nullptr) {
     dispatcher_ = std::make_unique<dispatch::ParallelDispatcher>(
         *system_, static_cast<size_t>(system_->config().dispatch_threads));
   }
@@ -178,6 +141,7 @@ util::Status Simulator::CreatePools(bool batched) {
     move_pool_ = std::make_unique<dispatch::WorkerPool>(
         *system_, static_cast<size_t>(options_.move_jobs));
   }
+  motions_.assign(system_->fleet().size(), Motion{});
   return util::Status::Ok();
 }
 
@@ -402,41 +366,30 @@ util::Status Simulator::MoveIdleVehicle(vehicle::VehicleId id, double now,
 
 util::Result<SimulationReport> Simulator::Run(
     const std::vector<Trip>& trips) {
-  if (options_.tick_s <= 0.0) {
-    return util::Status::InvalidArgument("tick must be positive");
-  }
-  if (options_.batch_window_s < 0.0) {
-    return util::Status::InvalidArgument("batch window must be >= 0");
-  }
   for (size_t i = 1; i < trips.size(); ++i) {
     if (trips[i].time_s < trips[i - 1].time_s) {
       return util::Status::InvalidArgument("trips must be time-sorted");
     }
   }
-  if (system_->fleet().empty()) {
-    return util::Status::FailedPrecondition("fleet is empty");
-  }
-  const bool batched = options_.batch_window_s > 0.0;
-  PTRIDER_RETURN_IF_ERROR(CreatePools(batched));
+  PTRIDER_RETURN_IF_ERROR(BeginStepping());
 
   util::WallTimer timer;
   SimulationReport report;
-  motions_.assign(system_->fleet().size(), Motion{});
-
   const double last_trip =
       trips.empty() ? 0.0 : trips.back().time_s;
   const double end_time = options_.end_time_s > 0.0
                               ? options_.end_time_s
                               : last_trip + options_.drain_s;
+  const double window = options_.batch_window_s;
 
   size_t next_trip = 0;
   double now = 0.0;
   double next_progress_log = 3600.0;
-  // Flush boundaries derive from an integer window index for the same
+  std::vector<vehicle::Request> batch;
+  // Window boundaries derive from an integer window index for the same
   // reason tick times do below: accumulating `+= batch_window_s` drifts
-  // on non-representable windows until a flush slips past a tick.
+  // on non-representable windows until a boundary slips past a tick.
   int64_t next_window = 1;
-  util::WallTimer phase_timer;
   // Tick times derive from an integer tick index: accumulating
   // `now += tick_s` drifts over long horizons (86k+ ticks at day scale)
   // and overshoots end_time by up to one tick. The final tick is clamped
@@ -446,30 +399,24 @@ util::Result<SimulationReport> Simulator::Run(
   for (int64_t tick = 1; tick <= total_ticks; ++tick) {
     const double prev = now;
     now = std::min(static_cast<double>(tick) * options_.tick_s, end_time);
-    if (batched) {
-      phase_timer.Restart();
-      PTRIDER_RETURN_IF_ERROR(CollectDueRequests(trips, next_trip, now));
-      report.match_phase_seconds += phase_timer.ElapsedSeconds();
-      if (now + 1e-9 >= static_cast<double>(next_window) *
-                            options_.batch_window_s) {
-        // Window boundary: dispatch, then the boundary tick.
-        std::vector<vehicle::Request> batch = std::move(pending_);
-        pending_.clear();
-        PTRIDER_RETURN_IF_ERROR(
-            StepWindow(std::move(batch), prev, now, report).status());
-        while (static_cast<double>(next_window) *
-                   options_.batch_window_s <=
-               now + 1e-9) {
-          ++next_window;
-        }
-      } else {
-        PTRIDER_RETURN_IF_ERROR(AdvanceTick(prev, now, report));
+    while (next_trip < trips.size() && trips[next_trip].time_s <= now) {
+      const vehicle::Request r = MakeRequest(trips[next_trip++]);
+      // Refuse a bad trip here: inside the batch it would only be
+      // reported unserved, skewing the report with a never-matched
+      // sample.
+      PTRIDER_RETURN_IF_ERROR(system_->ValidateRequest(r));
+      batch.push_back(r);
+    }
+    if (window == 0.0 || tick == total_ticks ||
+        now + 1e-9 >= static_cast<double>(next_window) * window) {
+      // Window boundary: dispatch, then the boundary tick.
+      PTRIDER_RETURN_IF_ERROR(
+          StepWindow(std::exchange(batch, {}), prev, now, report).status());
+      while (window > 0.0 &&
+             static_cast<double>(next_window) * window <= now + 1e-9) {
+        ++next_window;
       }
     } else {
-      phase_timer.Restart();
-      PTRIDER_RETURN_IF_ERROR(
-          SubmitDueRequests(trips, next_trip, now, report));
-      report.match_phase_seconds += phase_timer.ElapsedSeconds();
       PTRIDER_RETURN_IF_ERROR(AdvanceTick(prev, now, report));
     }
     if (options_.verbose && now >= next_progress_log) {
@@ -482,15 +429,6 @@ util::Result<SimulationReport> Simulator::Run(
           1e3 * report.response_time_s.mean());
       next_progress_log += 3600.0;
     }
-  }
-
-  if (batched) {
-    // Trips due in the final partial window (end_time_s cut short of the
-    // next flush) still get dispatched once.
-    phase_timer.Restart();
-    PTRIDER_RETURN_IF_ERROR(CollectDueRequests(trips, next_trip, now));
-    PTRIDER_RETURN_IF_ERROR(DispatchPending(now, report));
-    report.match_phase_seconds += phase_timer.ElapsedSeconds();
   }
 
   for (const vehicle::Vehicle& v : system_->fleet().vehicles()) {

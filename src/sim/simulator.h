@@ -33,12 +33,11 @@ struct SimulatorOptions {
   bool idle_cruising = true;
   /// Emit progress lines every simulated hour (kInfo log level).
   bool verbose = false;
-  /// Batched arrivals: > 0 accumulates due trips and dispatches them
-  /// together every `batch_window_s` simulated seconds through the batch
-  /// dispatcher (dispatch::ParallelDispatcher on Config::dispatch_threads
-  /// threads) — the production serving shape, and what lets multi-core
-  /// matching engage. 0 keeps the seed behavior: every request is
-  /// matched alone in the tick it arrives.
+  /// Dispatch window, simulated seconds: due trips accumulate and go
+  /// together through the batch dispatcher (dispatch::ParallelDispatcher
+  /// on Config::dispatch_threads threads) at every multiple of it. 0
+  /// closes a window at every tick. The last tick of a run always closes
+  /// one, so every due trip is dispatched before the run's last movement.
   double batch_window_s = 0.0;
   /// Threads for the per-tick vehicle-movement advance phase (the
   /// calling thread included; values below 1 count as 1, values above
@@ -65,32 +64,35 @@ class Simulator {
   Simulator(core::PTRider& system, SimulatorOptions options);
 
   /// Runs `trips` (must be sorted by time) to completion and returns the
-  /// aggregated statistics.
+  /// aggregated statistics: BeginStepping, then one StepWindow per
+  /// window boundary and one AdvanceTick per other tick.
   util::Result<SimulationReport> Run(const std::vector<Trip>& trips);
 
-  // --- Service-mode stepping (src/service/dispatch_service.*) -------------
-  // The long-running dispatch service drives the same tick machinery Run
-  // does, but its requests arrive through an ingestion queue on their own
-  // open-loop schedule instead of from a pre-sorted trip vector — so it
-  // owns the outer clock loop and calls these steps itself (DESIGN.md
-  // section 11). Every driver runs one stage order: dispatch the window,
-  // then list, advance, commit and reindex the tick.
+  // --- Stepping --------------------------------------------------------------
+  // Run drives these steps over a pre-sorted trip vector. The long-running
+  // dispatch service (src/service/dispatch_service.*) drives them too, but
+  // its requests arrive through an ingestion queue on their own open-loop
+  // schedule, so it owns the outer clock loop (DESIGN.md section 11).
+  // Every driver runs one stage order: dispatch the window, then list,
+  // advance, commit and reindex the tick.
 
-  /// Prepares stepping: validates options and fleet, resets motion state
-  /// and creates the dispatcher and the movement pool. Call once before
-  /// MakeRequest / DispatchBatch / AdvanceTick.
+  /// Prepares stepping: validates the clock options (tick_s finite and
+  /// > 0; batch_window_s, end_time_s and drain_s finite and >= 0),
+  /// move_jobs and the fleet, resets motion state and creates the
+  /// dispatcher and the movement pool unless they exist already. Call
+  /// once before MakeRequest / DispatchBatch / AdvanceTick.
   util::Status BeginStepping();
-  /// The shared trip-to-request conversion for external submission
-  /// paths: arrival-instant stamping as in Run, ids issued in call
-  /// order (which is what makes queue-ingestion order the paper's
-  /// (submit_time, id) dispatch order).
-  vehicle::Request MakeRequest(const Trip& t) { return BuildRequest(t); }
+  /// The trip-to-request conversion of every submission path. Stamps the
+  /// trip's true arrival instant as submit_time_s, never the processing
+  /// tick, and issues ids in call order (which is what makes
+  /// queue-ingestion order the paper's (submit_time, id) dispatch order).
+  vehicle::Request MakeRequest(const Trip& t);
   /// Dispatches `batch` at `now` through dispatcher() and folds every
   /// outcome into `report` exactly like one of Run's batch windows;
   /// returns the per-request items (processing order) so the caller can
   /// stamp per-request service latencies. Fails with FailedPrecondition,
-  /// even for an empty batch, before BeginStepping (or a batched Run)
-  /// created the dispatcher.
+  /// even for an empty batch, before BeginStepping created the
+  /// dispatcher.
   util::Result<std::vector<core::BatchItem>> DispatchBatch(
       std::vector<vehicle::Request> batch, double now,
       SimulationReport& report);
@@ -113,40 +115,22 @@ class Simulator {
   /// returns. Kept because bench/ptrider_bench still calls it after its
   /// last step.
   util::Status FinishStepping(SimulationReport& report);
-  /// The batch dispatcher BeginStepping or a batched Run created (null
-  /// before): the service installs its quote-latency MatchObserver and
-  /// sets its ladder rung here.
+  /// The batch dispatcher BeginStepping created (null before): the
+  /// service installs its quote-latency MatchObserver and sets its ladder
+  /// rung here.
   dispatch::ParallelDispatcher* dispatcher() { return dispatcher_.get(); }
 
  private:
-  /// Rejects move_jobs above core::kMaxThreads, then creates the
-  /// movement pool (move_jobs > 1) and, when `batched`, the batch
-  /// dispatcher, unless they exist already.
-  util::Status CreatePools(bool batched);
-  /// The shared trip-to-request conversion of both submission paths.
-  /// Stamps the trip's true arrival instant as submit_time_s — never the
-  /// processing tick — so wait/response accounting agrees across
-  /// per-request and batched modes.
-  vehicle::Request BuildRequest(const Trip& t);
-  util::Status SubmitDueRequests(const std::vector<Trip>& trips,
-                                 size_t& next_trip, double now,
-                                 SimulationReport& report);
-  /// Batched mode: moves due trips into `pending_` as requests. Errors
-  /// on invalid trips, exactly like the per-request path does.
-  util::Status CollectDueRequests(const std::vector<Trip>& trips,
-                                  size_t& next_trip, double now);
-  /// The rider tap, shared by both submission paths: builds the
-  /// ChoiceContext (floor priced from the match's direct distance) and
-  /// returns the chosen option index, or nullopt on decline / no
-  /// options. Consumes rng_ — call once per request, in order.
+  /// The rider tap: builds the ChoiceContext (floor priced from the
+  /// match's direct distance) and returns the chosen option index, or
+  /// nullopt on decline / no options. Consumes rng_ — call once per
+  /// request, in order.
   std::optional<size_t> PickOption(const vehicle::Request& request,
                                    const core::MatchResult& match,
                                    double now);
-  /// Batched mode: dispatches `pending_` at time `now` and folds the
-  /// BatchItems into `report`.
-  util::Status DispatchPending(double now, SimulationReport& report);
-  /// Folds one matched request's outcome into `report` (both submission
-  /// paths share this accounting) and re-targets the assigned vehicle.
+  /// Folds one matched request's outcome into `report` and re-targets
+  /// the assigned vehicle. DispatchBatch calls it once the whole batch
+  /// has committed, so motion is replanned against the final trees.
   /// `chosen` is null unless the rider accepted an option.
   util::Status RecordOutcome(const vehicle::Request& request,
                              const core::MatchResult& match,
@@ -188,13 +172,11 @@ class Simulator {
   util::Rng rng_;
   std::vector<Motion> motions_;
   vehicle::RequestId next_request_id_ = 1;
-  /// Batched mode and stepping only: the batch dispatcher (created
-  /// lazily, with Config::dispatch_threads threads) and the requests
-  /// awaiting the next window flush.
+  /// The batch dispatcher (created by BeginStepping, with
+  /// Config::dispatch_threads threads).
   std::unique_ptr<dispatch::ParallelDispatcher> dispatcher_;
-  std::vector<vehicle::Request> pending_;
   /// move_jobs > 1 only: the movement advance pool (per-thread oracle
-  /// clones persist across ticks, created lazily in Run).
+  /// clones persist across ticks, created by BeginStepping).
   std::unique_ptr<dispatch::WorkerPool> move_pool_;
   /// This tick's advance results, one per serving event, in
   /// serving_events_ order (the vector's capacity persists across ticks).

@@ -17,6 +17,28 @@ constexpr double kEps = 1e-6;
 
 bool LeqWithSlack(double a, double b) { return a <= b + kEps; }
 
+/// CommitInsert's screen: rejects a schedule whose pick-up bound already
+/// reaches the new request's pick-up after its committed deadline. The
+/// bound is at most the exact walk's double and the arrival test is
+/// monotone in it, so the exact walk would miss the deadline too.
+class DeadlineScreen : public InsertionScreen {
+ public:
+  DeadlineScreen(const ScheduleContext& ctx, double deadline_s)
+      : ctx_(ctx), deadline_s_(deadline_s) {}
+  bool Meets(roadnet::Weight pickup_distance) const {
+    return LeqWithSlack(ctx_.now_s + pickup_distance / ctx_.speed_mps,
+                        deadline_s_);
+  }
+  bool Rejects(roadnet::Weight pickup_lb,
+               roadnet::Weight /*total_lb*/) const override {
+    return !Meets(pickup_lb);
+  }
+
+ private:
+  ScheduleContext ctx_;
+  double deadline_s_;
+};
+
 /// Marks a leg WalkSequence must compute (exact legs are >= 0).
 constexpr roadnet::Weight kUnknownLeg = -1.0;
 
@@ -352,16 +374,12 @@ util::Status KineticTree::CommitInsert(
         util::StrFormat("request %lld already assigned",
                         static_cast<long long>(request.id)));
   }
-  std::vector<InsertionCandidate> candidates =
-      TrialInsert(request, ctx, dist, nullptr);
-  if (candidates.empty()) {
-    return util::Status::FailedPrecondition(
-        "request no longer insertable into this vehicle");
-  }
-
   const double planned_s =
       ctx.now_s + planned_pickup_distance / ctx.speed_mps;
   const double deadline_s = planned_s + request.max_wait_s;
+  const DeadlineScreen screen(ctx, deadline_s);
+  std::vector<InsertionCandidate> candidates =
+      TrialInsert(request, ctx, dist, nullptr, 0, &screen);
 
   PendingRequest p;
   p.request = request;
@@ -376,8 +394,7 @@ util::Status KineticTree::CommitInsert(
 
   std::vector<Branch> new_branches;
   for (InsertionCandidate& c : candidates) {
-    const double arrival = ctx.now_s + c.pickup_distance / ctx.speed_mps;
-    if (!LeqWithSlack(arrival, deadline_s)) continue;
+    if (!screen.Meets(c.pickup_distance)) continue;
     // The walk summed the legs left to right from 0, as a branch does.
     Branch b;
     b.stops = std::move(c.stops);
@@ -386,8 +403,8 @@ util::Status KineticTree::CommitInsert(
     new_branches.push_back(std::move(b));
   }
   if (new_branches.empty()) {
-    return util::Status::Internal(
-        "no candidate meets the committed pick-up deadline");
+    return util::Status::FailedPrecondition(
+        "no schedule of this vehicle meets the committed pick-up deadline");
   }
   pending_.emplace(request.id, std::move(p));
   branches_ = std::move(new_branches);

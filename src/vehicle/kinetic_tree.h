@@ -185,9 +185,12 @@ class KineticTree {
 
   /// Commits `request` with the rider-chosen planned pick-up distance:
   /// sets planned pick-up time now + dist/speed, deadline = planned + w,
-  /// re-derives the branch set, and drops now-invalid orderings. Fails if
-  /// no candidate meets the deadline (cannot happen for a distance quoted
-  /// by TrialInsert at the same `ctx`).
+  /// and re-derives the branch set from the schedules that meet the
+  /// deadline. Its trial insertion screens out every schedule whose
+  /// pick-up bound already misses the deadline, so only the others are
+  /// walked exactly. Fails with FailedPrecondition if no schedule meets
+  /// the deadline (cannot happen for a distance quoted by TrialInsert at
+  /// the same `ctx`).
   util::Status CommitInsert(const Request& request,
                             roadnet::Weight planned_pickup_distance,
                             double price, const ScheduleContext& ctx,

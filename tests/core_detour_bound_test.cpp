@@ -1,5 +1,5 @@
 // Targeted soundness check for the dual-side matcher's detour lower
-// bound: on randomized loaded vehicles, DetourLowerBound must never
+// bound: on randomized loaded vehicles, VehicleDetourLowerBound must never
 // exceed the true minimal Delta = dist_trj - dist_tri over the
 // enumerated insertion candidates. An unsound bound here would prune
 // valid options and break matcher equivalence, so this property gets its
@@ -10,7 +10,7 @@
 #include <algorithm>
 
 #include "core/distance_providers.h"
-#include "core/indexed_matcher.h"
+#include "core/matcher.h"
 #include "roadnet/distance_oracle.h"
 #include "roadnet/graph_generator.h"
 #include "util/random.h"
@@ -18,24 +18,6 @@
 
 namespace ptrider::core {
 namespace {
-
-/// Test shim exposing the protected bound computations.
-class BoundProbe : public IndexedMatcherBase {
- public:
-  BoundProbe(const MatchContext& context)
-      : IndexedMatcherBase(context, /*dual_side=*/true) {}
-  const char* name() const override { return "probe"; }
-
-  roadnet::Weight Detour(const vehicle::Vehicle& v,
-                         const vehicle::Request& r,
-                         roadnet::Weight direct) const {
-    return DetourLowerBound(v, r, direct);
-  }
-  roadnet::Weight Pickup(const vehicle::Vehicle& v,
-                         roadnet::VertexId s) const {
-    return PickupLowerBound(v, s);
-  }
-};
 
 class DetourBoundTest : public ::testing::TestWithParam<uint64_t> {};
 
@@ -55,15 +37,7 @@ TEST_P(DetourBoundTest, BoundsNeverExceedRealizedValues) {
   ExactDistanceProvider dist(oracle);
   util::Rng rng(GetParam() * 13 + 5);
 
-  Config cfg;
   vehicle::Fleet fleet;
-  MatchContext context;
-  context.graph = &*graph;
-  context.grid = &*grid;
-  context.fleet = &fleet;
-  context.oracle = &oracle;
-  context.config = &cfg;
-  BoundProbe probe(context);
 
   auto rv = [&]() {
     return static_cast<roadnet::VertexId>(rng.UniformInt(
@@ -111,8 +85,10 @@ TEST_P(DetourBoundTest, BoundsNeverExceedRealizedValues) {
           oracle.Distance(r.start, r.destination);
       if (direct == roadnet::kInfWeight) continue;
 
-      const roadnet::Weight detour_lb = probe.Detour(v, r, direct);
-      const roadnet::Weight pickup_lb = probe.Pickup(v, r.start);
+      const roadnet::Weight detour_lb =
+          VehicleDetourLowerBound(*grid, v, r, direct);
+      const roadnet::Weight pickup_lb =
+          VehiclePickupLowerBound(*grid, v, r.start);
       const roadnet::Weight before = v.tree().BestTotalDistance();
       const auto cands = v.tree().TrialInsert(r, ctx, dist, nullptr);
       for (const vehicle::InsertionCandidate& c : cands) {

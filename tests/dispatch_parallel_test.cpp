@@ -640,27 +640,6 @@ sim::SimulationReport RunBatchedSim(int dispatch_threads, uint64_t seed) {
   return *report;
 }
 
-/// The pinned part of a batched report, as raw-bit words: outcome
-/// counts, revenue, quoted-price, pick-up-wait, detour, option-count and
-/// price-over-floor sums, and the three fleet distances.
-pin::Words ReportWords(const sim::SimulationReport& r) {
-  return {pin::Bits(r.requests_submitted),
-          pin::Bits(r.requests_assigned),
-          pin::Bits(r.requests_unserved),
-          pin::Bits(r.requests_declined),
-          pin::Bits(r.requests_completed),
-          pin::Bits(r.requests_shared),
-          pin::Bits(r.revenue_total),
-          pin::Bits(r.quoted_price.sum()),
-          pin::Bits(r.pickup_wait_s.sum()),
-          pin::Bits(r.detour_ratio.sum()),
-          pin::Bits(r.options_per_request.sum()),
-          pin::Bits(r.price_over_floor.sum()),
-          pin::Bits(r.fleet_total_distance_m),
-          pin::Bits(r.fleet_occupied_distance_m),
-          pin::Bits(r.fleet_shared_distance_m)};
-}
-
 // The answers of one-at-a-time dispatch (the sequential dispatcher's
 // dispatch_threads = 0, before it moved into the tests), pinned per
 // seed; every thread count must reproduce them bit for bit.
@@ -683,7 +662,8 @@ TEST(DispatchParallelTest, SimulationReportMatchesSequential) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     for (const int threads : {1, 2, 4}) {
       SCOPED_TRACE("threads " + std::to_string(threads));
-      const pin::Words actual = ReportWords(RunBatchedSim(threads, seed));
+      const pin::Words actual =
+          pin::ReportWords(RunBatchedSim(threads, seed));
       EXPECT_EQ(actual, expected)
           << "actual report:\n" << pin::ToInitializer(actual);
     }

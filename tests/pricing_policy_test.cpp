@@ -209,8 +209,8 @@ TEST(SurgePolicyTest, DecayRelaxesMultiplierAfterLull) {
 
 // Decay(t) followed by RecordRequest(t) must leave exactly the state a
 // lone RecordRequest(t) produces — the quote paths decay defensively, so
-// any divergence would break the sequential/parallel dispatch and
-// per-request/batched determinism contracts.
+// any divergence would break the determinism contract between
+// one-at-a-time and batched dispatch.
 TEST(SurgePolicyTest, DecayThenRecordEqualsRecordAlone) {
   SurgeOptions opts;
   opts.window_s = 90.0;

@@ -13,6 +13,8 @@
 #include <string>
 #include <vector>
 
+#include "sim/metrics.h"
+
 namespace ptrider::pin {
 
 using Words = std::vector<uint64_t>;
@@ -32,6 +34,27 @@ inline std::string ToInitializer(const Words& words) {
     out += buf;
   }
   return out + "}";
+}
+
+/// The pinned part of a simulation report, as raw-bit words: outcome
+/// counts, revenue, quoted-price, pick-up-wait, detour, option-count and
+/// price-over-floor sums, and the three fleet distances.
+inline Words ReportWords(const sim::SimulationReport& r) {
+  return {Bits(r.requests_submitted),
+          Bits(r.requests_assigned),
+          Bits(r.requests_unserved),
+          Bits(r.requests_declined),
+          Bits(r.requests_completed),
+          Bits(r.requests_shared),
+          Bits(r.revenue_total),
+          Bits(r.quoted_price.sum()),
+          Bits(r.pickup_wait_s.sum()),
+          Bits(r.detour_ratio.sum()),
+          Bits(r.options_per_request.sum()),
+          Bits(r.price_over_floor.sum()),
+          Bits(r.fleet_total_distance_m),
+          Bits(r.fleet_occupied_distance_m),
+          Bits(r.fleet_shared_distance_m)};
 }
 
 }  // namespace ptrider::pin

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "raw_bit_pin.h"
@@ -214,6 +216,34 @@ TEST(DispatchServiceTest, RunIsOneShot) {
   ASSERT_TRUE(server.Run(first).ok());
   PoissonArrivals second(f.graph, load);
   EXPECT_FALSE(server.Run(second).ok());
+}
+
+// The service's clock options must be finite: an infinite window or
+// drain, a NaN one, or a NaN tick is refused before the run starts.
+TEST(DispatchServiceTest, RejectsNonFiniteClockOptions) {
+  ServiceFixture f = MakeFixture(10, 1);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<ServiceOptions> bad;
+  for (const double seconds : {nan, inf, 0.0, -1.0}) {
+    bad.emplace_back().batch_window_s = seconds;
+  }
+  for (const double seconds : {nan, inf, -1.0}) {
+    bad.emplace_back().drain_s = seconds;
+  }
+  for (const double tick : {nan, inf}) {
+    bad.emplace_back().tick_s = tick;
+  }
+  PoissonArrivalOptions load;
+  load.rate_per_s = 0.5;
+  load.duration_s = 10.0;
+  for (size_t i = 0; i < bad.size(); ++i) {
+    SCOPED_TRACE("case " + std::to_string(i));
+    DispatchService server(*f.system, bad[i]);
+    PoissonArrivals process(f.graph, load);
+    EXPECT_EQ(server.Run(process).status().code(),
+              util::StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(DispatchServiceTest, QuoteReturnsOptionsWithoutCommitting) {

@@ -204,7 +204,7 @@ TEST(MovementGoldenTest, BusyBatchedCityAcrossKnobs) {
 
 // tick_s = 0.7 gives budgets that differ in their last bits from tick to
 // tick, and end_time_s = 1000 is no multiple of it, so the final tick is
-// clamped to a shorter budget. Per-request submission.
+// clamped to a shorter budget. One dispatch window per tick.
 TEST(MovementGoldenTest, FractionalTicksWithClampedEnd) {
   const roadnet::RoadNetwork graph = MakeGraph();
   const std::vector<Trip> trips = MakeTrips(graph, 90, 800.0, 17);

@@ -7,14 +7,16 @@
 // only buy latency, never a different answer (DESIGN.md section 6).
 // Determinism is proven here, not asserted.
 //
-// Also the regression home of the submission-path time-accounting fixes:
-// both submission paths stamp the trip's true arrival instant, and the
-// tick clock derives from an integer index clamped to end_time.
+// Also the regression home of the submission path: every request goes
+// through the batch dispatcher stamped with the trip's true arrival
+// instant, the last tick closes a window, a batch replans motion once,
+// and the tick clock derives from an integer index clamped to end_time.
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
+#include "raw_bit_pin.h"
 #include "roadnet/graph_generator.h"
 #include "sim/simulator.h"
 #include "sim/workload.h"
@@ -26,14 +28,9 @@ namespace {
 /// Wall-clock aggregates (response_time_s, response_percentiles_s, the
 /// phase timings) and cache-state-dependent effort counters
 /// (distance_computations) are excluded; everything a rider, operator or
-/// evaluation plot observes must be byte-identical. `same_match_path`
-/// false compares a per-request run with a batched one: the batch
-/// dispatcher re-probes vehicles committed earlier in the batch (DESIGN.md
-/// section 5), work one-at-a-time matching does not do, so their
-/// vehicles_examined counts differ and are not compared.
+/// evaluation plot observes must be byte-identical.
 void ExpectReportsIdentical(const SimulationReport& a,
-                            const SimulationReport& b,
-                            bool same_match_path = true) {
+                            const SimulationReport& b) {
   EXPECT_EQ(a.requests_submitted, b.requests_submitted);
   EXPECT_EQ(a.requests_assigned, b.requests_assigned);
   EXPECT_EQ(a.requests_unserved, b.requests_unserved);
@@ -59,10 +56,8 @@ void ExpectReportsIdentical(const SimulationReport& a,
   expect_stats_eq(a.submit_delay_s, b.submit_delay_s, "submit_delay_s");
   expect_stats_eq(a.options_per_request, b.options_per_request,
                   "options_per_request");
-  if (same_match_path) {
-    expect_stats_eq(a.vehicles_examined, b.vehicles_examined,
-                    "vehicles_examined");
-  }
+  expect_stats_eq(a.vehicles_examined, b.vehicles_examined,
+                  "vehicles_examined");
   expect_stats_eq(a.pickup_wait_s, b.pickup_wait_s, "pickup_wait_s");
   expect_stats_eq(a.detour_ratio, b.detour_ratio, "detour_ratio");
   expect_stats_eq(a.quoted_price, b.quoted_price, "quoted_price");
@@ -153,10 +148,9 @@ TEST_P(MovementDeterminismTest, ReportIdenticalAcrossMoveJobs) {
 INSTANTIATE_TEST_SUITE_P(
     BatchModesDispatchersAndSeeds, MovementDeterminismTest,
     ::testing::Combine(
-        // Per-request mode and a 5 s arrival window (batched mode).
+        // One window per tick and a 5 s arrival window.
         ::testing::Values(0.0, 5.0),
-        // Dispatch threads: 1 (no pool) and 2 (batched mode only reads
-        // it).
+        // Dispatch threads: 1 (no pool) and 2.
         ::testing::Values(1, 2), ::testing::Values<uint64_t>(3, 17)));
 
 // Idle cruising is the only rng_ consumer inside movement; a fleet with
@@ -185,34 +179,92 @@ TEST(MovementParallelTest, IdleCruisingIdenticalAcrossMoveJobs) {
   EXPECT_EQ(run(4), reference);
 }
 
-// --- Submission-path time accounting ----------------------------------------
+// --- The submission path ---------------------------------------------------
 
-// Regression: SubmitDueRequests used to stamp submit_time_s with the
-// processing tick while CollectDueRequests stamped the true arrival,
-// silently skewing cross-mode wait/response comparisons. With the shared
-// trip-to-request builder, a batched run whose window equals the tick
-// dispatches the very same requests at the very same instants as the
-// per-request path — the whole report, submit delays included, must
-// match (all but the match work counted in vehicles_examined, see
-// ExpectReportsIdentical).
-TEST(SubmitTimeAccountingTest, PerRequestMatchesBatchedWindowOfOneTick) {
-  const City city = MakeCity(23);
-  for (const uint64_t seed : {4u, 29u}) {
-    SCOPED_TRACE("seed " + std::to_string(seed));
-    const SimulationReport per_request =
-        RunCity(city, /*move_jobs=*/1, /*batch_window_s=*/0.0, seed);
-    const SimulationReport batched =
-        RunCity(city, /*move_jobs=*/1, /*batch_window_s=*/1.0, seed);
-    ExpectReportsIdentical(per_request, batched,
-                           /*same_match_path=*/false);
-    EXPECT_EQ(per_request.submit_delay_s.sum(),
-              batched.submit_delay_s.sum());
+// The last tick of a run closes a window even when it is clamped to
+// end_time_s: a trip arriving inside it is dispatched before that tick's
+// movement at every window, so the taxi waiting at its start picks the
+// rider up within the run.
+TEST(SubmissionPathTest, ClampedLastTickClosesAWindow) {
+  roadnet::CityGridOptions gopts;
+  gopts.rows = 6;
+  gopts.cols = 6;
+  gopts.seed = 3;
+  auto graph = roadnet::MakeCityGrid(gopts);
+  ASSERT_TRUE(graph.ok());
+  Trip trip;
+  trip.time_s = 10.2;
+  trip.origin = 4;
+  trip.destination = 30;
+  for (const double window : {0.0, 1.0, 2.0}) {
+    SCOPED_TRACE("batch_window_s " + std::to_string(window));
+    auto sys = core::PTRider::Create(*graph, core::Config{});
+    ASSERT_TRUE(sys.ok());
+    ASSERT_TRUE((*sys)->AddVehicle(4).ok());
+    SimulatorOptions sopts;
+    sopts.idle_cruising = false;
+    sopts.end_time_s = 10.5;
+    sopts.batch_window_s = window;
+    Simulator sim(**sys, sopts);
+    auto report = sim.Run({trip});
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_EQ(report->requests_assigned, 1);
+    EXPECT_EQ(report->pickup_wait_s.count(), 1u);
   }
 }
 
-// The per-request path must measure the delay from the trip's arrival
-// instant to its processing tick — nonzero for off-tick arrivals (the
-// old bug reported identically-zero delays in per-request mode).
+// A batch replans each assigned vehicle's motion after all its commits,
+// against the final tree, so a mid-edge vehicle whose first stop two
+// commits of one tick change and change back keeps its progress along
+// the edge. This busy small city has such ticks: replanning after every
+// commit would reset that progress and drive 166317.15 m in total, not
+// the 166780.77 m pinned here. One window per tick and a one-second
+// window give the same report.
+TEST(SubmissionPathTest, MotionReplansOncePerBatch) {
+  roadnet::CityGridOptions gopts;
+  gopts.rows = 8;
+  gopts.cols = 8;
+  gopts.seed = 14;
+  auto graph = roadnet::MakeCityGrid(gopts);
+  ASSERT_TRUE(graph.ok());
+  HotspotWorkloadOptions wopts;
+  wopts.num_trips = 70;
+  wopts.duration_s = 150.0;
+  wopts.seed = 99;
+  auto trips = GenerateHotspotTrips(*graph, wopts);
+  ASSERT_TRUE(trips.ok());
+  const pin::Words expected = {
+      0x0000000000000046ULL, 0x0000000000000040ULL, 0x0000000000000006ULL,
+      0x0000000000000000ULL, 0x0000000000000040ULL, 0x000000000000002fULL,
+      0x404c4a9c1a6dd4f1ULL, 0x404c4a9c1a6dd4f1ULL, 0x40a843dd6a33bbceULL,
+      0x40512271283f1619ULL, 0x4062000000000000ULL, 0x405f2b2075d1a1c0ULL,
+      0x41045be6260dabc1ULL, 0x40f1e4e81feb111bULL, 0x40d867e8db384858ULL};
+  for (const double window : {0.0, 1.0}) {
+    SCOPED_TRACE("batch_window_s " + std::to_string(window));
+    core::Config cfg;
+    cfg.vehicle_capacity = 2;
+    cfg.default_max_wait_s = 330.0;
+    cfg.default_service_sigma = 0.45;
+    cfg.max_planned_pickup_s = 600.0;
+    auto sys = core::PTRider::Create(*graph, cfg);
+    ASSERT_TRUE(sys.ok());
+    ASSERT_TRUE((*sys)->InitFleetUniform(12, 14).ok());
+    SimulatorOptions sopts;
+    sopts.seed = 14;
+    sopts.drain_s = 900.0;
+    sopts.batch_window_s = window;
+    sopts.choice.model = RiderChoiceModel::kCheapest;
+    Simulator sim(**sys, sopts);
+    auto report = sim.Run(*trips);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    const pin::Words actual = pin::ReportWords(*report);
+    EXPECT_EQ(actual, expected)
+        << "actual report:\n" << pin::ToInitializer(actual);
+  }
+}
+
+// The submit delay runs from the trip's arrival instant to the tick
+// that dispatches it: nonzero for off-tick arrivals.
 TEST(SubmitTimeAccountingTest, SubmitDelayMeasuresTickRounding) {
   const City city = MakeCity(1, /*num_trips=*/0);
   std::vector<Trip> trips;

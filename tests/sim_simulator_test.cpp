@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+#include <vector>
+
 #include "roadnet/graph_generator.h"
 #include "sim/workload.h"
 
@@ -150,6 +154,36 @@ TEST(SimulatorTest, RejectsBadInputs) {
   bad.tick_s = 0.0;
   Simulator sim2(*f.system, bad);
   EXPECT_FALSE(sim2.Run({}).ok());
+}
+
+// Clock options must be finite: a NaN or infinite tick would run no tick
+// at all and report an empty run, and an infinite window would dispatch
+// nothing before the last tick. Run and BeginStepping refuse them, and
+// negative windows, end times and drains, before creating any pool.
+TEST(SimulatorTest, RejectsNonFiniteClockOptions) {
+  SimFixture f = MakeFixture(5, core::MatcherAlgorithm::kDualSide);
+  const std::vector<Trip> trips = MakeTrips(f.graph, 20, 600.0);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<SimulatorOptions> bad;
+  for (const double tick : {nan, inf, -inf, 0.0, -1.0}) {
+    bad.emplace_back().tick_s = tick;
+  }
+  for (const double seconds : {nan, inf, -inf, -1.0}) {
+    bad.emplace_back().batch_window_s = seconds;
+    bad.emplace_back().end_time_s = seconds;
+    bad.emplace_back().drain_s = seconds;
+  }
+  for (size_t i = 0; i < bad.size(); ++i) {
+    SCOPED_TRACE("case " + std::to_string(i));
+    Simulator run(*f.system, bad[i]);
+    EXPECT_EQ(run.Run(trips).status().code(),
+              util::StatusCode::kInvalidArgument);
+    Simulator stepping(*f.system, bad[i]);
+    EXPECT_EQ(stepping.BeginStepping().code(),
+              util::StatusCode::kInvalidArgument);
+    EXPECT_EQ(stepping.dispatcher(), nullptr);
+  }
 }
 
 // move_jobs above core::kMaxThreads is refused by Run and BeginStepping

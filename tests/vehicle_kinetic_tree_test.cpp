@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <vector>
@@ -366,71 +367,101 @@ void ExpectSameBits(const std::vector<InsertionCandidate>& got,
   }
 }
 
-/// The insertion screen on busy trees with grid bounds: a screen that
-/// rejects everything walks nothing exactly, one that rejects nothing
-/// changes nothing, and one that rejects only bounds above a candidate's
-/// own doubles keeps that candidate (the walk's bounds never exceed the
-/// exact walk's sums).
-TEST(InsertionScreenTest, ScreensOnlyWhatItRejects) {
-  roadnet::CityGridOptions city;
-  city.rows = 12;
-  city.cols = 12;
-  city.seed = 4;
-  auto graph = roadnet::MakeCityGrid(city);
-  ASSERT_TRUE(graph.ok());
-  roadnet::GridIndexOptions gopts;
-  gopts.cells_x = 5;
-  gopts.cells_y = 5;
-  auto grid = roadnet::GridIndex::Build(*graph, gopts);
-  ASSERT_TRUE(grid.ok());
-  roadnet::DistanceOracle oracle(*graph);
-  core::IndexedDistanceProvider bounded(oracle, *grid);
-  ScheduleContext ctx;
-  util::Rng rng(17);
-  const auto random_request = [&](RequestId id) {
+/// Six busy trees (three pending requests each, loose constraints) on a
+/// city with grid bounds, and random requests to insert into them.
+class InsertionScreenTest : public ::testing::Test {
+ protected:
+  InsertionScreenTest()
+      : graph_(MakeGraph()),
+        grid_(MakeGrid(graph_)),
+        oracle_(graph_),
+        bounded_(oracle_, grid_) {}
+
+  static roadnet::RoadNetwork MakeGraph() {
+    roadnet::CityGridOptions city;
+    city.rows = 12;
+    city.cols = 12;
+    city.seed = 4;
+    auto graph = roadnet::MakeCityGrid(city);
+    EXPECT_TRUE(graph.ok());
+    return std::move(graph).value();
+  }
+
+  static roadnet::GridIndex MakeGrid(const roadnet::RoadNetwork& graph) {
+    roadnet::GridIndexOptions gopts;
+    gopts.cells_x = 5;
+    gopts.cells_y = 5;
+    auto grid = roadnet::GridIndex::Build(graph, gopts);
+    EXPECT_TRUE(grid.ok());
+    return std::move(grid).value();
+  }
+
+  Request RandomRequest() {
     Request r;
-    r.id = id;
+    r.id = next_id_++;
     r.start = static_cast<roadnet::VertexId>(
-        rng.UniformInt(0, static_cast<int64_t>(graph->NumVertices()) - 1));
+        rng_.UniformInt(0, static_cast<int64_t>(graph_.NumVertices()) - 1));
     do {
-      r.destination = static_cast<roadnet::VertexId>(rng.UniformInt(
-          0, static_cast<int64_t>(graph->NumVertices()) - 1));
+      r.destination = static_cast<roadnet::VertexId>(rng_.UniformInt(
+          0, static_cast<int64_t>(graph_.NumVertices()) - 1));
     } while (r.destination == r.start);
     r.num_riders = 1;
     r.max_wait_s = 1e6;
     r.service_sigma = 0.6;
     return r;
-  };
+  }
 
+  /// Busy tree number `vehicle`, with three committed requests.
+  KineticTree BusyTree(int vehicle) {
+    KineticTree tree(static_cast<roadnet::VertexId>(vehicle * 17), 4);
+    for (int pending = 0; pending < 3; ++pending) {
+      const Request r = RandomRequest();
+      EXPECT_TRUE(tree.CommitInsert(r, 1e6, 0.0, ctx_, bounded_).ok());
+    }
+    EXPECT_GT(tree.NumBranches(), 1u);
+    return tree;
+  }
+
+  static constexpr int kTrees = 6;
+  static constexpr int kProbes = 5;
+
+  roadnet::RoadNetwork graph_;
+  roadnet::GridIndex grid_;
+  roadnet::DistanceOracle oracle_;
+  core::IndexedDistanceProvider bounded_;
+  ScheduleContext ctx_;
+  util::Rng rng_{17};
+  RequestId next_id_ = 1;
+};
+
+/// A screen that rejects everything walks nothing exactly, one that
+/// rejects nothing changes nothing, and one that rejects only bounds
+/// above a candidate's own doubles keeps that candidate (the walk's
+/// bounds never exceed the exact walk's sums).
+TEST_F(InsertionScreenTest, ScreensOnlyWhatItRejects) {
   const ThresholdScreen everything(-1.0, -1.0);
   const ThresholdScreen nothing(roadnet::kInfWeight, roadnet::kInfWeight);
   size_t candidates_seen = 0;
-  for (int vehicle = 0; vehicle < 6; ++vehicle) {
-    KineticTree tree(static_cast<roadnet::VertexId>(vehicle * 17), 4);
-    RequestId next_id = 1;
-    for (int pending = 0; pending < 3; ++pending) {
-      const Request r = random_request(next_id++);
-      ASSERT_TRUE(tree.CommitInsert(r, 1e6, 0.0, ctx, bounded).ok());
-    }
-    ASSERT_GT(tree.NumBranches(), 1u);
-    for (int probe = 0; probe < 5; ++probe) {
-      const Request r = random_request(next_id++);
+  for (int vehicle = 0; vehicle < kTrees; ++vehicle) {
+    const KineticTree tree = BusyTree(vehicle);
+    for (int probe = 0; probe < kProbes; ++probe) {
+      const Request r = RandomRequest();
       InsertionStats unscreened_stats;
       const std::vector<InsertionCandidate> unscreened =
-          tree.TrialInsert(r, ctx, bounded, &unscreened_stats);
+          tree.TrialInsert(r, ctx_, bounded_, &unscreened_stats);
       candidates_seen += unscreened.size();
 
-      CountingProvider counting(bounded);
+      CountingProvider counting(bounded_);
       InsertionStats stats;
       EXPECT_TRUE(
-          tree.TrialInsert(r, ctx, counting, &stats, 0, &everything).empty());
+          tree.TrialInsert(r, ctx_, counting, &stats, 0, &everything).empty());
       EXPECT_EQ(counting.exact_calls, 1u);  // dist(s, d) only
       EXPECT_EQ(stats.exact_validated, 0u);
       EXPECT_EQ(stats.bound_pruned, stats.sequences_generated);
 
       InsertionStats kept_stats;
       ExpectSameBits(
-          tree.TrialInsert(r, ctx, bounded, &kept_stats, 0, &nothing),
+          tree.TrialInsert(r, ctx_, bounded_, &kept_stats, 0, &nothing),
           unscreened);
       EXPECT_EQ(kept_stats.bound_pruned, unscreened_stats.bound_pruned);
       EXPECT_EQ(kept_stats.accepted, unscreened_stats.accepted);
@@ -438,7 +469,7 @@ TEST(InsertionScreenTest, ScreensOnlyWhatItRejects) {
       for (const InsertionCandidate& c : unscreened) {
         const ThresholdScreen at_c(c.pickup_distance, c.total_distance);
         const std::vector<InsertionCandidate> screened =
-            tree.TrialInsert(r, ctx, bounded, nullptr, 0, &at_c);
+            tree.TrialInsert(r, ctx_, bounded_, nullptr, 0, &at_c);
         bool found = false;
         for (const InsertionCandidate& k : screened) {
           found = found || k.stops == c.stops;
@@ -448,6 +479,68 @@ TEST(InsertionScreenTest, ScreensOnlyWhatItRejects) {
     }
   }
   EXPECT_GT(candidates_seen, 100u);
+}
+
+/// CommitInsert screens each schedule against the committed pick-up
+/// deadline before its exact walk: the branches it keeps are, bit for
+/// bit, the unscreened candidates that meet the deadline, and it asks
+/// for fewer exact distances than walking every schedule would.
+TEST_F(InsertionScreenTest, CommitScreensAgainstTheDeadline) {
+  size_t commits = 0;
+  size_t screened_calls = 0;
+  size_t unscreened_calls = 0;
+  for (int vehicle = 0; vehicle < kTrees; ++vehicle) {
+    const KineticTree tree = BusyTree(vehicle);
+    for (int probe = 0; probe < kProbes; ++probe) {
+      Request r = RandomRequest();
+      r.max_wait_s = 0.0;  // the deadline is the planned pick-up
+      CountingProvider unscreened_counting(bounded_);
+      const std::vector<InsertionCandidate> candidates =
+          tree.TrialInsert(r, ctx_, unscreened_counting, nullptr);
+      if (candidates.empty()) continue;
+      // The median pick-up: some schedules meet its deadline, some miss.
+      std::vector<roadnet::Weight> pickups;
+      for (const InsertionCandidate& c : candidates) {
+        pickups.push_back(c.pickup_distance);
+      }
+      std::sort(pickups.begin(), pickups.end());
+      const roadnet::Weight planned = pickups[pickups.size() / 2];
+      const double deadline_s =
+          ctx_.now_s + planned / ctx_.speed_mps + r.max_wait_s;
+
+      KineticTree committed = tree;
+      CountingProvider counting(bounded_);
+      ASSERT_TRUE(committed.CommitInsert(r, planned, 0.0, ctx_, counting).ok());
+      ++commits;
+      size_t meeting = 0;
+      for (const InsertionCandidate& c : candidates) {
+        if (ctx_.now_s + c.pickup_distance / ctx_.speed_mps >
+            deadline_s + 1e-6) {
+          continue;
+        }
+        ++meeting;
+        const auto b = std::find_if(
+            committed.branches().begin(), committed.branches().end(),
+            [&](const Branch& branch) { return branch.stops == c.stops; });
+        ASSERT_NE(b, committed.branches().end());
+        EXPECT_EQ(std::bit_cast<uint64_t>(b->total),
+                  std::bit_cast<uint64_t>(c.total_distance));
+        ASSERT_EQ(b->legs.size(), c.legs.size());
+        for (size_t k = 0; k < c.legs.size(); ++k) {
+          EXPECT_EQ(std::bit_cast<uint64_t>(b->legs[k]),
+                    std::bit_cast<uint64_t>(c.legs[k]));
+        }
+      }
+      EXPECT_EQ(committed.NumBranches(), meeting);
+      // The unscreened walk plus the commit's own dist(s, d) lookup.
+      const size_t unscreened = unscreened_counting.exact_calls + 1;
+      EXPECT_LE(counting.exact_calls, unscreened);
+      screened_calls += counting.exact_calls;
+      unscreened_calls += unscreened;
+    }
+  }
+  EXPECT_GT(commits, 20u);
+  EXPECT_LT(screened_calls, unscreened_calls);
 }
 
 }  // namespace
