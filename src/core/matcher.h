@@ -37,9 +37,9 @@ struct MatchResult {
   size_t cells_visited = 0;
   /// Exact shortest-path computations performed during this match.
   uint64_t distance_computations = 0;
-  /// Vertices the two request-anchor searches settled during this match
-  /// (0 for the naive matcher). Searches persist between requests, so
-  /// the count depends on which request last used the same pair.
+  /// Vertices the two request-anchor searches settled during this match.
+  /// Searches persist between requests, so the count depends on which
+  /// request last used the same pair.
   uint64_t anchor_settles = 0;
   /// Wall-clock matching latency — the demo's "average response time"
   /// aggregates this.
@@ -72,7 +72,7 @@ struct MatchEffort {
 };
 
 /// Shared wiring for matchers. All pointers outlive the matcher; the
-/// matcher mutates nothing but the oracle's cache/stats. Everything but
+/// matcher mutates nothing but the oracle's searches/stats. Everything but
 /// the oracle is const — matching is a read-only view of system state,
 /// which is what lets the parallel dispatcher run many matches
 /// concurrently against one fleet (each worker supplying its own

@@ -11,6 +11,12 @@ MatchResult NaiveMatcher::Match(const vehicle::Request& request,
   util::WallTimer timer;
   MatchResult result;
   const uint64_t computed_before = ctx_.oracle->computed();
+  // Every lookup has s or d as an endpoint, or is a branch leg
+  // TrialInsert reuses; dist(s, d), asked once per vehicle, is a repeat
+  // after the first (DESIGN.md section 7.5).
+  const roadnet::DistanceOracle::AnchorScope anchors(
+      *ctx_.oracle, request.start, request.destination);
+  const uint64_t settles_before = ctx_.oracle->anchor_settles();
 
   ExactDistanceProvider dist(*ctx_.oracle);
   const pricing::PricingPolicy& price = *ctx_.pricing;
@@ -30,6 +36,7 @@ MatchResult NaiveMatcher::Match(const vehicle::Request& request,
   }
   result.options = skyline.TakeSorted();
   result.distance_computations = ctx_.oracle->computed() - computed_before;
+  result.anchor_settles = ctx_.oracle->anchor_settles() - settles_before;
   result.match_seconds = timer.ElapsedSeconds();
   return result;
 }

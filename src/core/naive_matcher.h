@@ -8,7 +8,8 @@ namespace ptrider::core {
 /// The baseline matching method (Section 3.3): extend the kinetic-tree
 /// algorithm [7] directly — evaluate *every* vehicle, inserting the
 /// request into its kinetic tree with exact distances, and keep the
-/// non-dominated (time, price) pairs.
+/// non-dominated (time, price) pairs. The distances come from the
+/// request anchors, as in the indexed matchers (DESIGN.md section 7.5).
 class NaiveMatcher {
  public:
   explicit NaiveMatcher(const MatchContext& context) : ctx_(context) {}

@@ -281,12 +281,11 @@ util::Result<StopEvent> PTRider::VehicleArrivedAtStop(vehicle::VehicleId id,
 
 util::Status PTRider::CommitAdvancedVehicle(
     vehicle::VehicleId id, vehicle::Vehicle&& advanced,
-    std::vector<AdvanceStop>& stops, bool reindex) {
+    std::vector<AdvanceStop>& stops) {
   if (!fleet_.IsValid(id) || advanced.id() != id) {
     return util::Status::InvalidArgument("advanced state names an unknown vehicle");
   }
-  vehicle::Vehicle& v = fleet_.at(id);
-  v = std::move(advanced);
+  fleet_.at(id) = std::move(advanced);
   for (AdvanceStop& s : stops) {
     if (s.event.stop.type == vehicle::StopType::kPickup) {
       // Sharing statistic: every request onboard while >= 2 are onboard
@@ -303,7 +302,6 @@ util::Status PTRider::CommitAdvancedVehicle(
       }
     }
   }
-  if (reindex) vehicle_index_.Update(v);
   return util::Status::Ok();
 }
 

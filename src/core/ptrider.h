@@ -173,18 +173,17 @@ class PTRider {
   /// movement accrued, stops popped) — as vehicle `id`'s live state,
   /// applies the assignment-side effects of its arrival events in order
   /// (shared-flag marking at pick-ups, assignment release at drop-offs,
-  /// filling each drop-off's `event.shared`), and re-registers the
-  /// vehicle in the index once. Equivalent to the per-event
-  /// UpdateVehicleLocation / VehicleArrivedAtStop sequence the advance
-  /// phase simulated, because those mutations never feed back into the
-  /// advance of any vehicle within the same tick. Must be called for
-  /// vehicles in ascending id order, one commit per advanced vehicle.
-  /// `reindex = false` defers the index re-registration exactly like
-  /// UpdateVehicleLocation's flag does.
+  /// filling each drop-off's `event.shared`). Equivalent to the
+  /// per-event UpdateVehicleLocation / VehicleArrivedAtStop sequence the
+  /// advance phase simulated, because those mutations never feed back
+  /// into the advance of any vehicle within the same tick. Must be
+  /// called for vehicles in ascending id order, one commit per advanced
+  /// vehicle. The vehicle index is not touched: the caller re-registers
+  /// the vehicle before anything reads the index (the simulator's
+  /// end-of-tick pass, DESIGN.md section 10.2).
   util::Status CommitAdvancedVehicle(vehicle::VehicleId id,
                                      vehicle::Vehicle&& advanced,
-                                     std::vector<AdvanceStop>& stops,
-                                     bool reindex = true);
+                                     std::vector<AdvanceStop>& stops);
 
   // --- Accessors ---------------------------------------------------------------
   const Config& config() const { return config_; }

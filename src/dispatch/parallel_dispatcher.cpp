@@ -84,21 +84,14 @@ util::Result<std::vector<core::BatchItem>> ParallelDispatcher::Dispatch(
   std::vector<core::MatchResult> matches(n);
   const core::SnapshotView frozen = system_->Frozen();
   util::WallTimer phase_timer;
-  // Contiguous chunks (~2 per thread): the batch is sorted by submit
-  // time, so neighbors are often spatially close and their shortest
-  // paths land in the same worker's distance cache.
-  const size_t chunk = std::max<size_t>(1, n / (2 * pool_.num_threads()));
-  pool_.ParallelFor(
-      n,
-      [&](size_t i, WorkerContext& context) {
-        if (!valid[i].ok()) return;
-        const roadnet::DistanceOracle::AnchorLoan loan(context.oracle(),
-                                                       pair_of(i));
-        matches[i] = frozen.MatchReadOnly(batch[i], now_s, context.oracle(),
-                                          &pricing_of(i), &degrade_.effort);
-        if (observer_) observer_(context.index(), batch[i], matches[i]);
-      },
-      chunk);
+  pool_.ParallelFor(n, [&](size_t i, WorkerContext& context) {
+    if (!valid[i].ok()) return;
+    const roadnet::DistanceOracle::AnchorLoan loan(context.oracle(),
+                                                   pair_of(i));
+    matches[i] = frozen.MatchReadOnly(batch[i], now_s, context.oracle(),
+                                      &pricing_of(i), &degrade_.effort);
+    if (observer_) observer_(context.index(), batch[i], matches[i]);
+  });
   match_phase_seconds_ += phase_timer.ElapsedSeconds();
   phase_timer.Restart();
 
@@ -144,17 +137,13 @@ util::Result<std::vector<core::BatchItem>> ParallelDispatcher::Dispatch(
       if (matches[j].direct_distance_m == roadnet::kInfWeight) continue;
       if (is_stale(j)) wave.push_back(j);
     }
-    pool_.ParallelFor(
-        wave.size(),
-        [&](size_t k, WorkerContext& context) {
-          const size_t j = wave[k];
-          const roadnet::DistanceOracle::AnchorLoan loan(context.oracle(),
-                                                         pair_of(j));
-          matches[j] =
-              system_->MatchReadOnly(batch[j], now_s, context.oracle(),
-                                     &pricing_of(j), &degrade_.effort);
-        },
-        /*chunk=*/1);
+    pool_.ParallelFor(wave.size(), [&](size_t k, WorkerContext& context) {
+      const size_t j = wave[k];
+      const roadnet::DistanceOracle::AnchorLoan loan(context.oracle(),
+                                                     pair_of(j));
+      matches[j] = system_->MatchReadOnly(batch[j], now_s, context.oracle(),
+                                          &pricing_of(j), &degrade_.effort);
+    });
     rematch_count_ += wave.size();
     ++wavefront_batches_;
     const size_t mark = dirty.size();

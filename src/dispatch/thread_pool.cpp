@@ -42,24 +42,20 @@ void ThreadPool::Wait() {
 }
 
 void ThreadPool::ParallelFor(
-    size_t n, const std::function<void(size_t, size_t)>& fn,
-    size_t chunk) {
+    size_t n, const std::function<void(size_t, size_t)>& fn) {
   if (n == 0) return;
-  if (chunk == 0) chunk = 1;
-  // One pump task per worker; index ranges come off a shared counter so
-  // a slow range never strands work behind it. `fn` and `next` outlive
+  // One pump task per worker; indices come off a shared counter so a
+  // slow index never strands work behind it. `fn` and `next` outlive
   // the tasks because Wait() returns only after every task object is
   // destroyed.
   auto next = std::make_shared<std::atomic<size_t>>(0);
-  const auto pump = [next, n, &fn, chunk](size_t worker) {
-    for (size_t base = next->fetch_add(chunk, std::memory_order_relaxed);
-         base < n;
-         base = next->fetch_add(chunk, std::memory_order_relaxed)) {
-      const size_t end = std::min(n, base + chunk);
-      for (size_t i = base; i < end; ++i) fn(i, worker);
+  const auto pump = [next, n, &fn](size_t worker) {
+    for (size_t i = next->fetch_add(1, std::memory_order_relaxed); i < n;
+         i = next->fetch_add(1, std::memory_order_relaxed)) {
+      fn(i, worker);
     }
   };
-  const size_t pumps = std::min(num_workers(), (n + chunk - 1) / chunk);
+  const size_t pumps = std::min(num_workers(), n);
   for (size_t t = 0; t < pumps; ++t) Submit(pump);
   // The caller pumps too (as worker id num_workers()) instead of
   // sleeping in Wait — with zero pool workers this degenerates to a

@@ -52,22 +52,15 @@ class ThreadPool {
   /// (queue empty and no task mid-execution).
   void Wait() EXCLUDES(mu_);
 
-  /// Runs fn(index, worker) for every index in [0, n), work-stealing
-  /// index ranges off a shared counter so uneven per-index cost still
-  /// balances. The calling thread participates as worker id
-  /// num_workers() — fn runs on num_workers() + 1 threads total, and
-  /// per-worker state must be sized accordingly. Blocks until all n
-  /// calls returned.
-  ///
-  /// `chunk` indices are claimed at a time (>= 1): larger chunks keep
-  /// consecutive indices on one worker — when neighbors share cacheable
-  /// work (e.g. nearby requests querying similar shortest paths into a
-  /// per-worker oracle), that locality is worth more than fine-grained
-  /// balance.
+  /// Runs fn(index, worker) for every index in [0, n), each thread
+  /// claiming the next unclaimed index off a shared counter so uneven
+  /// per-index cost still balances. The calling thread participates as
+  /// worker id num_workers() — fn runs on num_workers() + 1 threads
+  /// total, and per-worker state must be sized accordingly. Blocks until
+  /// all n calls returned.
   void ParallelFor(size_t n,
                    const std::function<void(size_t index, size_t worker)>&
-                       fn,
-                   size_t chunk = 1) EXCLUDES(mu_);
+                       fn) EXCLUDES(mu_);
 
  private:
   void WorkerLoop(size_t worker_id) EXCLUDES(mu_);

@@ -8,14 +8,13 @@ namespace ptrider::dispatch {
 
 /// Everything one matching worker owns privately, so concurrent matches
 /// never share mutable search state: a DistanceOracle clone (own
-/// search-engine scratch, own LRU cache, own counters) over the shared
-/// immutable road network. The fleet, grid and vehicle index are read
-/// through core::PTRider::MatchReadOnly and stay shared — they are
-/// frozen for the duration of the sharded-match phase.
+/// search-engine scratch, own counters) over the shared immutable road
+/// network. The fleet, grid and vehicle index are read through
+/// core::PTRider::MatchReadOnly and stay shared — they are frozen for
+/// the duration of the sharded-match phase.
 ///
-/// Contexts persist across batches (held by the ParallelDispatcher), so
-/// each worker's distance cache warms up over a simulation the same way
-/// a single-threaded run's one cache does.
+/// Contexts persist across batches (held by the WorkerPool), so a
+/// worker's search scratch is allocated once per simulation.
 class WorkerContext {
  public:
   explicit WorkerContext(const core::PTRider& system, size_t index = 0)

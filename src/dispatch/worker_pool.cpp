@@ -14,11 +14,9 @@ WorkerPool::WorkerPool(const core::PTRider& system, size_t num_threads)
 
 void WorkerPool::ParallelFor(
     size_t n,
-    const std::function<void(size_t index, WorkerContext& context)>& fn,
-    size_t chunk) {
+    const std::function<void(size_t index, WorkerContext& context)>& fn) {
   pool_.ParallelFor(
-      n, [&](size_t index, size_t worker) { fn(index, workers_[worker]); },
-      chunk);
+      n, [&](size_t index, size_t worker) { fn(index, workers_[worker]); });
 }
 
 }  // namespace ptrider::dispatch

@@ -17,9 +17,8 @@ namespace ptrider::dispatch {
 /// their thread's private context, so per-thread DistanceOracle clones
 /// never need to be wired by hand at each call site.
 ///
-/// Contexts persist for the pool's lifetime, so each thread's distance
-/// cache warms across batches/ticks the same way a sequential run's
-/// single cache does.
+/// Contexts persist for the pool's lifetime, so each thread's search
+/// scratch is allocated once, not per batch or tick.
 class WorkerPool {
  public:
   /// `num_threads` participating threads total, the calling thread
@@ -33,12 +32,10 @@ class WorkerPool {
 
   /// Runs fn(index, context) for every index in [0, n), where `context`
   /// is private to the executing thread for the duration of the call.
-  /// `chunk` consecutive indices are claimed at a time (locality knob;
-  /// see ThreadPool::ParallelFor). Blocks until all n calls returned.
+  /// Blocks until all n calls returned.
   void ParallelFor(size_t n,
                    const std::function<void(size_t index,
-                                            WorkerContext& context)>& fn,
-                   size_t chunk = 1);
+                                            WorkerContext& context)>& fn);
 
  private:
   ThreadPool pool_;

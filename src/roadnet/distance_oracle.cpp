@@ -15,9 +15,14 @@ DistanceOracle::DistanceOracle(const RoadNetwork& graph,
 DistanceOracle::DistanceOracle(const RoadNetwork& graph,
                                DistanceOracleOptions options,
                                std::shared_ptr<const CHIndex> shared_ch)
-    : graph_(&graph),
-      options_(options),
-      cache_(options.cache_capacity) {
+    : DistanceOracle(graph, options, std::move(shared_ch),
+                     IsSymmetric(graph)) {}
+
+DistanceOracle::DistanceOracle(const RoadNetwork& graph,
+                               DistanceOracleOptions options,
+                               std::shared_ptr<const CHIndex> shared_ch,
+                               bool symmetric)
+    : graph_(&graph), options_(options), symmetric_(symmetric) {
   switch (options_.algorithm) {
     case SpAlgorithm::kDijkstra:
       dijkstra_ = std::make_unique<DijkstraEngine>(graph);
@@ -39,8 +44,7 @@ DistanceOracle::DistanceOracle(const RoadNetwork& graph,
 DistanceOracle DistanceOracle::Clone() const {
   // The graph reference and any precomputed table (the CHIndex) are
   // shared — both are immutable; engines rebuild their O(|V|) scratch
-  // arrays, and the cache/stats start empty. Cached values are exact,
-  // so a cold cache changes effort counters only, never a distance.
+  // arrays, and the stats start empty.
   return CloneWith(options_);
 }
 
@@ -48,7 +52,8 @@ DistanceOracle DistanceOracle::CloneWith(
     DistanceOracleOptions options) const {
   return DistanceOracle(
       *graph_, options,
-      options.algorithm == options_.algorithm ? ch_index_ : nullptr);
+      options.algorithm == options_.algorithm ? ch_index_ : nullptr,
+      symmetric_);
 }
 
 Weight DistanceOracle::ComputeDistance(VertexId u, VertexId v) {
@@ -108,7 +113,7 @@ DistanceOracle::AnchorLoan::~AnchorLoan() {
 void DistanceOracle::SetAnchors(VertexId s, VertexId d) {
   // One search answers both dist(x, a) and dist(a, x) only when they are
   // equal. Nesting would silently re-root the outer scope's searches.
-  assert(options_.symmetric && "anchoring needs a symmetric oracle");
+  assert(symmetric_ && "anchoring needs a symmetric network");
   assert(!anchored_ && "anchor scopes do not nest");
   const VertexId roots[2] = {s, d};
   for (int k = 0; k < 2; ++k) {
@@ -161,20 +166,13 @@ Weight DistanceOracle::Distance(VertexId u, VertexId v) {
   if (u == v) return 0.0;
   VertexId a = u;
   VertexId b = v;
-  if (options_.symmetric && a > b) std::swap(a, b);
+  if (symmetric_ && a > b) std::swap(a, b);
   if (anchored_) {
     // Prefer the anchor at the smaller id: its label is the answer as is.
     if (Anchor* anchor = AnchorAt(a)) return AnchoredDistance(*anchor, b);
     if (Anchor* anchor = AnchorAt(b)) return AnchoredDistance(*anchor, a);
   }
-  const uint64_t key = Key(a, b);
-  if (const Weight* hit = cache_.Find(key)) {
-    ++cache_hits_;
-    return *hit;
-  }
-  const Weight d = ComputeDistance(a, b);
-  cache_.Insert(key, d);
-  return d;
+  return ComputeDistance(a, b);
 }
 
 util::Result<std::vector<VertexId>> DistanceOracle::ShortestPath(
@@ -214,7 +212,7 @@ Weight DistanceOracle::RouteDistance(std::span<const VertexId> route) const {
   // Distance(a, b) searches from min(a, b) on a symmetric oracle, and a
   // search's label adds each edge to the sum so far, starting from 0.
   if (route.size() < 2) return 0.0;
-  const bool from_back = options_.symmetric && route.back() < route.front();
+  const bool from_back = symmetric_ && route.back() < route.front();
   Weight d = 0.0;
   for (size_t i = 1; i < route.size(); ++i) {
     d += from_back ? graph_->EdgeWeight(route[route.size() - i],

@@ -11,7 +11,6 @@
 #include "roadnet/ch.h"
 #include "roadnet/dijkstra.h"
 #include "roadnet/graph.h"
-#include "roadnet/pair_cache.h"
 #include "roadnet/sp_algorithm.h"
 #include "roadnet/types.h"
 #include "util/status.h"
@@ -21,17 +20,20 @@ namespace ptrider::roadnet {
 
 struct DistanceOracleOptions {
   SpAlgorithm algorithm = SpAlgorithm::kAStar;
-  /// Max number of cached pair distances; 0 disables caching.
-  size_t cache_capacity = 1 << 20;
-  /// Treat dist(u,v) == dist(v,u): one cache entry serves both directions.
-  /// Must only be set for symmetric networks (all generators produce them).
-  bool symmetric = true;
+  /// Not read: the oracle keeps no pair cache; the request anchors are
+  /// its one memo (DESIGN.md section 7.5). The field remains because
+  /// bench/ptrider_bench assigns it.
+  size_t cache_capacity = 0;
 };
 
 /// The exact-distance service used by matching, pricing and simulation.
-/// Wraps one point-to-point engine with an LRU pair cache and counts every
-/// query — the "number of shortest path distance computations" that the
-/// paper's matching algorithms minimize is read from these counters.
+/// Wraps one point-to-point engine and counts every query — the "number
+/// of shortest path distance computations" that the paper's matching
+/// algorithms minimize is read from these counters. Outside an
+/// AnchorScope every non-trivial lookup runs a search. On a symmetric
+/// network (IsSymmetric, read once at construction) dist(u, v) is
+/// computed as dist(min, max), so both directions return one double; a
+/// directed network is answered in the direction asked.
 /// Not thread-safe; one oracle per thread — Clone() is how a thread gets
 /// its own.
 class DistanceOracle {
@@ -47,7 +49,7 @@ class DistanceOracle {
   /// otherwise its path re-summed from the other end. The searches
   /// persist across scopes (re-anchoring at the same vertex resumes
   /// them) and are allocated on first use, so oracles that never anchor
-  /// pay nothing. Requires a symmetric oracle; scopes do not nest.
+  /// pay nothing. Requires a symmetric network; scopes do not nest.
   class AnchorScope {
    public:
     AnchorScope(DistanceOracle& oracle, VertexId s, VertexId d);
@@ -107,20 +109,20 @@ class DistanceOracle {
 
   /// The "one oracle per thread" contract made explicit: returns an
   /// independent oracle over the same (immutable, shared) road network
-  /// with the same algorithm/options. Per-query scratch — search-engine
-  /// working arrays, the LRU cache, the statistics counters — is
-  /// duplicated fresh, so the clone and the original can serve queries
-  /// from different threads concurrently. Precomputed distance tables
-  /// are shared read-only here, never duplicated per clone: under
+  /// with the same algorithm. Per-query scratch — search-engine working
+  /// arrays and the statistics counters — is allocated fresh, and the
+  /// anchor searches are not copied, so the clone and the original can
+  /// serve queries from different threads concurrently. The graph's
+  /// symmetry is copied, not re-read. Precomputed distance tables are
+  /// shared read-only here, never duplicated per clone: under
   /// kContractionHierarchy every clone queries the one CHIndex the
   /// first oracle built (see ch_index()).
   DistanceOracle Clone() const;
 
-  /// Clone with different per-clone options (cache capacity, symmetry
-  /// flag). Shared precomputed tables are reused when the algorithm is
-  /// unchanged; switching algorithms builds the new engine fresh
-  /// (including CH preprocessing when switching *to*
-  /// kContractionHierarchy).
+  /// Clone with other options, i.e. another algorithm. The shared CH
+  /// index is reused when the algorithm is unchanged; switching
+  /// algorithms builds the new engine fresh (including CH preprocessing
+  /// when switching *to* kContractionHierarchy).
   DistanceOracle CloneWith(DistanceOracleOptions options) const;
 
   /// Exact shortest-path distance (kInfWeight when unreachable).
@@ -141,7 +143,8 @@ class DistanceOracle {
   /// Length of `route`, a ShortestPath result or any suffix of one (a
   /// suffix of a shortest path is one too), summed the way
   /// Distance(route.front(), route.back()) sums it: edge weights left
-  /// to right from the smaller end id when symmetric (DESIGN.md 7.4).
+  /// to right from the smaller end id on a symmetric network (DESIGN.md
+  /// 7.4).
   /// Under 7.4's premise that is the double Distance returns, without a
   /// search; no counter moves. 0 for fewer than two vertices.
   Weight RouteDistance(std::span<const VertexId> route) const;
@@ -154,6 +157,8 @@ class DistanceOracle {
 
   // --- Statistics ---------------------------------------------------------
   uint64_t queries() const { return queries_; }
+  /// Repeat lookups of a vertex in an anchor's search, answered without
+  /// settling anything.
   uint64_t cache_hits() const { return cache_hits_; }
   /// Exact distances actually computed: point-to-point searches plus
   /// first lookups in an anchor search (queries - cache_hits - trivial).
@@ -183,10 +188,8 @@ class DistanceOracle {
     util::VisitMarks answered;
   };
 
-  static uint64_t Key(VertexId u, VertexId v) {
-    return (static_cast<uint64_t>(static_cast<uint32_t>(u)) << 32) |
-           static_cast<uint32_t>(v);
-  }
+  DistanceOracle(const RoadNetwork& graph, DistanceOracleOptions options,
+                 std::shared_ptr<const CHIndex> shared_ch, bool symmetric);
 
   Weight ComputeDistance(VertexId u, VertexId v);
   void SetAnchors(VertexId s, VertexId d);
@@ -197,6 +200,8 @@ class DistanceOracle {
 
   const RoadNetwork* graph_;
   DistanceOracleOptions options_;
+  /// IsSymmetric(*graph_), read once by the public constructors.
+  bool symmetric_;
 
   std::unique_ptr<DijkstraEngine> dijkstra_;
   std::unique_ptr<AStarEngine> astar_;
@@ -205,7 +210,6 @@ class DistanceOracle {
   /// ...and this oracle's private query scratch over it.
   std::unique_ptr<CHQuery> ch_query_;
 
-  PairCache cache_;
   /// Request anchors at s and d (this oracle's own, or a lent pair);
   /// allocated by the first AnchorScope.
   AnchorPair anchors_;

@@ -20,7 +20,9 @@ bool IsSymmetric(const RoadNetwork& graph) {
   for (VertexId u = 0; u < static_cast<VertexId>(graph.NumVertices());
        ++u) {
     for (const Edge& e : graph.OutEdges(u)) {
-      if (graph.EdgeWeight(e.to, u) != e.weight) return false;
+      if (graph.EdgeWeight(e.to, u) != graph.EdgeWeight(u, e.to)) {
+        return false;
+      }
     }
   }
   return true;

@@ -76,8 +76,11 @@ class RoadNetwork {
   bool geo_lb_valid_ = false;
 };
 
-/// True when every directed edge has a reverse edge of equal weight
-/// (distance-based travel costs). Required by the grid index.
+/// True when every directed edge u -> v has a reverse edge, and the
+/// lightest edge each way weighs the same (distance-based travel costs;
+/// parallel edges count by their lightest, the one every search takes),
+/// so dist(u, v) == dist(v, u). Required by the grid index; the distance
+/// oracle reads it to search each pair from its smaller id.
 bool IsSymmetric(const RoadNetwork& graph);
 
 /// Incremental builder for `RoadNetwork`. Vertices get dense ids in insert

@@ -91,6 +91,11 @@ util::Result<ServiceReport> DispatchService::Run(ArrivalProcess& process) {
   ServiceReport report;
   ServiceStats& stats = report.service;
   stats.horizon_s = process.end_time_s();
+  const double end_time = stats.horizon_s + opt.drain_s;
+  // Same integer tick/window grid as Simulator::Run (drift-free over
+  // day-scale horizons; final tick clamped to end_time).
+  PTRIDER_ASSIGN_OR_RETURN(const int64_t total_ticks,
+                           sim::TickCount(end_time, opt.tick_s));
 
   RequestQueue queue(opt.queue_capacity);
   WorkloadDriver driver(process, queue, opt.ingest_retry);
@@ -154,8 +159,6 @@ util::Result<ServiceReport> DispatchService::Run(ArrivalProcess& process) {
     producer = std::make_unique<ProducerThread>(driver, *clock);
   }
 
-  const double end_time = stats.horizon_s + opt.drain_s;
-
   // Virtual-clock service-time model: a single modeled server drains
   // `assign_cost_s` of work per dispatched request. `backlog_s` is the
   // work still owed at the last drain instant; elapsed simulated time
@@ -194,13 +197,9 @@ util::Result<ServiceReport> DispatchService::Run(ArrivalProcess& process) {
     injector->WindowsEndedBy(now_s);
   };
 
-  // Same integer tick/window grid as Simulator::Run (drift-free over
-  // day-scale horizons; final tick clamped to end_time).
   double now = 0.0;
   int64_t next_window = 1;
   double next_progress_log = 3600.0;
-  const int64_t total_ticks =
-      static_cast<int64_t>(std::ceil(end_time / opt.tick_s));
 
   // One batch-window drain at simulated instant `now_s`: admission,
   // latency stamping, dispatch, outcome accounting. `with_tick` then

@@ -203,20 +203,13 @@ void Simulator::RunAdvance(double now, double budget,
   const size_t events = serving_events_.size();
   advances_.resize(events);
   if (move_pool_ != nullptr && events >= kParallelAdvanceMin) {
-    // Contiguous shards: id-adjacent vehicles were placed together at
-    // fleet init and drift slowly, so their routes tend to share each
-    // worker's distance cache.
-    const size_t chunk =
-        std::max<size_t>(1, events / (4 * move_pool_->num_threads()));
     move_pool_->ParallelFor(
-        events,
-        [&](size_t k, dispatch::WorkerContext& context) {
+        events, [&](size_t k, dispatch::WorkerContext& context) {
           const vehicle::VehicleId id = serving_events_[k];
           advances_[k] =
               AdvanceVehicle(*system_, id, motions_[static_cast<size_t>(id)],
                              now, budget, context.oracle());
-        },
-        chunk);
+        });
   } else {
     for (size_t k = 0; k < events; ++k) {
       const vehicle::VehicleId id = serving_events_[k];
@@ -260,8 +253,8 @@ util::Status Simulator::CommitMove(double now, double budget,
     commit_status = a.status;
     if (!commit_status.ok()) break;
     if (a.vehicle.has_value()) {
-      commit_status = system_->CommitAdvancedVehicle(
-          id, *std::move(a.vehicle), a.stops, /*reindex=*/false);
+      commit_status =
+          system_->CommitAdvancedVehicle(id, *std::move(a.vehicle), a.stops);
       if (!commit_status.ok()) break;
       MarkMoved(id);
       motions_[i] = std::move(a.motion);
@@ -364,10 +357,25 @@ util::Status Simulator::MoveIdleVehicle(vehicle::VehicleId id, double now,
   return util::Status::Ok();
 }
 
+util::Result<int64_t> TickCount(double end_time_s, double tick_s) {
+  const double ticks = std::ceil(end_time_s / tick_s);
+  if (!(std::isfinite(ticks) && ticks <= 0x1p53)) {
+    return util::Status::InvalidArgument(util::StrFormat(
+        "horizon of %g s in ticks of %g s is beyond 2^53 ticks", end_time_s,
+        tick_s));
+  }
+  return ticks > 0.0 ? static_cast<int64_t>(ticks) : 0;
+}
+
 util::Result<SimulationReport> Simulator::Run(
     const std::vector<Trip>& trips) {
-  for (size_t i = 1; i < trips.size(); ++i) {
-    if (trips[i].time_s < trips[i - 1].time_s) {
+  for (size_t i = 0; i < trips.size(); ++i) {
+    // A NaN time is never due and fails the order check.
+    if (!std::isfinite(trips[i].time_s)) {
+      return util::Status::InvalidArgument(
+          util::StrFormat("trip %zu has a non-finite time", i));
+    }
+    if (i > 0 && trips[i].time_s < trips[i - 1].time_s) {
       return util::Status::InvalidArgument("trips must be time-sorted");
     }
   }
@@ -394,8 +402,8 @@ util::Result<SimulationReport> Simulator::Run(
   // `now += tick_s` drifts over long horizons (86k+ ticks at day scale)
   // and overshoots end_time by up to one tick. The final tick is clamped
   // to land exactly on end_time, its driving budget shortened pro rata.
-  const int64_t total_ticks =
-      static_cast<int64_t>(std::ceil(end_time / options_.tick_s));
+  PTRIDER_ASSIGN_OR_RETURN(const int64_t total_ticks,
+                           TickCount(end_time, options_.tick_s));
   for (int64_t tick = 1; tick <= total_ticks; ++tick) {
     const double prev = now;
     now = std::min(static_cast<double>(tick) * options_.tick_s, end_time);

@@ -56,6 +56,13 @@ struct SimulatorOptions {
   static constexpr int pipeline_depth = 1;
 };
 
+/// The number of `tick_s` ticks that reach `end_time_s` (the last one
+/// clamped), the integer grid Simulator::Run and DispatchService::Run
+/// step on; 0 for a horizon at or before time 0. InvalidArgument when
+/// the count is not finite or exceeds 2^53, past which
+/// `tick * tick_s` is no longer exact.
+util::Result<int64_t> TickCount(double end_time_s, double tick_s);
+
 /// Event-driven city simulation (Section 4's demonstration): feeds a trip
 /// trace through a PTRider instance while vehicles move at the constant
 /// configured speed, serving their kinetic-tree schedules or cruising.

@@ -123,6 +123,12 @@ util::Result<std::vector<Trip>> LoadTrips(const roadnet::RoadNetwork& graph,
     Trip t;
     const auto time_s = util::ParseDouble(fields[0]);
     if (!time_s.ok()) return at_line(time_s.status());
+    // strtod reads "nan" and "inf"; neither is a submission time, and
+    // NaN would break the sort below.
+    if (!std::isfinite(*time_s)) {
+      return util::Status::InvalidArgument(util::StrFormat(
+          "line %zu: trip time must be finite", reader.line_number()));
+    }
     t.time_s = *time_s;
     const auto o = util::ParseInt(fields[1]);
     if (!o.ok()) return at_line(o.status());

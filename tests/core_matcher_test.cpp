@@ -491,7 +491,7 @@ TEST(MatcherValidationTest, TiedTaxisSurviveWhereUnscaledBoundOvershoots) {
   gridopts.cells_y = 6;
   auto grid = roadnet::GridIndex::Build(*graph, gridopts);
   ASSERT_TRUE(grid.ok());
-  roadnet::DistanceOracle oracle(*graph, {cfg.sp_algorithm, 0, true});
+  roadnet::DistanceOracle oracle(*graph, {cfg.sp_algorithm});
   const auto n = static_cast<roadnet::VertexId>(graph->NumVertices());
   roadnet::VertexId u = roadnet::kInvalidVertex;
   roadnet::VertexId s = roadnet::kInvalidVertex;
@@ -592,7 +592,7 @@ TEST(MatcherAccountingTest, IdleFleetExaminedPlusPrunedIsFleetSize) {
 /// The anchor-settle counter: a per-match delta of the two anchor
 /// searches' settled vertices. Matching the same request again resumes
 /// both anchors with every lookup already answered, so it settles
-/// nothing; two identical systems report identical counts.
+/// nothing.
 TEST(MatcherAccountingTest, AnchorSettlesArePerMatchAndResume) {
   roadnet::CityGridOptions gopts;
   gopts.rows = 14;
@@ -618,18 +618,65 @@ TEST(MatcherAccountingTest, AnchorSettlesArePerMatchAndResume) {
   const MatchResult again = (*sys)->MatchReadOnly(r, 0.0, (*sys)->oracle());
   EXPECT_EQ(again.anchor_settles, 0u);
   EXPECT_EQ(again.options.size(), first.options.size());
-
-  (*sys)->set_matcher(MatcherAlgorithm::kNaive);
-  EXPECT_EQ((*sys)->MatchReadOnly(r, 0.0, (*sys)->oracle()).anchor_settles,
-            0u);
 }
 
-/// Busy-fleet reference. The indexed matchers read every distance that
-/// touches s or d from anchored searches, TrialInsert reuses the cached
-/// branch legs, and the naive matcher shares TrialInsert — so agreement
-/// among the matchers cannot catch a wrong leg. Re-walk every option's
-/// schedule with a fresh, cacheless Dijkstra oracle instead, on vehicles
-/// holding up to four pending requests.
+/// The naive matcher reads its distances from the request anchors too:
+/// every lookup it makes touches s or d (or is a reused branch leg), so
+/// on a busy fleet its searches settle vertices, and dist(s, d), asked
+/// once per vehicle, is one computed lookup plus hits.
+TEST(MatcherAccountingTest, NaiveMatchReadsTheAnchors) {
+  roadnet::CityGridOptions gopts;
+  gopts.rows = 14;
+  gopts.cols = 14;
+  gopts.seed = 9;
+  auto graph = roadnet::MakeCityGrid(gopts);
+  ASSERT_TRUE(graph.ok());
+  Config cfg;
+  cfg.default_service_sigma = 0.5;
+  auto sys = PTRider::Create(*graph, cfg);
+  ASSERT_TRUE(sys.ok());
+  ASSERT_TRUE((*sys)->InitFleetUniform(12, 9).ok());
+  const auto n = static_cast<int64_t>(graph->NumVertices());
+  util::Rng rng(17);
+  const auto request = [&](vehicle::RequestId id) {
+    vehicle::Request r;
+    r.id = id;
+    r.start = static_cast<roadnet::VertexId>(rng.UniformInt(0, n - 1));
+    do {
+      r.destination = static_cast<roadnet::VertexId>(rng.UniformInt(0, n - 1));
+    } while (r.destination == r.start);
+    r.num_riders = 1;
+    r.max_wait_s = cfg.default_max_wait_s;
+    r.service_sigma = cfg.default_service_sigma;
+    return r;
+  };
+  // Load the fleet with dual-side matches.
+  size_t committed = 0;
+  for (vehicle::RequestId id = 1; id <= 10; ++id) {
+    const vehicle::Request r = request(id);
+    auto m = (*sys)->SubmitRequest(r, 0.0);
+    ASSERT_TRUE(m.ok());
+    if (m->options.empty()) continue;
+    ASSERT_TRUE((*sys)->ChooseOption(r, m->options.front(), 0.0).ok());
+    ++committed;
+  }
+  ASSERT_GE(committed, 5u);
+
+  (*sys)->set_matcher(MatcherAlgorithm::kNaive);
+  const roadnet::DistanceOracle& oracle = (*sys)->oracle();
+  const uint64_t hits = oracle.cache_hits();
+  auto naive = (*sys)->SubmitRequest(request(100), 0.0);
+  ASSERT_TRUE(naive.ok());
+  EXPECT_EQ(naive->vehicles_examined, 12u);
+  EXPECT_GT(naive->anchor_settles, 0u);
+  EXPECT_GE(oracle.cache_hits() - hits, naive->vehicles_examined);
+}
+
+/// Busy-fleet reference. Every matcher reads each distance that touches
+/// s or d from anchored searches, and TrialInsert reuses the cached
+/// branch legs — so agreement among the matchers cannot catch a wrong
+/// leg. Re-walk every option's schedule with a fresh Dijkstra oracle
+/// instead, on vehicles holding up to four pending requests.
 TEST(BusyFleetReferenceTest, OptionDistancesMatchFreshDijkstraWalk) {
   roadnet::CityGridOptions gopts;
   gopts.rows = 14;
@@ -649,7 +696,7 @@ TEST(BusyFleetReferenceTest, OptionDistancesMatchFreshDijkstraWalk) {
   ASSERT_TRUE(sys.ok());
   ASSERT_TRUE((*sys)->InitFleetUniform(6, 3).ok());
   roadnet::DistanceOracle reference(
-      *graph, {roadnet::SpAlgorithm::kDijkstra, 0, true});
+      *graph, {roadnet::SpAlgorithm::kDijkstra});
 
   // Walks `o`'s schedule from its vehicle's position, summing legs left
   // to right from 0 as the kinetic tree does.

@@ -40,7 +40,7 @@ void ExpectOptionsEqual(const Option& a, const Option& b) {
 }
 
 /// Semantic equality of two dispatch outcomes. Wall-clock diagnostics
-/// (match_seconds) and effort counters (cache-state dependent) are
+/// (match_seconds) and effort counters (anchor-state dependent) are
 /// excluded; everything the rider or the commit path observes must be
 /// byte-identical.
 void ExpectItemsEqual(const std::vector<BatchItem>& seq,

@@ -66,6 +66,22 @@ TEST(GraphBuilderTest, ParallelEdgesKeepMinWeight) {
   EXPECT_EQ(built->OutDegree(a), 2u);
 }
 
+TEST(GraphTest, SymmetryComparesTheLightestEdgeEachWay) {
+  // Two vertices joined both ways at weight 2, plus one extra a -> c.
+  const auto pair_with_extra = [](Weight extra) {
+    GraphBuilder b;
+    const VertexId a = b.AddVertex({0, 0});
+    const VertexId c = b.AddVertex({1, 0});
+    EXPECT_TRUE(b.AddUndirectedEdge(a, c, 2.0).ok());
+    EXPECT_TRUE(b.AddEdge(a, c, extra).ok());
+    auto g = b.Build();
+    EXPECT_TRUE(g.ok());
+    return std::move(g).value();
+  };
+  EXPECT_TRUE(IsSymmetric(pair_with_extra(3.0)));   // heavier: never taken
+  EXPECT_FALSE(IsSymmetric(pair_with_extra(1.0)));  // lighter one way only
+}
+
 TEST(GraphTest, BoundsCoverAllVertices) {
   const PaperExampleNetwork ex = MakePaperExampleNetwork();
   const util::BoundingBox& box = ex.graph.bounds();

@@ -128,7 +128,7 @@ TEST(GridIndexTest, SortedCellListsAscendingAndComplete) {
   }
 }
 
-// Property: LowerBound never exceeds the double a cacheless oracle
+// Property: LowerBound never exceeds the double an unanchored oracle
 // returns, on every pair of a generated city, at several grid
 // resolutions and with both point-to-point engines. Raw comparison: a
 // bound one ulp above the distance lets strict-dominance pruning drop a
@@ -146,7 +146,7 @@ TEST_P(GridIndexBoundsTest, LowerBoundIsAdmissible) {
   const auto n = static_cast<VertexId>(g->NumVertices());
   for (const SpAlgorithm algo : {SpAlgorithm::kDijkstra, SpAlgorithm::kAStar}) {
     SCOPED_TRACE(SpAlgorithmName(algo));
-    DistanceOracle oracle(*g, {algo, /*cache_capacity=*/0, true});
+    DistanceOracle oracle(*g, {algo});
     size_t over = 0;
     for (VertexId u = 0; u < n; ++u) {
       EXPECT_EQ(index.LowerBound(u, u), 0.0);

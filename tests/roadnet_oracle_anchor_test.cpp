@@ -154,13 +154,10 @@ TEST(OracleAnchorTest, BitIdenticalToUnanchoredInSortedAndRandomOrder) {
     util::Rng rng(97);
     rng.Shuffle(shuffled);
     for (const SpAlgorithm algo : kAlgorithms) {
-      DistanceOracleOptions opts;
-      opts.algorithm = algo;
-      opts.cache_capacity = 0;  // the reference always searches
-      DistanceOracle plain(g, opts);
+      DistanceOracle plain(g, {algo});
       // One oracle per lookup order, each reused across all requests.
-      DistanceOracle by_id = plain.CloneWith({algo, 1 << 10, true});
-      DistanceOracle by_chance = plain.CloneWith({algo, 1 << 10, true});
+      DistanceOracle by_id = plain.Clone();
+      DistanceOracle by_chance = plain.Clone();
       for (const auto& [s, d] : Requests(g)) {
         const std::string label = ng.name + "/" + SpAlgorithmName(algo) +
                                   " s=v" + std::to_string(s) + " d=v" +
@@ -176,7 +173,7 @@ TEST(OracleAnchorTest, BitIdenticalToUnanchoredInSortedAndRandomOrder) {
 TEST(OracleAnchorTest, DisconnectedTargetsAreInfinite) {
   const RoadNetwork g = TwoIslands();
   for (const SpAlgorithm algo : kAlgorithms) {
-    DistanceOracle oracle(g, {algo, 0, true});
+    DistanceOracle oracle(g, {algo});
     const DistanceOracle::AnchorScope scope(oracle, 7, 30);
     EXPECT_EQ(oracle.Distance(7, 30), kInfWeight);
     EXPECT_EQ(oracle.Distance(30, 7), kInfWeight);
@@ -227,8 +224,8 @@ TEST(OracleAnchorTest, CountersFollowPairLookupSemantics) {
     (void)oracle.Distance(10, 10);  // trivial
     EXPECT_EQ(oracle.queries(), oracle.cache_hits() + oracle.computed() + 1);
   }
-  // Anchored answers never enter the pair cache: outside a scope the
-  // same pair is a fresh search.
+  // Outside a scope nothing is memoized: the same pair is a fresh
+  // search.
   const uint64_t computed = oracle.computed();
   (void)oracle.Distance(10, 70);
   EXPECT_EQ(oracle.computed(), computed + 1);
@@ -299,9 +296,9 @@ TEST(OracleAnchorTest, LentPairAnswersInAnotherOracle) {
   const std::vector<VertexId> looked_up = {70, 3, 99, 42, 0, 61};
   for (const SpAlgorithm algo : kAlgorithms) {
     SCOPED_TRACE(SpAlgorithmName(algo));
-    DistanceOracle first(*g, {algo, 1 << 10, true});
+    DistanceOracle first(*g, {algo});
     DistanceOracle second = first.Clone();
-    DistanceOracle plain = first.CloneWith({algo, 0, true});
+    DistanceOracle plain = first.Clone();
     DistanceOracle::AnchorPair pair;
     std::vector<uint64_t> bits;
     {
@@ -353,7 +350,7 @@ TEST(OracleAnchorTest, ClonesStartUnanchored) {
   city.cols = 8;
   auto g = MakeCityGrid(city);
   ASSERT_TRUE(g.ok());
-  DistanceOracle oracle(*g, {SpAlgorithm::kDijkstra, 0, true});
+  DistanceOracle oracle(*g, {SpAlgorithm::kDijkstra});
   const DistanceOracle::AnchorScope scope(oracle, 1, 2);
   (void)oracle.Distance(1, 40);
   // The clone shares no anchor state: its lookups are plain searches

@@ -1,6 +1,6 @@
 // DistanceOracle::Clone — the "one oracle per thread" contract. Clones
-// answer identically, keep independent caches/statistics, and serve
-// concurrent threads (the TSan CI job runs this file too).
+// answer identically, keep independent statistics, and serve concurrent
+// threads (the TSan CI job runs this file too).
 
 #include "roadnet/distance_oracle.h"
 
@@ -46,25 +46,26 @@ TEST(DistanceOracleCloneTest, CloneHasIndependentCacheAndStats) {
   const RoadNetwork g = TestCity();
   DistanceOracle original(g);
   (void)original.Distance(0, 5);
-  (void)original.Distance(0, 5);  // cache hit on the original
-  EXPECT_GT(original.queries(), 0u);
-  EXPECT_GT(original.cache_hits(), 0u);
+  (void)original.Distance(0, 5);
+  EXPECT_EQ(original.queries(), 2u);
+  EXPECT_EQ(original.computed(), 2u);
 
+  // A clone's counters start at zero...
   DistanceOracle clone = original.Clone();
   EXPECT_EQ(clone.queries(), 0u);
   EXPECT_EQ(clone.cache_hits(), 0u);
   EXPECT_EQ(clone.computed(), 0u);
+  EXPECT_EQ(clone.heap_pops(), 0u);
 
-  // The clone's first identical query computes (cold cache) — the pair
-  // was cached only in the original.
+  // ...count only its own queries...
   (void)clone.Distance(0, 5);
-  EXPECT_EQ(clone.cache_hits(), 0u);
+  EXPECT_EQ(clone.queries(), 1u);
   EXPECT_EQ(clone.computed(), 1u);
 
-  // And clone queries leave the original's counters alone.
-  const uint64_t before = original.queries();
+  // ...and leave the original's alone.
   (void)clone.Distance(2, 9);
-  EXPECT_EQ(original.queries(), before);
+  EXPECT_EQ(original.queries(), 2u);
+  EXPECT_EQ(original.computed(), 2u);
 }
 
 TEST(DistanceOracleCloneTest, CHIndexIsSharedNotRebuilt) {
@@ -92,21 +93,11 @@ TEST(DistanceOracleCloneTest, CloneWithReusesIndexForSameAlgorithm) {
   const RoadNetwork g = TestCity();
   DistanceOracleOptions opts;
   opts.algorithm = SpAlgorithm::kContractionHierarchy;
-  opts.cache_capacity = 0;
   DistanceOracle original(g, opts);
 
-  // Changing per-clone scratch options (cache capacity) keeps the
-  // shared index; answers are unchanged.
-  DistanceOracleOptions cached = opts;
-  cached.cache_capacity = 128;
-  DistanceOracle with_cache = original.CloneWith(cached);
-  EXPECT_EQ(with_cache.ch_index(), original.ch_index());
-  for (VertexId v = 1; v < 30; v += 4) {
-    EXPECT_EQ(with_cache.Distance(0, v), original.Distance(0, v));
-  }
-  (void)with_cache.Distance(0, 5);
-  (void)with_cache.Distance(0, 5);
-  EXPECT_GT(with_cache.cache_hits(), 0u);
+  // The same algorithm keeps the shared index.
+  DistanceOracle same = original.CloneWith(opts);
+  EXPECT_EQ(same.ch_index(), original.ch_index());
 
   // Switching algorithms drops the index and answers identically.
   DistanceOracleOptions astar = opts;

@@ -171,14 +171,50 @@ TEST(AStarTest, LastPathMatchesDistance) {
 }
 
 TEST(DistanceOracleTest, CachesSymmetricPairs) {
+  // A symmetric network is searched from the smaller id either way, so
+  // both directions return one double; nothing is memoized outside an
+  // anchor, so each lookup searches.
   const RoadNetwork g = SmallCity();
   DistanceOracle oracle(g);
   const Weight d1 = oracle.Distance(3, 40);
-  const Weight d2 = oracle.Distance(40, 3);  // symmetric: cache hit
-  EXPECT_DOUBLE_EQ(d1, d2);
+  const Weight d2 = oracle.Distance(40, 3);
+  EXPECT_EQ(std::bit_cast<uint64_t>(d1), std::bit_cast<uint64_t>(d2));
   EXPECT_EQ(oracle.queries(), 2u);
-  EXPECT_EQ(oracle.cache_hits(), 1u);
-  EXPECT_EQ(oracle.computed(), 1u);
+  EXPECT_EQ(oracle.cache_hits(), 0u);
+  EXPECT_EQ(oracle.computed(), 2u);
+}
+
+TEST(DistanceOracleTest, DirectedGraphAnswersEachDirection) {
+  // One-way 4-cycle a -> c -> d -> e -> a: dist(a, c) is one edge,
+  // dist(c, a) the long way round. The oracle reads the graph's symmetry
+  // and must not answer (c, a) with (a, c).
+  GraphBuilder b;
+  const VertexId a = b.AddVertex({0, 0});
+  const VertexId c = b.AddVertex({1, 0});
+  const VertexId d = b.AddVertex({2, 0});
+  const VertexId e = b.AddVertex({1, 1});
+  ASSERT_TRUE(b.AddEdge(a, c, 1.0).ok());
+  ASSERT_TRUE(b.AddEdge(c, d, 1.0).ok());
+  ASSERT_TRUE(b.AddEdge(d, e, 1.5).ok());
+  ASSERT_TRUE(b.AddEdge(e, a, 1.5).ok());
+  auto g = b.Build();
+  ASSERT_TRUE(g.ok());
+  DijkstraEngine ref(*g);
+  for (const SpAlgorithm algo :
+       {SpAlgorithm::kDijkstra, SpAlgorithm::kAStar,
+        SpAlgorithm::kContractionHierarchy}) {
+    DistanceOracleOptions opts;
+    opts.algorithm = algo;
+    DistanceOracle oracle(*g, opts);
+    for (VertexId u = 0; u < 4; ++u) {
+      for (VertexId v = 0; v < 4; ++v) {
+        EXPECT_EQ(std::bit_cast<uint64_t>(oracle.Distance(u, v)),
+                  std::bit_cast<uint64_t>(ref.Distance(u, v)))
+            << SpAlgorithmName(algo) << " v" << u << " -> v" << v;
+      }
+    }
+    EXPECT_EQ(oracle.Distance(c, a), 4.0) << SpAlgorithmName(algo);
+  }
 }
 
 TEST(DistanceOracleTest, TrivialAndInvalidQueries) {
@@ -189,80 +225,13 @@ TEST(DistanceOracleTest, TrivialAndInvalidQueries) {
   EXPECT_EQ(oracle.computed(), 0u);
 }
 
-TEST(DistanceOracleTest, CacheEviction) {
-  const RoadNetwork g = SmallCity();
-  DistanceOracleOptions opts;
-  opts.cache_capacity = 4;
-  DistanceOracle oracle(g, opts);
-  for (VertexId v = 1; v <= 10; ++v) oracle.Distance(0, v);
-  // All still correct after eviction churn.
-  DijkstraEngine dij(g);
-  for (VertexId v = 1; v <= 10; ++v) {
-    EXPECT_DOUBLE_EQ(oracle.Distance(0, v), dij.Distance(0, v));
-  }
-}
-
-TEST(DistanceOracleTest, CacheEvictsLeastRecentlyUsed) {
-  // Pin the flat cache's LRU semantics: a hit refreshes recency, an
-  // insert at capacity evicts the stalest pair. Observed through
-  // computed(): a re-query of a cached pair leaves it unchanged.
-  const RoadNetwork g = SmallCity();
-  DistanceOracleOptions opts;
-  opts.cache_capacity = 3;
-  DistanceOracle oracle(g, opts);
-  oracle.Distance(0, 1);  // A
-  oracle.Distance(0, 2);  // B
-  oracle.Distance(0, 3);  // C    recency: C B A
-  EXPECT_EQ(oracle.computed(), 3u);
-
-  oracle.Distance(0, 1);  // hit A  recency: A C B
-  EXPECT_EQ(oracle.cache_hits(), 1u);
-  EXPECT_EQ(oracle.computed(), 3u);
-
-  oracle.Distance(0, 4);  // D evicts B (LRU), not A: recency D A C
-  EXPECT_EQ(oracle.computed(), 4u);
-
-  oracle.Distance(0, 1);  // A survived its refresh
-  oracle.Distance(0, 3);  // C survived
-  EXPECT_EQ(oracle.cache_hits(), 3u);
-  EXPECT_EQ(oracle.computed(), 4u);
-
-  oracle.Distance(0, 2);  // B was evicted: recomputes (evicting D)
-  EXPECT_EQ(oracle.cache_hits(), 3u);
-  EXPECT_EQ(oracle.computed(), 5u);
-
-  oracle.Distance(0, 4);  // and D is gone in turn
-  EXPECT_EQ(oracle.computed(), 6u);
-}
-
-TEST(DistanceOracleTest, CacheChurnStaysConsistent) {
-  // Heavy insert/hit/evict mix over a tiny capacity: the open-addressing
-  // table's backward-shift deletions must never lose or corrupt entries.
-  const RoadNetwork g = SmallCity();
-  DistanceOracleOptions opts;
-  opts.cache_capacity = 16;
-  DistanceOracle oracle(g, opts);
-  DijkstraEngine ref(g);
-  util::Rng rng(2024);
-  for (int i = 0; i < 3000; ++i) {
-    const auto u = static_cast<VertexId>(
-        rng.UniformInt(0, static_cast<int64_t>(g.NumVertices()) - 1));
-    const auto v = static_cast<VertexId>(rng.UniformInt(0, 12));
-    EXPECT_DOUBLE_EQ(oracle.Distance(u, v), ref.Distance(u, v));
-  }
-  EXPECT_EQ(oracle.queries(), 3000u);
-  EXPECT_GT(oracle.cache_hits(), 0u);
-}
-
 TEST(DistanceOracleTest, AllAlgorithmsAgree) {
   const RoadNetwork g = SmallCity();
-  DistanceOracleOptions base;
-  base.cache_capacity = 0;
   util::Rng rng(42);
   for (const SpAlgorithm algo :
        {SpAlgorithm::kDijkstra, SpAlgorithm::kAStar,
         SpAlgorithm::kContractionHierarchy}) {
-    DistanceOracleOptions opts = base;
+    DistanceOracleOptions opts;
     opts.algorithm = algo;
     DistanceOracle oracle(g, opts);
     DijkstraEngine ref(g);
@@ -364,7 +333,6 @@ TEST(DistanceOracleTest, RouteDistanceOfEverySuffixIsTheSearchedBits) {
           SpAlgorithm::kContractionHierarchy}) {
       DistanceOracleOptions opts;
       opts.algorithm = algo;
-      opts.cache_capacity = 0;
       DistanceOracle router(g, opts);
       DistanceOracle reference = router.Clone();
       util::Rng rng(7);

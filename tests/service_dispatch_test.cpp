@@ -246,6 +246,23 @@ TEST(DispatchServiceTest, RejectsNonFiniteClockOptions) {
   }
 }
 
+// The service steps Simulator::Run's tick grid, so it refuses a horizon
+// beyond 2^53 ticks the same way (sim::TickCount): a finite 1e30 s drain
+// is refused, not converted out of int64_t range.
+TEST(DispatchServiceTest, RejectsHorizonBeyondTickRange) {
+  ServiceFixture f = MakeFixture(10, 1);
+  ServiceOptions opts;
+  opts.virtual_clock = true;
+  opts.drain_s = 1e30;
+  DispatchService server(*f.system, opts);
+  PoissonArrivalOptions load;
+  load.rate_per_s = 0.5;
+  load.duration_s = 10.0;
+  PoissonArrivals process(f.graph, load);
+  EXPECT_EQ(server.Run(process).status().code(),
+            util::StatusCode::kInvalidArgument);
+}
+
 TEST(DispatchServiceTest, QuoteReturnsOptionsWithoutCommitting) {
   ServiceFixture f = MakeFixture(20, 1);
   ServiceOptions opts;

@@ -26,7 +26,7 @@ namespace {
 
 /// Field-by-field semantic equality of two simulation reports.
 /// Wall-clock aggregates (response_time_s, response_percentiles_s, the
-/// phase timings) and cache-state-dependent effort counters
+/// phase timings) and anchor-state-dependent effort counters
 /// (distance_computations) are excluded; everything a rider, operator or
 /// evaluation plot observes must be byte-identical.
 void ExpectReportsIdentical(const SimulationReport& a,

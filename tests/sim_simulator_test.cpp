@@ -202,6 +202,58 @@ TEST(SimulatorTest, RejectsMoveJobsAboveBound) {
   EXPECT_EQ(stepping.dispatcher(), nullptr);
 }
 
+// The tick loop counts ticks in int64_t and times them as
+// `tick * tick_s`, exact up to 2^53. A longer horizon is refused, not
+// converted out of int64_t range (undefined behaviour, which ran no tick
+// and returned OK with nothing submitted).
+TEST(SimulatorTest, RejectsHorizonBeyondTickRange) {
+  SimFixture f = MakeFixture(5, core::MatcherAlgorithm::kDualSide);
+  const std::vector<Trip> trips = MakeTrips(f.graph, 20, 600.0);
+  SimulatorOptions opts;
+  opts.end_time_s = 1e30;
+  Simulator sim(*f.system, opts);
+  EXPECT_EQ(sim.Run(trips).status().code(),
+            util::StatusCode::kInvalidArgument);
+}
+
+TEST(SimulatorTest, TickCountCoversTheHorizon) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(*TickCount(10.0, 1.0), 10);
+  EXPECT_EQ(*TickCount(10.25, 0.5), 21);
+  EXPECT_EQ(*TickCount(0.0, 1.0), 0);
+  EXPECT_EQ(*TickCount(-1e30, 1.0), 0);
+  EXPECT_EQ(*TickCount(0x1p53, 1.0), int64_t{1} << 53);
+  for (const double end : {0x1p54, 1e30, inf, nan}) {
+    EXPECT_EQ(TickCount(end, 1.0).status().code(),
+              util::StatusCode::kInvalidArgument)
+        << end;
+  }
+}
+
+// A NaN trip time is never due and fails the order check, so it and
+// every later trip would be dropped silently; an infinite last time
+// makes the horizon infinite. Run refuses both and names the trip.
+TEST(SimulatorTest, RejectsNonFiniteTripTimes) {
+  SimFixture f = MakeFixture(5, core::MatcherAlgorithm::kDualSide);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const size_t at : {size_t{5}, size_t{19}}) {
+    for (const double bad : {nan, inf}) {
+      SCOPED_TRACE("trip " + std::to_string(at) + " at " +
+                   std::to_string(bad));
+      std::vector<Trip> trips = MakeTrips(f.graph, 20, 600.0);
+      trips[at].time_s = bad;
+      Simulator sim(*f.system, SimulatorOptions{});
+      const auto report = sim.Run(trips);
+      EXPECT_EQ(report.status().code(), util::StatusCode::kInvalidArgument);
+      EXPECT_NE(report.status().message().find("trip " + std::to_string(at)),
+                std::string::npos)
+          << report.status().ToString();
+    }
+  }
+}
+
 TEST(SimulatorTest, EmptyFleetFails) {
   roadnet::CityGridOptions gopts;
   gopts.rows = 6;

@@ -258,6 +258,28 @@ TEST(WorkloadTest, LoadRejectsMalformedRows) {
   std::remove(path.c_str());
 }
 
+// strtod reads "nan" and "inf": such a row is no submission time, and a
+// NaN would break the time sort. The error names the row's line.
+TEST(WorkloadTest, LoadRejectsNonFiniteTimes) {
+  const roadnet::RoadNetwork g = TestCity();
+  const std::string path = ::testing::TempDir() + "/trips_nonfinite.csv";
+  for (const char* time : {"nan", "inf", "-inf", "NAN", "infinity"}) {
+    SCOPED_TRACE(time);
+    {
+      std::ofstream out(path);
+      out << "1.0,0,1,1\n"
+          << "2.0,2,3,1\n"
+          << time << ",4,5,1\n"
+          << "3.0,6,7,1\n";
+    }
+    const auto status = LoadTrips(g, path).status();
+    EXPECT_EQ(status.code(), util::StatusCode::kInvalidArgument);
+    EXPECT_NE(status.message().find("line 3"), std::string::npos)
+        << status.ToString();
+  }
+  std::remove(path.c_str());
+}
+
 TEST(WorkloadTest, LoadRejectsMissingFile) {
   const roadnet::RoadNetwork g = TestCity();
   EXPECT_FALSE(
