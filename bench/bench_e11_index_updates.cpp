@@ -9,6 +9,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <cstdlib>
 
 #include "bench_common.h"
 #include "util/random.h"
@@ -69,6 +70,13 @@ void BM_LocationUpdateLoadedFleet(benchmark::State& state) {
 BENCHMARK(BM_LocationUpdateEmptyFleet);
 BENCHMARK(BM_LocationUpdateLoadedFleet);
 
+/// A failed per-event update is a bug in the library path this bench
+/// drives: report it and abort, so a smoke run fails loudly.
+[[noreturn]] void Fail(const char* call, const util::Status& status) {
+  std::fprintf(stderr, "%s failed: %s\n", call, status.ToString().c_str());
+  std::abort();
+}
+
 /// Full pickup/dropoff churn: commit a request, drive the schedule, let
 /// the index track every transition.
 void BM_AssignServeCycle(benchmark::State& state) {
@@ -96,13 +104,11 @@ void BM_AssignServeCycle(benchmark::State& state) {
       const vehicle::Stop stop = v.tree().BestBranch().stops.front();
       const double leg =
           s->sys->oracle().Distance(v.location(), stop.location);
-      if (!s->sys
-               ->UpdateVehicleLocation(vid, stop.location, leg, 0.0,
-                                       v.tree().BestBranch().stops)
-               .ok()) {
-        break;
-      }
-      if (!s->sys->VehicleArrivedAtStop(vid, 0.0).ok()) break;
+      const util::Status moved = s->sys->UpdateVehicleLocation(
+          vid, stop.location, leg, 0.0, v.tree().BestBranch().stops);
+      if (!moved.ok()) Fail("UpdateVehicleLocation", moved);
+      const auto arrived = s->sys->VehicleArrivedAtStop(vid, 0.0);
+      if (!arrived.ok()) Fail("VehicleArrivedAtStop", arrived.status());
     }
   }
   state.counters["index_updates"] = static_cast<double>(

@@ -105,10 +105,6 @@ struct Config {
   /// offered (bounds the search; a real dispatcher would not offer a taxi
   /// an hour away).
   double max_planned_pickup_s = 900.0;
-  /// Caps each vehicle's kinetic-tree schedule set after commitments
-  /// (0 = unlimited). Bounds worst-case matching cost on busy vehicles
-  /// at the price of reordering flexibility.
-  size_t max_schedules_per_vehicle = 0;
 
   // --- Dispatch ------------------------------------------------------------
   /// Matching threads of the batch dispatcher

@@ -1,5 +1,6 @@
 #include "core/ptrider.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "core/distance_providers.h"
@@ -82,8 +83,7 @@ util::Status PTRider::InitFleetUniform(size_t count, uint64_t seed) {
   util::Rng rng(seed);
   PTRIDER_ASSIGN_OR_RETURN(
       fleet_, vehicle::Fleet::UniformRandom(
-                  *graph_, count, config_.vehicle_capacity, rng,
-                  config_.max_schedules_per_vehicle));
+                  *graph_, count, config_.vehicle_capacity, rng));
   for (const vehicle::Vehicle& v : fleet_.vehicles()) {
     vehicle_index_.Update(v);
   }
@@ -97,8 +97,7 @@ util::Result<vehicle::VehicleId> PTRider::AddVehicle(
         util::StrFormat("invalid vehicle location v%d", location));
   }
   const vehicle::VehicleId id =
-      fleet_.Add(location, config_.vehicle_capacity,
-                 config_.max_schedules_per_vehicle);
+      fleet_.Add(location, config_.vehicle_capacity);
   vehicle_index_.Update(fleet_.at(id));
   return id;
 }
@@ -209,7 +208,7 @@ util::Status PTRider::CancelRequest(vehicle::RequestId id) {
 util::Status PTRider::UpdateVehicleLocation(
     vehicle::VehicleId id, roadnet::VertexId new_location,
     double meters_moved, double now_s,
-    const std::vector<vehicle::Stop>& executing, bool reindex) {
+    const std::vector<vehicle::Stop>& executing) {
   if (!fleet_.IsValid(id)) {
     return util::Status::InvalidArgument("unknown vehicle");
   }
@@ -217,21 +216,16 @@ util::Status PTRider::UpdateVehicleLocation(
     return util::Status::InvalidArgument("invalid vehicle location");
   }
   vehicle::Vehicle& v = fleet_.at(id);
-  v.AccrueMovement(meters_moved, v.tree().OnboardRequests());
   IndexedDistanceProvider dist(oracle_, grid_);
-  PTRIDER_RETURN_IF_ERROR(v.mutable_tree().AdvanceTo(
-      new_location, meters_moved, MakeScheduleContext(now_s), dist,
-      executing));
-  if (reindex) vehicle_index_.Update(v);
+  PTRIDER_RETURN_IF_ERROR(v.MoveTo(new_location, meters_moved,
+                                   MakeScheduleContext(now_s), dist,
+                                   executing));
+  vehicle_index_.Update(v);
   return util::Status::Ok();
 }
 
-util::Result<StopEvent> PTRider::VehicleArrivedAtStop(vehicle::VehicleId id,
-                                                      double now_s) {
-  if (!fleet_.IsValid(id)) {
-    return util::Status::InvalidArgument("unknown vehicle");
-  }
-  vehicle::Vehicle& v = fleet_.at(id);
+util::Result<AdvanceStop> ArriveAtStop(vehicle::Vehicle& v,
+                                       double arrival_s) {
   if (v.tree().empty()) {
     return util::Status::FailedPrecondition("vehicle has no scheduled stop");
   }
@@ -241,42 +235,57 @@ util::Result<StopEvent> PTRider::VehicleArrivedAtStop(vehicle::VehicleId id,
     return util::Status::Internal("scheduled stop for unknown request");
   }
   const vehicle::PendingRequest pending = pending_it->second;
+  PTRIDER_ASSIGN_OR_RETURN(const vehicle::Stop popped,
+                           v.mutable_tree().PopFirstStop());
 
-  PTRIDER_ASSIGN_OR_RETURN(
-      const vehicle::Stop popped,
-      v.mutable_tree().PopFirstStop(MakeScheduleContext(now_s)));
-
-  StopEvent event;
-  event.stop = popped;
-  event.price = pending.price;
-  event.num_riders = pending.request.num_riders;
-
+  AdvanceStop s;
+  s.event.stop = popped;
+  s.event.price = pending.price;
+  s.event.num_riders = pending.request.num_riders;
   if (popped.type == vehicle::StopType::kPickup) {
-    event.waiting_s = std::max(0.0, now_s - pending.planned_pickup_s);
+    s.event.waiting_s = std::max(0.0, arrival_s - pending.planned_pickup_s);
     // Sharing statistic: every request onboard while >= 2 are onboard
     // counts as shared. Sharing state only changes at pick-ups.
     if (v.tree().OnboardRequests() >= 2) {
       for (const auto& [rid, p] : v.tree().pending()) {
-        if (!p.onboard) continue;
-        const auto it = assignments_.find(rid);
-        if (it != assignments_.end()) it->second.shared = true;
+        if (p.onboard) s.onboard.push_back(rid);
       }
     }
   } else {
-    const auto it = assignments_.find(popped.request);
-    if (it != assignments_.end()) {
-      event.shared = it->second.shared;
-      assignments_.erase(it);
-    }
-    event.trip_distance_m = pending.consumed_trip_distance_m;
-    event.allowed_trip_distance_m = pending.max_trip_distance_m;
-    event.direct_distance_m =
-        pending.max_trip_distance_m /
-        (1.0 + pending.request.service_sigma);
+    s.event.trip_distance_m = pending.consumed_trip_distance_m;
+    s.event.allowed_trip_distance_m = pending.max_trip_distance_m;
+    s.event.direct_distance_m =
+        pending.max_trip_distance_m / (1.0 + pending.request.service_sigma);
     v.RecordCompletedRequest();
   }
+  return s;
+}
+
+void PTRider::ApplyArrival(AdvanceStop& s) {
+  if (s.event.stop.type == vehicle::StopType::kPickup) {
+    for (const vehicle::RequestId rid : s.onboard) {
+      const auto it = assignments_.find(rid);
+      if (it != assignments_.end()) it->second.shared = true;
+    }
+    return;
+  }
+  const auto it = assignments_.find(s.event.stop.request);
+  if (it != assignments_.end()) {
+    s.event.shared = it->second.shared;
+    assignments_.erase(it);
+  }
+}
+
+util::Result<StopEvent> PTRider::VehicleArrivedAtStop(vehicle::VehicleId id,
+                                                      double now_s) {
+  if (!fleet_.IsValid(id)) {
+    return util::Status::InvalidArgument("unknown vehicle");
+  }
+  vehicle::Vehicle& v = fleet_.at(id);
+  PTRIDER_ASSIGN_OR_RETURN(AdvanceStop s, ArriveAtStop(v, now_s));
+  ApplyArrival(s);
   vehicle_index_.Update(v);
-  return event;
+  return s.event;
 }
 
 util::Status PTRider::CommitAdvancedVehicle(
@@ -286,22 +295,7 @@ util::Status PTRider::CommitAdvancedVehicle(
     return util::Status::InvalidArgument("advanced state names an unknown vehicle");
   }
   fleet_.at(id) = std::move(advanced);
-  for (AdvanceStop& s : stops) {
-    if (s.event.stop.type == vehicle::StopType::kPickup) {
-      // Sharing statistic: every request onboard while >= 2 are onboard
-      // counts as shared (the advance phase lists them only then).
-      for (const vehicle::RequestId rid : s.onboard) {
-        const auto it = assignments_.find(rid);
-        if (it != assignments_.end()) it->second.shared = true;
-      }
-    } else {
-      const auto it = assignments_.find(s.event.stop.request);
-      if (it != assignments_.end()) {
-        s.event.shared = it->second.shared;
-        assignments_.erase(it);
-      }
-    }
-  }
+  for (AdvanceStop& s : stops) ApplyArrival(s);
   return util::Status::Ok();
 }
 

@@ -36,19 +36,24 @@ struct StopEvent {
   double allowed_trip_distance_m = 0.0;
 };
 
-/// One arrival event recorded by the simulator's read-only movement
-/// advance phase (sim/movement.h) and replayed into the system by
-/// PTRider::CommitAdvancedVehicle. The advance phase fills `event` from
-/// its scratch kinetic tree — everything VehicleArrivedAtStop derives
-/// from tree state alone; the assignment-side fields (`event.shared`)
-/// are resolved at commit time from live assignment state.
+/// One arrival at a scheduled stop, as ArriveAtStop derives it from the
+/// vehicle's kinetic tree alone. The assignment side (`event.shared`,
+/// the shared marks) is applied by PTRider: at once in
+/// VehicleArrivedAtStop, at the movement commit for the simulator's
+/// scratch advance (sim/movement.h, PTRider::CommitAdvancedVehicle).
 struct AdvanceStop {
   StopEvent event;
   /// Pick-ups that left >= 2 distinct requests onboard: the ids of every
-  /// onboard request at that instant (their trips become "shared" —
-  /// exactly VehicleArrivedAtStop's sharing rule).
+  /// onboard request at that instant, whose trips become "shared".
   std::vector<vehicle::RequestId> onboard;
 };
+
+/// Consumes `v`'s next scheduled stop, reached at `arrival_s`: pops it
+/// from the tree and fills every StopEvent field but `shared`, and a
+/// shared pick-up's onboard list. The one arrival of the library API
+/// and the simulator. FailedPrecondition when the vehicle has no stop or
+/// is not at its next one.
+util::Result<AdvanceStop> ArriveAtStop(vehicle::Vehicle& v, double arrival_s);
 
 /// The PTRider system facade (Fig. 2): road-network index module, vehicles
 /// index module and matching-algorithm module behind one API.
@@ -150,37 +155,32 @@ class PTRider {
 
   // --- Vehicle updates ---------------------------------------------------------
   /// Location update: the vehicle moved `meters_moved` and now stands at
-  /// `new_location`. `executing` is the stop sequence it is driving
-  /// (empty for idle cruising). `reindex = false` skips the vehicle-index
-  /// re-registration — the simulator's movement commit marks the vehicle
-  /// moved instead and re-registers every moved vehicle once, in id
-  /// order, at the end of the tick (DESIGN.md section 10); nothing may
-  /// read the index until that pass ran.
+  /// `new_location` (Vehicle::MoveTo), then re-registers in the index.
+  /// `executing` is the stop sequence it is driving (empty for idle
+  /// cruising).
   util::Status UpdateVehicleLocation(vehicle::VehicleId id,
                                      roadnet::VertexId new_location,
                                      double meters_moved, double now_s,
                                      const std::vector<vehicle::Stop>&
-                                         executing,
-                                     bool reindex = true);
+                                         executing);
 
-  /// Pick-up / drop-off update: the vehicle is at its next scheduled stop.
+  /// Pick-up / drop-off update: the vehicle is at its next scheduled stop
+  /// (ArriveAtStop, then the assignment side and the index).
   util::Result<StopEvent> VehicleArrivedAtStop(vehicle::VehicleId id,
                                                double now_s);
 
   /// Movement-commit entry point for the simulator's advance/commit
   /// split (DESIGN.md section 6): installs `advanced` — the vehicle's
-  /// scratch copy after a read-only tick advance (tree walked forward,
-  /// movement accrued, stops popped) — as vehicle `id`'s live state,
-  /// applies the assignment-side effects of its arrival events in order
-  /// (shared-flag marking at pick-ups, assignment release at drop-offs,
-  /// filling each drop-off's `event.shared`). Equivalent to the
-  /// per-event UpdateVehicleLocation / VehicleArrivedAtStop sequence the
-  /// advance phase simulated, because those mutations never feed back
-  /// into the advance of any vehicle within the same tick. Must be
-  /// called for vehicles in ascending id order, one commit per advanced
-  /// vehicle. The vehicle index is not touched: the caller re-registers
-  /// the vehicle before anything reads the index (the simulator's
-  /// end-of-tick pass, DESIGN.md section 10.2).
+  /// scratch copy after a read-only tick advance (MoveTo and ArriveAtStop
+  /// applied) — as vehicle `id`'s live state, then applies the
+  /// assignment side of its arrivals in order, filling each drop-off's
+  /// `event.shared`. Equivalent to the per-event UpdateVehicleLocation /
+  /// VehicleArrivedAtStop sequence, because the assignment side never
+  /// feeds back into the advance of any vehicle within the same tick.
+  /// Must be called for vehicles in ascending id order, one commit per
+  /// advanced vehicle. The vehicle index is not touched: the caller
+  /// re-registers the vehicle before anything reads the index (the
+  /// simulator's end-of-tick pass, DESIGN.md section 10.2).
   util::Status CommitAdvancedVehicle(vehicle::VehicleId id,
                                      vehicle::Vehicle&& advanced,
                                      std::vector<AdvanceStop>& stops);
@@ -224,6 +224,11 @@ class PTRider {
           roadnet::GridIndex grid,
           std::unique_ptr<pricing::PricingPolicy> pricing,
           std::shared_ptr<const roadnet::CHIndex> shared_ch);
+
+  /// The assignment side of arrival `s`: at a pick-up, marks every
+  /// listed onboard request shared; at a drop-off, reports the trip's
+  /// shared flag in `s.event` and releases its assignment.
+  void ApplyArrival(AdvanceStop& s);
 
   const roadnet::RoadNetwork* graph_;
   Config config_;

@@ -96,14 +96,6 @@ CellId GridIndex::CellOfPoint(const util::Point& p) const {
   return static_cast<CellId>(cy) * options_.cells_x + cx;
 }
 
-util::Point GridIndex::CellCenter(CellId c) const {
-  const util::BoundingBox& box = graph_->bounds();
-  const int cx = c % options_.cells_x;
-  const int cy = c / options_.cells_x;
-  return {box.min_x + (cx + 0.5) * cell_width_,
-          box.min_y + (cy + 0.5) * cell_height_};
-}
-
 void GridIndex::AssignCells() {
   const size_t n = graph_->NumVertices();
   const size_t m = NumCells();
@@ -257,37 +249,6 @@ Weight GridIndex::UpperBound(VertexId u, VertexId v) const {
   (void)u;
   (void)v;
   return kInfWeight;
-}
-
-std::vector<CellId> GridIndex::CellsOfPath(
-    std::span<const VertexId> path) const {
-  std::vector<CellId> cells;
-  // Long CH-extracted paths made the scan-the-output dedupe O(P^2); a
-  // CellId-keyed bitmap keeps it linear while preserving first-touch
-  // order. Short paths stay on the scan — their whole output fits in a
-  // cache line, cheaper than zeroing NumCells()/8 bitmap bytes.
-  constexpr size_t kScanThreshold = 24;
-  if (path.size() <= kScanThreshold) {
-    for (VertexId v : path) {
-      const CellId c = cell_of_vertex_[v];
-      if (std::find(cells.begin(), cells.end(), c) == cells.end()) {
-        cells.push_back(c);
-      }
-    }
-    return cells;
-  }
-  std::vector<uint64_t> seen(
-      (static_cast<size_t>(NumCells()) + 63) / 64, 0);
-  for (VertexId v : path) {
-    const CellId c = cell_of_vertex_[v];
-    const size_t word = static_cast<size_t>(c) >> 6;
-    const uint64_t bit = uint64_t{1} << (static_cast<size_t>(c) & 63);
-    if ((seen[word] & bit) == 0) {
-      seen[word] |= bit;
-      cells.push_back(c);
-    }
-  }
-  return cells;
 }
 
 size_t GridIndex::EstimateMemory() const {

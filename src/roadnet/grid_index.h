@@ -49,8 +49,6 @@ class GridIndex {
   CellId CellOfVertex(VertexId v) const { return cell_of_vertex_[v]; }
   /// Cell containing `p`, clamped into the grid.
   CellId CellOfPoint(const util::Point& p) const;
-  /// Center point of a cell (for visualization / generators).
-  util::Point CellCenter(CellId c) const;
 
   // --- Per-cell lists (Fig. 1(b)) ----------------------------------------
   // CSR-stored (offsets + one flat array per list kind) so a snapshot
@@ -97,10 +95,6 @@ class GridIndex {
   /// because bench/ptrider_bench still calls it from its distance
   /// provider.
   Weight UpperBound(VertexId u, VertexId v) const;
-
-  /// Distinct cells touched by a path's vertex sequence, in first-touch
-  /// order (used to register non-empty vehicles along their schedules).
-  std::vector<CellId> CellsOfPath(std::span<const VertexId> path) const;
 
   // --- Introspection --------------------------------------------------------
   struct BuildStats {

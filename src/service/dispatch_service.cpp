@@ -1,6 +1,7 @@
 #include "service/dispatch_service.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <memory>
 #include <unordered_map>
@@ -20,6 +21,12 @@
 namespace ptrider::service {
 
 namespace {
+
+/// Virtual-clock model of what each ladder rung buys: the modeled
+/// assign/quote cost is multiplied by the active rung's factor
+/// (wall-clock mode measures the real savings instead). Index = rung.
+constexpr std::array<double, kNumRungs> kDegradeCostFactors = {1.0, 0.7,
+                                                               0.45, 0.25};
 
 sim::SimulatorOptions MakeSimOptions(const ServiceOptions& o) {
   sim::SimulatorOptions s;
@@ -255,8 +262,7 @@ util::Result<ServiceReport> DispatchService::Run(ArrivalProcess& process) {
     admission.BeginDrain(now_s, drained, min_delay, zones_in_drain,
                          capacity_requests);
     const int rung = admission.rung();
-    const double rung_factor =
-        opt.degrade_cost_factors[static_cast<size_t>(rung)];
+    const double rung_factor = kDegradeCostFactors[static_cast<size_t>(rung)];
     const double cost_eff = nominal_cost * rung_factor;
     const double quote_eff =
         opt.quote_cost_s * fault_cost_factor * rung_factor;

@@ -1,7 +1,6 @@
 #ifndef PTRIDER_SERVICE_DISPATCH_SERVICE_H_
 #define PTRIDER_SERVICE_DISPATCH_SERVICE_H_
 
-#include <array>
 #include <cstdint>
 #include <memory>
 
@@ -44,12 +43,6 @@ struct ServiceOptions {
   LadderOptions ladder;
   /// Per-grid-zone fair-share admission (admission.h). Off by default.
   ZoneAdmissionOptions zone_admission;
-  /// Virtual-clock model of what each ladder rung buys: the modeled
-  /// assign/quote cost is multiplied by the factor of the active rung
-  /// (wall-clock mode measures the real savings instead and ignores
-  /// this). Index = rung; rung 0 must be 1.0.
-  std::array<double, kNumRungs> degrade_cost_factors = {1.0, 0.7, 0.45,
-                                                        0.25};
 
   /// Optional deterministic fault schedule (fault_injector.h), borrowed,
   /// not owned; null = no injection. Must not be shared across

@@ -5,6 +5,11 @@
 
 namespace ptrider::service {
 
+namespace {
+/// Wall-clock mode: the cap on one in-line retry sleep, seconds.
+constexpr double kMaxRetrySleepS = 2.0;
+}  // namespace
+
 TraceArrivals::TraceArrivals(std::vector<sim::Trip> trips,
                              double rate_multiplier)
     : trips_(std::move(trips)),
@@ -65,7 +70,6 @@ WorkloadDriver::WorkloadDriver(ArrivalProcess& process, RequestQueue& queue,
   if (retry_.max_attempts < 0) retry_.max_attempts = 0;
   if (retry_.backoff_s <= 0.0) retry_.backoff_s = 0.5;
   if (retry_.jitter_frac < 0.0) retry_.jitter_frac = 0.0;
-  if (retry_.max_sleep_s <= 0.0) retry_.max_sleep_s = 2.0;
 }
 
 std::optional<sim::Trip> WorkloadDriver::Peek() {
@@ -149,7 +153,7 @@ void WorkloadDriver::RunBlocking(ServiceClock& clock) {
       // In-line capped backoff sleep: open-loop arrivals queue up behind
       // it, which is honest — one producer connection really would stall.
       const double delay =
-          std::min(NextBackoff(rejections), retry_.max_sleep_s);
+          std::min(NextBackoff(rejections), kMaxRetrySleepS);
       clock.SleepUntilS(clock.NowS() + delay);
     }
     if (pushed) {

@@ -109,8 +109,6 @@ struct RetryOptions {
   /// Seed for the jitter stream (virtual mode consumes it in arrival
   /// order, so retry schedules are bit-reproducible).
   uint64_t seed = 1777;
-  /// Wall-clock mode only: hard cap on one in-line retry sleep.
-  double max_sleep_s = 2.0;
 };
 
 /// The open-loop workload driver: feeds an ArrivalProcess into the
@@ -128,7 +126,8 @@ struct RetryOptions {
 ///   * RunBlocking (wall clock) — run on a dedicated producer thread;
 ///     sleeps the clock to each arrival's instant and pushes with the
 ///     real (scaled) push time as the ingestion stamp, retrying in-line
-///     with capped backoff sleeps. Closes the queue at exhaustion.
+///     with backoff sleeps of at most 2 s each. Closes the queue at
+///     exhaustion.
 class WorkloadDriver {
  public:
   WorkloadDriver(ArrivalProcess& process, RequestQueue& queue,

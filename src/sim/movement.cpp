@@ -1,6 +1,5 @@
 #include "sim/movement.h"
 
-#include <algorithm>
 #include <span>
 #include <utility>
 
@@ -11,57 +10,23 @@ namespace ptrider::sim {
 
 namespace {
 
-/// HandleArrivals on scratch state: consumes every stop scheduled at the
-/// vehicle's current vertex (a pick-up and drop-off can share an
-/// intersection), recording each as a core::AdvanceStop instead of
-/// calling PTRider::VehicleArrivedAtStop — every StopEvent field except
-/// `shared` derives from tree state alone; `shared` is resolved at
-/// commit from live assignment state.
-///
-/// `arrival_s` is the intra-tick instant the vehicle reached this vertex
-/// — derived by the caller from the driving budget consumed so far
-/// (speed is constant within a tick), NOT the tick boundary. Stamping
-/// the boundary would quantize every pick-up's waiting time to the tick
-/// grid, biasing waiting_s by up to one tick for mid-tick arrivals.
+/// Consumes every stop scheduled at the vehicle's current vertex (a
+/// pick-up and drop-off can share an intersection) through
+/// core::ArriveAtStop, recording each arrival for the commit, then
+/// replans. `arrival_s` is the intra-tick instant the vehicle reached
+/// this vertex — derived by the caller from the driving budget consumed
+/// so far (speed is constant within a tick), NOT the tick boundary.
+/// Stamping the boundary would quantize every pick-up's waiting time to
+/// the tick grid, biasing waiting_s by up to one tick for mid-tick
+/// arrivals.
 util::Status AdvanceArrivals(vehicle::Vehicle& v, Motion& m,
                              double arrival_s,
-                             const vehicle::ScheduleContext& sched,
                              roadnet::DistanceOracle& oracle,
                              std::vector<core::AdvanceStop>& stops) {
-  while (true) {
-    if (v.tree().empty()) break;
-    if (v.tree().BestBranch().stops.front().location != v.location()) {
-      break;
-    }
-    const vehicle::Stop next = v.tree().BestBranch().stops.front();
-    const auto pending_it = v.tree().pending().find(next.request);
-    if (pending_it == v.tree().pending().end()) {
-      return util::Status::Internal("scheduled stop for unknown request");
-    }
-    const vehicle::PendingRequest pending = pending_it->second;
-    PTRIDER_ASSIGN_OR_RETURN(const vehicle::Stop popped,
-                             v.mutable_tree().PopFirstStop(sched));
-    core::AdvanceStop s;
-    s.event.stop = popped;
-    s.event.price = pending.price;
-    s.event.num_riders = pending.request.num_riders;
-    if (popped.type == vehicle::StopType::kPickup) {
-      s.event.waiting_s =
-          std::max(0.0, arrival_s - pending.planned_pickup_s);
-      // Sharing state only changes at pick-ups; list the onboard set
-      // exactly when VehicleArrivedAtStop would mark it shared.
-      if (v.tree().OnboardRequests() >= 2) {
-        for (const auto& [rid, p] : v.tree().pending()) {
-          if (p.onboard) s.onboard.push_back(rid);
-        }
-      }
-    } else {
-      s.event.trip_distance_m = pending.consumed_trip_distance_m;
-      s.event.allowed_trip_distance_m = pending.max_trip_distance_m;
-      s.event.direct_distance_m =
-          pending.max_trip_distance_m / (1.0 + pending.request.service_sigma);
-      v.RecordCompletedRequest();
-    }
+  while (!v.tree().empty() &&
+         v.tree().BestBranch().stops.front().location == v.location()) {
+    PTRIDER_ASSIGN_OR_RETURN(core::AdvanceStop s,
+                             core::ArriveAtStop(v, arrival_s));
     stops.push_back(std::move(s));
   }
   return ReplanMotion(m, v, oracle);
@@ -90,6 +55,32 @@ util::Status ReplanMotion(Motion& m, const vehicle::Vehicle& v,
   m.target = target;
   m.has_target = true;
   return util::Status::Ok();
+}
+
+util::Result<roadnet::VertexId> StepEdge(Motion& m,
+                                         const roadnet::RoadNetwork& graph,
+                                         double& budget,
+                                         vehicle::VehicleId id) {
+  const roadnet::VertexId from = m.path[m.next - 1];
+  const roadnet::VertexId to = m.path[m.next];
+  if (m.edge_progress_m == 0.0) {
+    m.edge_len_m = graph.EdgeWeight(from, to);  // entering the edge
+    if (m.edge_len_m == roadnet::kInfWeight) {
+      return util::Status::Internal(util::StrFormat(
+          "vehicle %d routed over missing edge v%d->v%d", id, from, to));
+    }
+  }
+  const double remaining = m.edge_len_m - m.edge_progress_m;
+  if (budget < remaining) {
+    DriveAlongEdge(m, budget);
+    budget = 0.0;
+    return roadnet::kInvalidVertex;
+  }
+  budget -= remaining;
+  m.meters_since_update += remaining;
+  m.edge_progress_m = 0.0;
+  ++m.next;
+  return to;
 }
 
 MovementOutcome AdvanceVehicle(const core::PTRider& system,
@@ -141,7 +132,7 @@ MovementOutcome AdvanceVehicle(const core::PTRider& system,
         // still unspent, so the arrival instant lies that far before
         // the tick boundary.
         out.status = AdvanceArrivals(v, m, now - budget / sched.speed_mps,
-                                     sched, oracle, out.stops);
+                                     oracle, out.stops);
         if (!out.status.ok()) return out;
         if (v.tree().empty()) continue;  // idle
         if (m.path.size() <= 1) break;  // replanned to the same vertex
@@ -151,26 +142,13 @@ MovementOutcome AdvanceVehicle(const core::PTRider& system,
       break;  // nowhere to go this tick
     }
 
-    const roadnet::VertexId from = m.path[m.next - 1];
-    const roadnet::VertexId to = m.path[m.next];
-    if (m.edge_progress_m == 0.0) {
-      m.edge_len_m = graph.EdgeWeight(from, to);  // entering the edge
-      if (m.edge_len_m == roadnet::kInfWeight) {
-        out.status = util::Status::Internal(util::StrFormat(
-            "vehicle %d routed over missing edge v%d->v%d", id, from, to));
-        return out;
-      }
+    const util::Result<roadnet::VertexId> reached =
+        StepEdge(m, graph, budget, id);
+    if (!reached.ok()) {
+      out.status = reached.status();
+      return out;
     }
-    const double remaining = m.edge_len_m - m.edge_progress_m;
-    if (budget < remaining) {
-      DriveAlongEdge(m, budget);
-      break;
-    }
-    // Reach the next vertex.
-    budget -= remaining;
-    m.meters_since_update += remaining;
-    m.edge_progress_m = 0.0;
-    ++m.next;
+    if (*reached == roadnet::kInvalidVertex) break;  // mid-edge
     const std::vector<vehicle::Stop> executing =
         serving ? v.tree().BestBranch().stops : std::vector<vehicle::Stop>{};
     // The rest of a planned route is a suffix of the oracle's shortest
@@ -182,11 +160,10 @@ MovementOutcome AdvanceVehicle(const core::PTRider& system,
                     oracle.RouteDistance(
                         std::span(m.path).subspan(m.next - 1))};
     }
-    // UpdateVehicleLocation, scratch half: accrue the movement and walk
-    // the tree forward (index registration happens once, at commit).
-    v.AccrueMovement(m.meters_since_update, v.tree().OnboardRequests());
-    out.status = v.mutable_tree().AdvanceTo(
-        to, m.meters_since_update, sched, dist, executing, route_rest);
+    // The location update (index registration happens once, at the end
+    // of the tick).
+    out.status = v.MoveTo(*reached, m.meters_since_update, sched, dist,
+                          executing, route_rest);
     if (!out.status.ok()) return out;
     m.meters_since_update = 0.0;
     if (m.next >= m.path.size()) {
@@ -194,7 +171,7 @@ MovementOutcome AdvanceVehicle(const core::PTRider& system,
       m.next = 0;
       if (serving) {
         out.status = AdvanceArrivals(v, m, now - budget / sched.speed_mps,
-                                     sched, oracle, out.stops);
+                                     oracle, out.stops);
         if (!out.status.ok()) return out;
       }
     }

@@ -33,7 +33,7 @@ struct Motion {
 /// True when `budget` meters keep the vehicle strictly inside the edge it
 /// is already driving: it is mid-edge, a vertex lies ahead, and the
 /// budget ends short of it. Such a tick is exactly the first iteration
-/// of AdvanceVehicle's and the idle walk's loops ending in
+/// of AdvanceVehicle's and the idle walk's loops, a StepEdge ending in
 /// DriveAlongEdge — no vertex reached, no stop, no tree walk, no RNG
 /// draw — so the simulator applies that step alone. Every other vehicle
 /// is an *event* and takes the full per-vehicle path (DESIGN.md
@@ -45,12 +45,25 @@ inline bool PassesThrough(const Motion& m, double budget) {
 }
 
 /// Drives `budget` meters along the current edge without reaching its
-/// head vertex: the step shared by both movement loops and the
-/// pass-through.
+/// head vertex: the end of a StepEdge that stops mid-edge, and the
+/// pass-through's whole tick.
 inline void DriveAlongEdge(Motion& m, double budget) {
   m.edge_progress_m += budget;
   m.meters_since_update += budget;
 }
+
+/// One step of vehicle `id` along the edge path[next-1] -> path[next]
+/// (0 < next < path.size()), the edge step of both movement loops. At
+/// the edge's tail it enters the edge, caching edge_len_m (Internal when
+/// the graph has no such edge). Then either `budget` ends short of the
+/// head vertex — DriveAlongEdge, `budget` becomes 0 and the result is
+/// kInvalidVertex — or the vehicle reaches the head: `budget` loses the
+/// rest of the edge, which joins meters_since_update, `next` advances
+/// and the head vertex is returned.
+util::Result<roadnet::VertexId> StepEdge(Motion& m,
+                                         const roadnet::RoadNetwork& graph,
+                                         double& budget,
+                                         vehicle::VehicleId id);
 
 /// Result of advancing one vehicle through one tick against the frozen
 /// pre-tick system state. Everything in here is scratch: nothing touches

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <utility>
 
+#include "core/distance_providers.h"
 #include "util/logging.h"
 #include "util/string_util.h"
 #include "util/timer.h"
@@ -301,13 +302,15 @@ void Simulator::Reindex(SimulationReport& report) {
 util::Status Simulator::MoveIdleVehicle(vehicle::VehicleId id, double now,
                                         double budget, int hops) {
   Motion& m = motions_[static_cast<size_t>(id)];
+  vehicle::Vehicle& v = system_->fleet().at(id);
   const roadnet::RoadNetwork& graph = system_->graph();
+  const vehicle::ScheduleContext sched = system_->MakeScheduleContext(now);
+  core::IndexedDistanceProvider dist(system_->oracle(), system_->grid());
   // The tail of the advance phase's loop, restricted to an empty tree:
   // no replans, no arrivals — just (possibly stale) path walking and
   // Section 4's cruising rule. Resumes at the advance's hop count so the
   // zero-length-cycle guard spans the whole tick.
   for (; budget > 1e-9 && hops < 10000; ++hops) {
-    const vehicle::Vehicle& v = system_->fleet().at(id);
     if (m.edge_progress_m == 0.0) {
       if (!options_.idle_cruising) break;
       if (m.path.size() <= 1 || m.next == 0 || m.next >= m.path.size()) {
@@ -325,28 +328,13 @@ util::Status Simulator::MoveIdleVehicle(vehicle::VehicleId id, double now,
     if (m.path.size() <= 1 || m.next == 0 || m.next >= m.path.size()) {
       break;  // nowhere to go this tick
     }
-
-    const roadnet::VertexId from = m.path[m.next - 1];
-    const roadnet::VertexId to = m.path[m.next];
-    if (m.edge_progress_m == 0.0) {
-      m.edge_len_m = graph.EdgeWeight(from, to);  // entering the edge
-      if (m.edge_len_m == roadnet::kInfWeight) {
-        return util::Status::Internal(util::StrFormat(
-            "vehicle %d routed over missing edge v%d->v%d", id, from, to));
-      }
-    }
-    const double remaining = m.edge_len_m - m.edge_progress_m;
-    if (budget < remaining) {
-      DriveAlongEdge(m, budget);
-      break;
-    }
-    // Reach the next vertex.
-    budget -= remaining;
-    m.meters_since_update += remaining;
-    m.edge_progress_m = 0.0;
-    ++m.next;
-    PTRIDER_RETURN_IF_ERROR(system_->UpdateVehicleLocation(
-        id, to, m.meters_since_update, now, {}, /*reindex=*/false));
+    PTRIDER_ASSIGN_OR_RETURN(const roadnet::VertexId to,
+                             StepEdge(m, graph, budget, id));
+    if (to == roadnet::kInvalidVertex) break;  // mid-edge
+    // The location update on the live vehicle; Reindex registers it at
+    // the end of the tick.
+    PTRIDER_RETURN_IF_ERROR(
+        v.MoveTo(to, m.meters_since_update, sched, dist, {}));
     MarkMoved(id);
     m.meters_since_update = 0.0;
     if (m.next >= m.path.size()) {

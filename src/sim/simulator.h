@@ -162,8 +162,9 @@ class Simulator {
   /// Re-registers every moved_ vehicle once, in vehicle-id order.
   void Reindex(SimulationReport& report);
   /// The idle-cruising walk of one vehicle's tick remainder, resumed at
-  /// `budget` / `hops`: draws cruise segments from rng_ and flushes
-  /// vertex crossings through the live system. Oracle-free (the tree is
+  /// `budget` / `hops`: draws cruise segments from rng_, steps along
+  /// them (StepEdge) and moves the live vehicle at every vertex crossing
+  /// (Vehicle::MoveTo), marking it moved. Oracle-free (the tree is
   /// empty), so keeping it sequential costs no parallelism — and keeps
   /// rng_ consumption in vehicle-id order at every move_jobs setting.
   util::Status MoveIdleVehicle(vehicle::VehicleId id, double now,

@@ -6,8 +6,7 @@ namespace ptrider::vehicle {
 
 util::Result<Fleet> Fleet::UniformRandom(const roadnet::RoadNetwork& graph,
                                          size_t count, int capacity,
-                                         util::Rng& rng,
-                                         size_t max_branches) {
+                                         util::Rng& rng) {
   if (graph.NumVertices() == 0) {
     return util::Status::FailedPrecondition("empty road network");
   }
@@ -19,15 +18,14 @@ util::Result<Fleet> Fleet::UniformRandom(const roadnet::RoadNetwork& graph,
   for (size_t i = 0; i < count; ++i) {
     const auto v = static_cast<roadnet::VertexId>(rng.UniformInt(
         0, static_cast<int64_t>(graph.NumVertices()) - 1));
-    fleet.Add(v, capacity, max_branches);
+    fleet.Add(v, capacity);
   }
   return fleet;
 }
 
-VehicleId Fleet::Add(roadnet::VertexId location, int capacity,
-                     size_t max_branches) {
+VehicleId Fleet::Add(roadnet::VertexId location, int capacity) {
   const auto id = static_cast<VehicleId>(vehicles_.size());
-  vehicles_.emplace_back(id, location, capacity, max_branches);
+  vehicles_.emplace_back(id, location, capacity);
   max_capacity_ = std::max(max_capacity_, capacity);
   return id;
 }

@@ -20,13 +20,11 @@ class Fleet {
   /// network").
   static util::Result<Fleet> UniformRandom(const roadnet::RoadNetwork& graph,
                                            size_t count, int capacity,
-                                           util::Rng& rng,
-                                           size_t max_branches = 0);
+                                           util::Rng& rng);
 
   /// Adds one vehicle, returning its id. The only way a vehicle enters a
   /// fleet.
-  VehicleId Add(roadnet::VertexId location, int capacity,
-                size_t max_branches = 0);
+  VehicleId Add(roadnet::VertexId location, int capacity);
 
   size_t size() const { return vehicles_.size(); }
   bool empty() const { return vehicles_.empty(); }

@@ -58,18 +58,6 @@ bool SequenceLess(const std::vector<Stop>& a, const std::vector<Stop>& b) {
 
 }  // namespace
 
-roadnet::Weight Branch::DistanceToStop(size_t k) const {
-  roadnet::Weight d = 0.0;
-  for (size_t i = 0; i <= k && i < legs.size(); ++i) d += legs[i];
-  return d;
-}
-
-KineticTree::KineticTree(roadnet::VertexId root_location, int capacity,
-                         size_t max_branches)
-    : root_(root_location),
-      capacity_(capacity),
-      max_branches_(max_branches) {}
-
 size_t KineticTree::NumTreeNodes() const {
   // Count distinct branch prefixes (the trie nodes below the root).
   std::set<std::vector<Stop>, bool (*)(const std::vector<Stop>&,
@@ -409,9 +397,6 @@ util::Status KineticTree::CommitInsert(
   pending_.emplace(request.id, std::move(p));
   branches_ = std::move(new_branches);
   NormalizeBranches();
-  if (max_branches_ > 0 && branches_.size() > max_branches_) {
-    branches_.resize(max_branches_);  // keep the shortest schedules
-  }
   return util::Status::Ok();
 }
 
@@ -456,7 +441,7 @@ util::Status KineticTree::AdvanceTo(roadnet::VertexId new_root,
   return util::Status::Ok();
 }
 
-util::Result<Stop> KineticTree::PopFirstStop(const ScheduleContext& ctx) {
+util::Result<Stop> KineticTree::PopFirstStop() {
   if (branches_.empty()) {
     return util::Status::FailedPrecondition("kinetic tree has no stops");
   }
@@ -475,7 +460,6 @@ util::Result<Stop> KineticTree::PopFirstStop(const ScheduleContext& ctx) {
   if (first.type == StopType::kPickup) {
     it->second.onboard = true;
     it->second.consumed_trip_distance_m = 0.0;
-    (void)ctx;
   } else {
     pending_.erase(it);
   }

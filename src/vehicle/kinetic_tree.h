@@ -51,9 +51,6 @@ struct Branch {
   /// vehicle's current location.
   std::vector<roadnet::Weight> legs;
   roadnet::Weight total = 0.0;
-
-  /// Trip distance from the root to stops[k] (prefix sum of legs).
-  roadnet::Weight DistanceToStop(size_t k) const;
 };
 
 /// A candidate schedule produced by trial insertion of a new request.
@@ -120,18 +117,12 @@ struct InsertionStats {
 /// pruning with distance lower bounds before exact validation.
 class KineticTree {
  public:
-  /// `max_branches` caps the schedule set (0 = unlimited): after each
-  /// commitment only the `max_branches` shortest valid schedules are
-  /// kept. Every kept schedule still satisfies all four conditions, so
-  /// service promises are unaffected; the cap only trades future
-  /// reordering flexibility for bounded memory/CPU on busy vehicles.
-  KineticTree(roadnet::VertexId root_location, int capacity,
-              size_t max_branches = 0);
+  KineticTree(roadnet::VertexId root_location, int capacity)
+      : root_(root_location), capacity_(capacity) {}
 
   // --- Introspection -------------------------------------------------------
   roadnet::VertexId root_location() const { return root_; }
   int capacity() const { return capacity_; }
-  size_t max_branches() const { return max_branches_; }
   bool empty() const { return branches_.empty(); }
   size_t NumBranches() const { return branches_.size(); }
   /// Distinct trie nodes over all branches (the Fig. 3 tree size).
@@ -216,7 +207,7 @@ class KineticTree {
   /// that stop's location. Applies the pick-up/drop-off state change and
   /// discards branches beginning with a different stop. Returns the
   /// consumed stop.
-  util::Result<Stop> PopFirstStop(const ScheduleContext& ctx);
+  util::Result<Stop> PopFirstStop();
 
   /// Removes a not-yet-picked-up request (rider cancellation): strips its
   /// stops from every branch and recomputes distances. Removal only
@@ -262,7 +253,6 @@ class KineticTree {
 
   roadnet::VertexId root_;
   int capacity_;
-  size_t max_branches_;
   std::map<RequestId, PendingRequest> pending_;
   std::vector<Branch> branches_;
 };

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "roadnet/types.h"
 #include "vehicle/kinetic_tree.h"
@@ -18,9 +19,8 @@ inline constexpr VehicleId kInvalidVehicle = -1;
 /// index's empty/non-empty vehicle lists are keyed on this.
 class Vehicle {
  public:
-  Vehicle(VehicleId id, roadnet::VertexId location, int capacity,
-          size_t max_branches = 0)
-      : id_(id), tree_(location, capacity, max_branches) {}
+  Vehicle(VehicleId id, roadnet::VertexId location, int capacity)
+      : id_(id), tree_(location, capacity) {}
 
   VehicleId id() const { return id_; }
   roadnet::VertexId location() const { return tree_.root_location(); }
@@ -37,13 +37,15 @@ class Vehicle {
   double shared_distance_m() const { return shared_distance_m_; }
   int64_t completed_requests() const { return completed_requests_; }
 
-  /// Records `meters` of movement for the distance accounting, given the
-  /// number of distinct onboard requests while moving.
-  void AccrueMovement(double meters, int onboard_requests) {
-    total_distance_m_ += meters;
-    if (onboard_requests >= 1) occupied_distance_m_ += meters;
-    if (onboard_requests >= 2) shared_distance_m_ += meters;
-  }
+  /// The location update: the vehicle drove `meters` and now stands at
+  /// `to`. Records the meters for the distance accounting at the
+  /// current onboard count (occupancy only changes at stops), then walks
+  /// the tree forward (KineticTree::AdvanceTo). The library API and the
+  /// simulator's movement both move vehicles through it.
+  util::Status MoveTo(roadnet::VertexId to, double meters,
+                      const ScheduleContext& ctx, DistanceProvider& dist,
+                      const std::vector<Stop>& executing,
+                      KnownRootLeg known = {});
   void RecordCompletedRequest() { ++completed_requests_; }
 
   std::string DebugString() const;

@@ -20,29 +20,6 @@ void VehicleIndex::Registration::Assign(std::vector<Entry>& next) {
   }
 }
 
-VehicleIndex::Registration& VehicleIndex::Acquire(VehicleId id) {
-  const auto i = static_cast<size_t>(id);
-  if (i >= slot_.size()) slot_.resize(i + 1, kNoRecord);
-  assert(slot_[i] == kNoRecord);
-  if (free_.empty()) {
-    slot_[i] = static_cast<uint32_t>(pool_.size());
-    pool_.emplace_back();
-  } else {
-    slot_[i] = free_.back();
-    free_.pop_back();
-  }
-  return pool_[slot_[i]];
-}
-
-void VehicleIndex::Release(VehicleId id) {
-  const auto i = static_cast<size_t>(id);
-  Registration& reg = pool_[slot_[i]];
-  reg.size = 0;
-  reg.spill.clear();  // capacity kept for the record's next owner
-  free_.push_back(slot_[i]);
-  slot_[i] = kNoRecord;
-}
-
 void VehicleIndex::Update(const Vehicle& v) {
   ++update_count_;
   Apply(Prepare(v));
@@ -98,13 +75,17 @@ void VehicleIndex::Apply(const PendingUpdate& u) {
   next_.clear();
   Registration* old = Find(u.id);
   if (old == nullptr) {
+    // A first registration: the only path that grows records_, and it
+    // holds no record pointer across the growth.
     auto& lists = Lists(u.is_empty);
     for (const roadnet::CellId c : cells) {
       next_.push_back({c, AppendEntry(lists, c, u.id)});
     }
-    Registration& reg = Acquire(u.id);
-    reg.is_empty = u.is_empty;
-    reg.Assign(next_);
+    const auto i = static_cast<size_t>(u.id);
+    if (i >= records_.size()) records_.resize(i + 1);
+    records_[i].is_empty = u.is_empty;
+    records_[i].Assign(next_);
+    ++registered_;
     return;
   }
   const std::span<const Entry> prev = old->entries();
@@ -122,7 +103,7 @@ void VehicleIndex::Apply(const PendingUpdate& u) {
   // one appended, and unchanged ones keep their list position (unless
   // the vehicle switched list kinds, which moves every entry).
   // RemoveEntry fixes other vehicles' records only — this vehicle has
-  // one entry per list — and nothing here grows the pool, so `old` and
+  // one entry per list — and nothing here grows records_, so `old` and
   // `prev` stay valid throughout.
   size_t i = 0;
   size_t j = 0;
@@ -148,15 +129,6 @@ void VehicleIndex::Apply(const PendingUpdate& u) {
   }
   old->is_empty = u.is_empty;
   old->Assign(next_);
-}
-
-void VehicleIndex::Remove(VehicleId id) {
-  ++update_count_;
-  const Registration* reg = Find(id);
-  if (reg == nullptr) return;
-  auto& lists = Lists(reg->is_empty);
-  for (const Entry& e : reg->entries()) RemoveEntry(lists, e.cell, e.pos);
-  Release(id);
 }
 
 std::vector<roadnet::CellId> VehicleIndex::RegisteredCells(

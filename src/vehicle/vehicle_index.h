@@ -35,9 +35,10 @@ struct PendingUpdate {
 ///
 /// One registration table, updated in place (DESIGN.md section 10):
 /// each registered vehicle owns a record of (cell, list position)
-/// entries, so removal is O(1) per cell (swap-with-back plus a handle
-/// fix for the moved entry) instead of a linear scan. Not thread-safe:
-/// readers may run concurrently with each other, never with a mutation.
+/// entries, so leaving a cell is O(1) (swap-with-back plus a handle fix
+/// for the moved entry) instead of a linear scan. Once registered, a
+/// vehicle stays registered. Not thread-safe: readers may run
+/// concurrently with each other, never with a mutation.
 class VehicleIndex {
  public:
   explicit VehicleIndex(const roadnet::GridIndex& grid);
@@ -46,8 +47,6 @@ class VehicleIndex {
   /// update whose kind and cells are unchanged leaves every list as it
   /// was (and still counts in update_count()).
   void Update(const Vehicle& v);
-  /// Removes `v` from all lists (e.g. vehicle goes offline).
-  void Remove(VehicleId id);
 
   /// Computes `v`'s next registration without touching index state.
   PendingUpdate Prepare(const Vehicle& v) const;
@@ -70,10 +69,10 @@ class VehicleIndex {
   /// because bench/ptrider_bench reports it.
   uint64_t rebalance_count() const { return 0; }
 
-  /// Total number of Update/Remove operations applied (experiment E11).
+  /// Total number of Update calls (experiment E11).
   uint64_t update_count() const { return update_count_; }
   /// Number of registered vehicles.
-  size_t size() const { return pool_.size() - free_.size(); }
+  size_t size() const { return registered_; }
 
  private:
   /// One list entry of a registration: the cell, and the index of the
@@ -103,27 +102,22 @@ class VehicleIndex {
     /// storage, so neither side allocates once capacities have grown.
     void Assign(std::vector<Entry>& next);
   };
-  static constexpr uint32_t kNoRecord = UINT32_MAX;
 
   /// Applies `u` (a Prepare result, so `u.cells` is never empty): diffs
   /// the vehicle's old registration against u's cells, removing, adding
   /// or keeping entries (kept entries keep their list positions).
   void Apply(const PendingUpdate& u);
 
-  /// `id`'s record, or null.
+  /// `id`'s record, or null when `id` is not registered (a registration
+  /// always has an entry).
   Registration* Find(VehicleId id) {
     const auto i = static_cast<size_t>(id);
-    return i < slot_.size() && slot_[i] != kNoRecord ? &pool_[slot_[i]]
-                                                     : nullptr;
+    return i < records_.size() && records_[i].size > 0 ? &records_[i]
+                                                       : nullptr;
   }
   const Registration* Find(VehicleId id) const {
     return const_cast<VehicleIndex*>(this)->Find(id);
   }
-  /// A record for `id`, which must have none; it has no entries. May
-  /// grow `pool_`, invalidating record pointers.
-  Registration& Acquire(VehicleId id);
-  /// Returns `id`'s record to the free list.
-  void Release(VehicleId id);
 
   std::vector<std::vector<VehicleId>>& Lists(bool is_empty) {
     return is_empty ? empty_lists_ : non_empty_lists_;
@@ -138,15 +132,13 @@ class VehicleIndex {
   const roadnet::GridIndex* grid_;
   std::vector<std::vector<VehicleId>> empty_lists_;
   std::vector<std::vector<VehicleId>> non_empty_lists_;
-  /// `slot_[id]` names the vehicle's record in `pool_` (kNoRecord: not
-  /// registered). Released records go on `free_` with their capacity
-  /// kept, and Apply builds the next registration in the `next_` scratch
-  /// and swaps it into the record, so a steady-state update allocates
-  /// nothing beyond Prepare's cell vector.
-  std::vector<uint32_t> slot_;
-  std::vector<Registration> pool_;
-  std::vector<uint32_t> free_;
+  /// `records_[id]` is vehicle `id`'s registration (ids are dense).
+  /// Apply builds the next registration in the `next_` scratch and swaps
+  /// it into the record, so a steady-state update allocates nothing
+  /// beyond Prepare's cell vector.
+  std::vector<Registration> records_;
   std::vector<Entry> next_;
+  size_t registered_ = 0;
   uint64_t update_count_ = 0;
 };
 

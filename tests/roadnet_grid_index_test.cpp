@@ -169,51 +169,6 @@ TEST(GridIndexTest, CellOfPointClampsOutside) {
   EXPECT_EQ(index.CellOfPoint({1e9, 1e9}), index.NumCells() - 1);
 }
 
-TEST(GridIndexTest, CellsOfPathFirstTouchOrder) {
-  const PaperExampleNetwork ex = MakePaperExampleNetwork();
-  const GridIndex index = BuildIndex(ex.graph, 3);
-  DijkstraEngine dij(ex.graph);
-  const VertexId targets[] = {ex.v(17)};
-  DijkstraEngine::RunOptions opts;
-  opts.targets = targets;
-  dij.RunFrom(ex.v(1), opts);
-  const std::vector<VertexId> path = dij.PathTo(ex.v(17));
-  const std::vector<CellId> cells = index.CellsOfPath(path);
-  EXPECT_FALSE(cells.empty());
-  // First cell is the start's cell; no duplicates.
-  EXPECT_EQ(cells.front(), index.CellOfVertex(ex.v(1)));
-  std::vector<CellId> sorted = cells;
-  std::sort(sorted.begin(), sorted.end());
-  EXPECT_EQ(std::adjacent_find(sorted.begin(), sorted.end()), sorted.end());
-}
-
-// Long paths take the bitmap dedupe; short ones the linear scan. Both
-// must agree with the reference scan-the-output semantics: distinct
-// cells, first-touch order.
-TEST(GridIndexTest, CellsOfPathBitmapMatchesReferenceOnLongPaths) {
-  const PaperExampleNetwork ex = MakePaperExampleNetwork();
-  const GridIndex index = BuildIndex(ex.graph, 3);
-  // A synthetic long walk with plenty of revisits (vertex sequence need
-  // not be a real shortest path for cell mapping).
-  std::vector<VertexId> path;
-  for (int round = 0; round < 12; ++round) {
-    for (int label = 1; label <= 17; ++label) {
-      path.push_back(ex.v(((label + round) % 17) + 1));
-    }
-  }
-  ASSERT_GT(path.size(), 24u);
-  const std::vector<CellId> cells = index.CellsOfPath(path);
-  std::vector<CellId> reference;
-  for (const VertexId v : path) {
-    const CellId c = index.CellOfVertex(v);
-    if (std::find(reference.begin(), reference.end(), c) ==
-        reference.end()) {
-      reference.push_back(c);
-    }
-  }
-  EXPECT_EQ(cells, reference);
-}
-
 TEST(GridIndexTest, BuildStatsPopulated) {
   const PaperExampleNetwork ex = MakePaperExampleNetwork();
   const GridIndex index = BuildIndex(ex.graph, 3);

@@ -144,36 +144,5 @@ TEST(SimEquivalenceTest, WholeSimulationIdenticalAcrossSpAlgorithms) {
   }
 }
 
-TEST(SimEquivalenceTest, ScheduleCapTradesOutcomeNotCorrectness) {
-  // With max_schedules_per_vehicle = 1, the system still serves riders
-  // and every invariant holds; it may just assign fewer (less
-  // reordering flexibility).
-  roadnet::CityGridOptions gopts;
-  gopts.rows = 12;
-  gopts.cols = 12;
-  gopts.seed = 78;
-  auto graph = roadnet::MakeCityGrid(gopts);
-  ASSERT_TRUE(graph.ok());
-  HotspotWorkloadOptions wopts;
-  wopts.num_trips = 70;
-  wopts.duration_s = 1200.0;
-  auto trips = GenerateHotspotTrips(*graph, wopts);
-  ASSERT_TRUE(trips.ok());
-
-  core::Config cfg;
-  cfg.max_schedules_per_vehicle = 1;
-  auto sys = core::PTRider::Create(*graph, cfg);
-  ASSERT_TRUE(sys.ok());
-  ASSERT_TRUE((*sys)->InitFleetUniform(30, 4).ok());
-  Simulator sim(**sys, SimulatorOptions{});
-  auto report = sim.Run(*trips);
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_GT(report->requests_assigned, 20);
-  EXPECT_LE(report->requests_shared, report->requests_completed);
-  for (const vehicle::Vehicle& v : (*sys)->fleet().vehicles()) {
-    EXPECT_LE(v.tree().NumBranches(), 1u);
-  }
-}
-
 }  // namespace
 }  // namespace ptrider::sim

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <string>
 #include <vector>
@@ -141,6 +142,58 @@ TEST(SimulatorTest, IdleCruisingMovesVehicles) {
               25 * 60.0 * f.system->config().speed_mps,
               25 * 60.0 * f.system->config().speed_mps * 0.2);
   EXPECT_DOUBLE_EQ(report->fleet_occupied_distance_m, 0.0);
+}
+
+// After every movement tick the vehicle index agrees with the fleet:
+// each vehicle is registered in exactly the cells Prepare derives from
+// its state, in the lists of its kind. Idle vehicles cruise on the live
+// fleet (the idle walk) and serving ones move through the advance and
+// its commit; both reach the index only through the end-of-tick
+// re-registration.
+TEST(SimulatorTest, IndexMatchesFleetAfterEveryTick) {
+  SimFixture f = MakeFixture(30, core::MatcherAlgorithm::kDualSide);
+  const std::vector<Trip> trips = MakeTrips(f.graph, 12, 300.0);
+  const SimulatorOptions opts;
+  Simulator sim(*f.system, opts);
+  ASSERT_TRUE(sim.BeginStepping().ok());
+  SimulationReport report;
+  const vehicle::VehicleIndex& index = f.system->vehicle_index();
+  const roadnet::GridIndex& grid = f.system->grid();
+  std::vector<roadnet::CellId> idle_cell;
+  for (const vehicle::Vehicle& v : f.system->fleet().vehicles()) {
+    idle_cell.push_back(grid.CellOfVertex(v.location()));
+  }
+  int idle_cell_changes = 0;
+  size_t next_trip = 0;
+  for (int tick = 1; tick <= 600; ++tick) {
+    SCOPED_TRACE("tick " + std::to_string(tick));
+    const double now = tick * opts.tick_s;
+    std::vector<vehicle::Request> batch;
+    while (next_trip < trips.size() && trips[next_trip].time_s <= now) {
+      batch.push_back(sim.MakeRequest(trips[next_trip++]));
+    }
+    ASSERT_TRUE(
+        sim.StepWindow(std::move(batch), now - opts.tick_s, now, report)
+            .ok());
+    for (const vehicle::Vehicle& v : f.system->fleet().vehicles()) {
+      SCOPED_TRACE("vehicle " + std::to_string(v.id()));
+      const vehicle::PendingUpdate expected = index.Prepare(v);
+      ASSERT_EQ(index.RegisteredCells(v.id()), expected.cells);
+      for (const roadnet::CellId c : expected.cells) {
+        const std::vector<vehicle::VehicleId>& list =
+            expected.is_empty ? index.EmptyVehicles(c)
+                              : index.NonEmptyVehicles(c);
+        ASSERT_EQ(std::count(list.begin(), list.end(), v.id()), 1);
+      }
+      const roadnet::CellId cell = grid.CellOfVertex(v.location());
+      auto& last = idle_cell[static_cast<size_t>(v.id())];
+      if (v.IsEmpty() && cell != last) ++idle_cell_changes;
+      last = cell;
+    }
+  }
+  ASSERT_EQ(next_trip, trips.size());
+  EXPECT_GT(report.requests_completed, 0);
+  EXPECT_GT(idle_cell_changes, 0) << "no idle vehicle left its cell";
 }
 
 TEST(SimulatorTest, RejectsBadInputs) {

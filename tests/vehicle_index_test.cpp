@@ -99,12 +99,7 @@ TEST_F(VehicleIndexTest, UpdateMovesBetweenLists) {
   index_->Update(v);
   EXPECT_FALSE(InList(index_->EmptyVehicles(old_cell), 2));
   EXPECT_TRUE(InList(index_->NonEmptyVehicles(old_cell), 2));
-
-  // Remove drops it everywhere.
-  index_->Remove(2);
-  EXPECT_FALSE(InList(index_->NonEmptyVehicles(old_cell), 2));
-  EXPECT_TRUE(index_->RegisteredCells(2).empty());
-  EXPECT_EQ(index_->size(), 0u);
+  EXPECT_EQ(index_->size(), 1u);
 }
 
 TEST_F(VehicleIndexTest, UpdateIsIdempotent) {
@@ -120,19 +115,13 @@ TEST_F(VehicleIndexTest, UpdateIsIdempotent) {
   EXPECT_EQ(index_->update_count(), 3u);
 }
 
-TEST_F(VehicleIndexTest, RemoveUnknownIsNoop) {
-  index_->Remove(77);
-  EXPECT_EQ(index_->size(), 0u);
-}
-
-// --- Churn under Update/Remove interleavings --------------------------------
+// --- Churn under random updates -----------------------------------------------
 //
 // The registration <-> list consistency invariant, exercised over random
-// fleets of teleporting, committing, vanishing, re-registered and
-// unchanged re-submitted vehicles across several seeds. After every step
-// the index must equal a plain per-cell reference model element for
-// element, so an optimization that reorders a list (say, a wrong early
-// return) fails.
+// fleets of teleporting, committing and unchanged re-submitted vehicles
+// across several seeds. After every step the index must equal a plain
+// per-cell reference model element for element, so an optimization that
+// reorders a list (say, a wrong early return) fails.
 
 /// The list semantics spelled out with nothing but vectors: removal is
 /// swap-with-back at the entry's position, a new cell appends, and a kept
@@ -163,15 +152,6 @@ class ReferenceLists {
       }
     }
     reg_[u.id] = Registration{u.is_empty, u.cells};
-  }
-
-  void Remove(VehicleId id) {
-    const auto it = reg_.find(id);
-    if (it == reg_.end()) return;
-    for (const roadnet::CellId c : it->second.cells) {
-      Erase(Lists(it->second.is_empty)[static_cast<size_t>(c)], id);
-    }
-    reg_.erase(it);
   }
 
   const std::vector<VehicleId>& EmptyVehicles(roadnet::CellId c) const {
@@ -290,32 +270,22 @@ TEST_P(VehicleIndexChurnTest, ConsistentAndEqualToReferenceModel) {
     SCOPED_TRACE("step " + std::to_string(step));
     const auto id =
         static_cast<VehicleId>(rng.UniformInt(0, kVehicles - 1));
-    const int64_t op = rng.UniformInt(0, 11);
+    const int64_t op = rng.UniformInt(0, 9);
     Vehicle* v = fleet[static_cast<size_t>(id)].has_value()
                      ? &*fleet[static_cast<size_t>(id)]
                      : nullptr;
-    if (op < 2) {
-      index.Remove(id);
-      reference.Remove(id);
-      fleet[static_cast<size_t>(id)].reset();
-    } else if (op >= 10 && v != nullptr) {
-      if (op == 11) {
-        // Remove and register again: the index must hand the vehicle a
-        // record from its free list.
-        index.Remove(id);
-        reference.Remove(id);
-      }
-      // Register `v` again. After op 10 this re-submits an unchanged
-      // registration: it still counts as an update, and must leave
-      // every list exactly as it was.
+    if (op >= 8 && v != nullptr) {
+      // Re-submit an unchanged registration: it still counts as an
+      // update, and must leave every list exactly as it was.
       const uint64_t before = index.update_count();
       index.Update(*v);
       EXPECT_EQ(index.update_count(), before + 1);
       reference.Update(index.Prepare(*v));
     } else {
-      if (op < 8 || v == nullptr) {
+      if (op < 6 || v == nullptr) {
         // Teleport: fresh empty vehicle at a random vertex (also the
-        // empty -> non-empty -> empty kind flips).
+        // empty -> non-empty -> empty kind flips). The first teleport of
+        // an id registers it.
         fleet[static_cast<size_t>(id)].emplace(
             id, static_cast<roadnet::VertexId>(
                     rng.UniformInt(0, n_vertices)),

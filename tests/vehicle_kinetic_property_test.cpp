@@ -143,7 +143,7 @@ TEST_P(KineticTreePropertyTest, InvariantsUnderRandomOperations) {
             << "an ordering resurrected during advance";
       }
       check_invariants("after advance");
-      auto popped = tree.PopFirstStop(ctx);
+      auto popped = tree.PopFirstStop();
       ASSERT_TRUE(popped.ok()) << popped.status().ToString();
       check_invariants("after pop");
     }
@@ -160,7 +160,7 @@ TEST_P(KineticTreePropertyTest, InvariantsUnderRandomOperations) {
       ASSERT_TRUE(
           tree.AdvanceTo((*path)[i], leg, ctx, dist, best.stops).ok());
     }
-    ASSERT_TRUE(tree.PopFirstStop(ctx).ok());
+    ASSERT_TRUE(tree.PopFirstStop().ok());
     check_invariants("during drain");
   }
   EXPECT_EQ(tree.NumPendingRequests(), 0u);

@@ -174,7 +174,7 @@ TEST_F(PaperScheduleTest, FullLifecycleDriveAndServe) {
                   .AdvanceTo(ex_.v(2), 6.0, ctx, dist_,
                              tree_.BestBranch().stops)
                   .ok());
-  auto stop = tree_.PopFirstStop(ctx);
+  auto stop = tree_.PopFirstStop();
   ASSERT_TRUE(stop.ok());
   EXPECT_EQ(stop->request, 1);
   EXPECT_EQ(stop->type, StopType::kPickup);
@@ -186,7 +186,7 @@ TEST_F(PaperScheduleTest, FullLifecycleDriveAndServe) {
                   .AdvanceTo(ex_.v(12), 8.0, ctx, dist_,
                              tree_.BestBranch().stops)
                   .ok());
-  stop = tree_.PopFirstStop(ctx);
+  stop = tree_.PopFirstStop();
   ASSERT_TRUE(stop.ok());
   EXPECT_EQ(stop->request, 2);
   EXPECT_EQ(stop->type, StopType::kPickup);
@@ -199,7 +199,7 @@ TEST_F(PaperScheduleTest, FullLifecycleDriveAndServe) {
                   .AdvanceTo(ex_.v(16), 4.0, ctx, dist_,
                              tree_.BestBranch().stops)
                   .ok());
-  stop = tree_.PopFirstStop(ctx);
+  stop = tree_.PopFirstStop();
   ASSERT_TRUE(stop.ok());
   EXPECT_EQ(stop->request, 1);
   EXPECT_EQ(stop->type, StopType::kDropoff);
@@ -212,7 +212,7 @@ TEST_F(PaperScheduleTest, FullLifecycleDriveAndServe) {
                   .AdvanceTo(ex_.v(17), 3.0, ctx, dist_,
                              tree_.BestBranch().stops)
                   .ok());
-  stop = tree_.PopFirstStop(ctx);
+  stop = tree_.PopFirstStop();
   ASSERT_TRUE(stop.ok());
   EXPECT_EQ(stop->request, 2);
   EXPECT_EQ(stop->type, StopType::kDropoff);
@@ -221,7 +221,7 @@ TEST_F(PaperScheduleTest, FullLifecycleDriveAndServe) {
 }
 
 TEST_F(PaperScheduleTest, PopRequiresRootAtStop) {
-  EXPECT_EQ(tree_.PopFirstStop(ctx_).status().code(),
+  EXPECT_EQ(tree_.PopFirstStop().status().code(),
             util::StatusCode::kFailedPrecondition);
 }
 
@@ -310,7 +310,7 @@ TEST_F(KineticTreeTest, AdvanceAccruesOnboardConsumption) {
           .ok());
   // Not yet onboard: no consumption.
   EXPECT_DOUBLE_EQ(tree.pending().at(2).consumed_trip_distance_m, 0.0);
-  ASSERT_TRUE(tree.PopFirstStop(ctx).ok());
+  ASSERT_TRUE(tree.PopFirstStop().ok());
   ctx.now_s = 12.0;
   ASSERT_TRUE(
       tree.AdvanceTo(ex_.v(16), 4.0, ctx, dist_, tree.BestBranch().stops)
