@@ -17,7 +17,8 @@ namespace ptrider::core {
 ///   * Time lemma. Any vehicle first encountered in cell g has every
 ///     insertion point in cells no closer than g, so its pick-up distance
 ///     is at least LB(g(s), g) + s.min.
-///   * Price lemma. Delta = dist_trj - dist_tri >= 0 always, so the
+///   * Price lemma. Delta = dist_trj - dist_tri >= 0 always (the price
+///     clamps a total that rounds below the current one), so the
 ///     pricing policy's MinPrice (f_n * dist(s,d) under Definition 3)
 ///     floors every quote; the dual-side variant tightens Delta with
 ///     destination-side detour lower bounds before touching the kinetic

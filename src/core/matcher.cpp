@@ -34,8 +34,8 @@ class SkylineScreen final : public vehicle::InsertionScreen {
   bool Rejects(roadnet::Weight pickup_lb,
                roadnet::Weight total_lb) const override {
     if (pickup_lb > radius_) return true;
-    // Not clamped at 0: a schedule's total may round below the current
-    // one, and Price does not clamp either.
+    // Not clamped at 0: a total below the current one only lowers the
+    // bound, and Price clamps Delta at 0, so the bound stays <= the quote.
     const double price_lb =
         detour_ ? pricing_.PriceWithDetourLb(
                       num_riders_, total_lb - current_total_, direct_)

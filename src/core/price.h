@@ -39,15 +39,20 @@ class PriceModel {
     return base_ + (num_riders - 1) * per_extra_;
   }
 
-  /// Definition 3. `direct` is dist(s, d).
+  /// Definition 3. `direct` is dist(s, d). The added detour Delta =
+  /// new_total - current_total is >= 0 in real numbers, but a schedule's
+  /// total can round below the current one in doubles; Delta is clamped
+  /// at 0, so MinPrice floors every quote (DESIGN.md 4.2).
   double Price(int num_riders, roadnet::Weight new_total,
                roadnet::Weight current_total, roadnet::Weight direct) const {
-    return Fn(num_riders) * (new_total - current_total + direct) / unit_m_;
+    const roadnet::Weight delta = new_total - current_total;
+    return Fn(num_riders) * ((delta > 0.0 ? delta : 0.0) + direct) / unit_m_;
   }
 
   /// Global floor over all vehicles: a perfectly-aligned non-empty vehicle
-  /// adds zero detour, paying f_n * dist(s,d). No option can be cheaper
-  /// (Delta >= 0; see DESIGN.md 4.2), which drives search termination.
+  /// adds zero detour, paying f_n * dist(s,d). No quote is cheaper: Price
+  /// clamps Delta at 0 and rounding is monotone (DESIGN.md 4.2), which
+  /// drives search termination.
   double MinPrice(int num_riders, roadnet::Weight direct) const {
     return Fn(num_riders) * direct / unit_m_;
   }

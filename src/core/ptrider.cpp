@@ -288,17 +288,6 @@ util::Result<StopEvent> PTRider::VehicleArrivedAtStop(vehicle::VehicleId id,
   return s.event;
 }
 
-util::Status PTRider::CommitAdvancedVehicle(
-    vehicle::VehicleId id, vehicle::Vehicle&& advanced,
-    std::vector<AdvanceStop>& stops) {
-  if (!fleet_.IsValid(id) || advanced.id() != id) {
-    return util::Status::InvalidArgument("advanced state names an unknown vehicle");
-  }
-  fleet_.at(id) = std::move(advanced);
-  for (AdvanceStop& s : stops) ApplyArrival(s);
-  return util::Status::Ok();
-}
-
 vehicle::VehicleId PTRider::AssignedVehicle(vehicle::RequestId id) const {
   const auto it = assignments_.find(id);
   return it == assignments_.end() ? vehicle::kInvalidVehicle

@@ -38,9 +38,9 @@ struct StopEvent {
 
 /// One arrival at a scheduled stop, as ArriveAtStop derives it from the
 /// vehicle's kinetic tree alone. The assignment side (`event.shared`,
-/// the shared marks) is applied by PTRider: at once in
-/// VehicleArrivedAtStop, at the movement commit for the simulator's
-/// scratch advance (sim/movement.h, PTRider::CommitAdvancedVehicle).
+/// the shared marks) is PTRider::ApplyArrival: at once in
+/// VehicleArrivedAtStop, at the simulator's movement commit for the
+/// arrivals of its advance (sim/movement.h).
 struct AdvanceStop {
   StopEvent event;
   /// Pick-ups that left >= 2 distinct requests onboard: the ids of every
@@ -169,21 +169,13 @@ class PTRider {
   util::Result<StopEvent> VehicleArrivedAtStop(vehicle::VehicleId id,
                                                double now_s);
 
-  /// Movement-commit entry point for the simulator's advance/commit
-  /// split (DESIGN.md section 6): installs `advanced` — the vehicle's
-  /// scratch copy after a read-only tick advance (MoveTo and ArriveAtStop
-  /// applied) — as vehicle `id`'s live state, then applies the
-  /// assignment side of its arrivals in order, filling each drop-off's
-  /// `event.shared`. Equivalent to the per-event UpdateVehicleLocation /
-  /// VehicleArrivedAtStop sequence, because the assignment side never
-  /// feeds back into the advance of any vehicle within the same tick.
-  /// Must be called for vehicles in ascending id order, one commit per
-  /// advanced vehicle. The vehicle index is not touched: the caller
-  /// re-registers the vehicle before anything reads the index (the
-  /// simulator's end-of-tick pass, DESIGN.md section 10.2).
-  util::Status CommitAdvancedVehicle(vehicle::VehicleId id,
-                                     vehicle::Vehicle&& advanced,
-                                     std::vector<AdvanceStop>& stops);
+  /// The assignment side of arrival `s`: at a pick-up, marks every
+  /// listed onboard request shared; at a drop-off, reports the trip's
+  /// shared flag in `s.event` and releases its assignment. The
+  /// simulator's movement commit calls it for each arrival of its
+  /// advance, in vehicle-id order (DESIGN.md section 6.1); the vehicle
+  /// index is the caller's to update.
+  void ApplyArrival(AdvanceStop& s);
 
   // --- Accessors ---------------------------------------------------------------
   const Config& config() const { return config_; }
@@ -224,11 +216,6 @@ class PTRider {
           roadnet::GridIndex grid,
           std::unique_ptr<pricing::PricingPolicy> pricing,
           std::shared_ptr<const roadnet::CHIndex> shared_ch);
-
-  /// The assignment side of arrival `s`: at a pick-up, marks every
-  /// listed onboard request shared; at a drop-off, reports the trip's
-  /// shared flag in `s.event` and releases its assignment.
-  void ApplyArrival(AdvanceStop& s);
 
   const roadnet::RoadNetwork* graph_;
   Config config_;

@@ -1,54 +1,31 @@
 #ifndef PTRIDER_SERVICE_CLOCK_H_
 #define PTRIDER_SERVICE_CLOCK_H_
 
-#include <algorithm>
 #include <chrono>
 #include <thread>
 
 namespace ptrider::service {
 
-/// Time source of the service mode (DESIGN.md section 11). All service
-/// timestamps are *simulation seconds*; the clock decides how they map
-/// to the machine:
-///
-///   * VirtualClock — time is whatever the owner last advanced it to and
-///     SleepUntilS jumps instantly. Single-threaded by design: it is the
-///     deterministic side of the service's clock boundary, so sweeps and
-///     CI runs are bit-reproducible regardless of machine speed.
-///   * WallClock — simulation seconds are wall seconds times a scale
-///     factor, and SleepUntilS really sleeps. Thread-safe (the workload
-///     driver thread and the service loop share one instance); anything
-///     stamped from it is measurement, not part of any determinism
-///     contract.
-class ServiceClock {
- public:
-  virtual ~ServiceClock() = default;
-
-  /// Current simulation time, seconds.
-  virtual double NowS() = 0;
-  /// Blocks (wall) or advances (virtual) until NowS() >= t.
-  virtual void SleepUntilS(double t) = 0;
-  /// True for the deterministic, owner-advanced clock.
-  virtual bool virtual_time() const = 0;
-};
-
-/// Wall time since construction, scaled: `time_scale` simulation seconds
-/// elapse per wall second (1 = real time; 60 compresses a day into 24
-/// minutes of wall clock — open-loop arrival *schedules* are in
-/// simulation seconds, so scaling the clock scales the whole service,
-/// driver included, coherently).
-class WallClock : public ServiceClock {
+/// The wall-clock service mode's time source (DESIGN.md section 11):
+/// wall time since construction in *simulation seconds*, `time_scale`
+/// (finite and > 0) of them per wall second. 60 compresses a day into
+/// 24 minutes; arrival schedules are in simulation seconds, so scaling
+/// the clock scales the whole service, driver included. Thread-safe: the
+/// producer thread and the service loop share one instance. Anything
+/// stamped from it is measurement, outside every determinism contract.
+class WallClock {
  public:
   explicit WallClock(double time_scale = 1.0)
-      : scale_(time_scale > 0.0 ? time_scale : 1.0),
-        start_(Clock::now()) {}
+      : scale_(time_scale), start_(Clock::now()) {}
 
-  double NowS() override {
+  /// Current simulation time, seconds.
+  double NowS() const {
     return scale_ *
            std::chrono::duration<double>(Clock::now() - start_).count();
   }
 
-  void SleepUntilS(double t) override {
+  /// Blocks until NowS() >= t.
+  void SleepUntilS(double t) const {
     const double wall_target = t / scale_;
     const auto deadline =
         start_ + std::chrono::duration_cast<Clock::duration>(
@@ -56,25 +33,10 @@ class WallClock : public ServiceClock {
     std::this_thread::sleep_until(deadline);
   }
 
-  bool virtual_time() const override { return false; }
-
  private:
   using Clock = std::chrono::steady_clock;
   double scale_;
   Clock::time_point start_;
-};
-
-/// Owner-advanced time. NOT thread-safe: exactly one thread may drive
-/// it, which is the point — every virtual-clock service decision happens
-/// on the service loop, in a deterministic order.
-class VirtualClock : public ServiceClock {
- public:
-  double NowS() override { return now_; }
-  void SleepUntilS(double t) override { now_ = std::max(now_, t); }
-  bool virtual_time() const override { return true; }
-
- private:
-  double now_ = 0.0;
 };
 
 }  // namespace ptrider::service

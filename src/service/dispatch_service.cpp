@@ -88,8 +88,19 @@ util::Result<ServiceReport> DispatchService::Run(ArrivalProcess& process) {
   if (!(std::isfinite(opt.drain_s) && opt.drain_s >= 0.0)) {
     return util::Status::InvalidArgument("drain must be finite and >= 0");
   }
-  if (opt.assign_cost_s < 0.0 || opt.quote_cost_s < 0.0) {
-    return util::Status::InvalidArgument("service costs must be >= 0");
+  if (!(std::isfinite(opt.assign_cost_s) && opt.assign_cost_s >= 0.0 &&
+        std::isfinite(opt.quote_cost_s) && opt.quote_cost_s >= 0.0)) {
+    return util::Status::InvalidArgument(
+        "service costs must be finite and >= 0");
+  }
+  if (!std::isfinite(opt.shed_deadline_s)) {
+    return util::Status::InvalidArgument("shed deadline must be finite");
+  }
+  const bool virt = opt.virtual_clock;
+  if (!virt &&
+      !(std::isfinite(opt.wall_time_scale) && opt.wall_time_scale > 0.0)) {
+    return util::Status::InvalidArgument(
+        "wall time scale must be finite and positive");
   }
   sim::Simulator& sim = impl_->sim;
   PTRIDER_RETURN_IF_ERROR(sim.BeginStepping());
@@ -98,11 +109,13 @@ util::Result<ServiceReport> DispatchService::Run(ArrivalProcess& process) {
   ServiceReport report;
   ServiceStats& stats = report.service;
   stats.horizon_s = process.end_time_s();
-  const double end_time = stats.horizon_s + opt.drain_s;
-  // Same integer tick/window grid as Simulator::Run (drift-free over
-  // day-scale horizons; final tick clamped to end_time).
-  PTRIDER_ASSIGN_OR_RETURN(const int64_t total_ticks,
-                           sim::TickCount(end_time, opt.tick_s));
+  // Simulator::Run's tick and window grid: drift-free over day-scale
+  // horizons, the last tick clamped to the end time and closing the last
+  // window.
+  PTRIDER_ASSIGN_OR_RETURN(
+      sim::TickClock clock,
+      sim::TickClock::Make(stats.horizon_s + opt.drain_s, opt.tick_s,
+                           opt.batch_window_s));
 
   RequestQueue queue(opt.queue_capacity);
   WorkloadDriver driver(process, queue, opt.ingest_retry);
@@ -129,41 +142,34 @@ util::Result<ServiceReport> DispatchService::Run(ArrivalProcess& process) {
   // on it before each batch (full effort at rung 0).
   dispatch::ParallelDispatcher& dispatcher = *sim.dispatcher();
 
-  const bool virt = opt.virtual_clock;
-  std::unique_ptr<ServiceClock> clock;
-  if (virt) {
-    clock = std::make_unique<VirtualClock>();
-  } else {
-    clock = std::make_unique<WallClock>(opt.wall_time_scale);
-  }
+  // Wall-clock mode's time source, read in that mode only: virtual time
+  // is the tick clock.
+  const WallClock wall(opt.wall_time_scale);
 
   // Wall-clock mode measures quote latency where it actually becomes
   // available: at the first phase-1 match, inside whichever dispatch
   // worker ran it. One recorder per worker slot, no locks; merged below.
   // The observer reads `ingest_time` (written only between dispatches,
-  // by this thread) and the shared clock — both safe during phase 1.
+  // by this thread) and the shared wall clock — both safe during phase 1.
   // Virtual mode records from the service-time model instead, on this
   // thread, keeping the latency distribution deterministic.
   std::unordered_map<vehicle::RequestId, double> ingest_time;
   std::vector<util::Percentiles> worker_quotes(dispatcher.num_threads());
-  if (!virt) {
-    ServiceClock* clk = clock.get();
-    dispatcher.SetMatchObserver(
-        [&ingest_time, &worker_quotes, clk](size_t worker,
-                                            const vehicle::Request& r,
-                                            const core::MatchResult&) {
-          auto it = ingest_time.find(r.id);
-          if (it == ingest_time.end()) return;
-          worker_quotes[worker % worker_quotes.size()].Add(clk->NowS() -
-                                                           it->second);
-        });
-  }
 
   // Wall-clock mode: the open-loop producer runs on its own thread,
   // pushing arrivals as their instants pass on the shared clock.
   std::unique_ptr<ProducerThread> producer;
   if (!virt) {
-    producer = std::make_unique<ProducerThread>(driver, *clock);
+    dispatcher.SetMatchObserver(
+        [&ingest_time, &worker_quotes, &wall](size_t worker,
+                                              const vehicle::Request& r,
+                                              const core::MatchResult&) {
+          auto it = ingest_time.find(r.id);
+          if (it == ingest_time.end()) return;
+          worker_quotes[worker % worker_quotes.size()].Add(wall.NowS() -
+                                                           it->second);
+        });
+    producer = std::make_unique<ProducerThread>(driver, wall);
   }
 
   // Virtual-clock service-time model: a single modeled server drains
@@ -198,23 +204,18 @@ util::Result<ServiceReport> DispatchService::Run(ArrivalProcess& process) {
     injector->ArrivalsDue(now_s, injected_due);
     for (const InjectedArrival& a : injected_due) {
       const double stamp =
-          (virt ? a.trip.time_s : clock->NowS()) + a.ingest_offset_s;
+          (virt ? a.trip.time_s : wall.NowS()) + a.ingest_offset_s;
       if (!queue.TryPush(IngestedTrip{a.trip, stamp})) ++injected_rejected;
     }
     injector->WindowsEndedBy(now_s);
   };
 
-  double now = 0.0;
-  int64_t next_window = 1;
   double next_progress_log = 3600.0;
 
-  // One batch-window drain at simulated instant `now_s`: admission,
-  // latency stamping, dispatch, outcome accounting. `with_tick` then
-  // runs the boundary movement tick from `prev_s` (Simulator::
-  // StepWindow); without it the batch dispatches alone (the epilogue's
-  // final partial window, which has no tick left to pair with).
-  auto drain_and_dispatch = [&](double prev_s, double now_s,
-                                bool with_tick) -> util::Status {
+  // One window-closing tick from `prev_s` to `now_s`: admission, latency
+  // stamping, then Simulator::StepWindow (the dispatch at `now_s` and the
+  // movement tick), then outcome accounting.
+  auto step_window = [&](double prev_s, double now_s) -> util::Status {
     util::WallTimer phase_timer;
     stats.queue_depth.Add(static_cast<double>(queue.size()));
     staged.clear();
@@ -267,12 +268,6 @@ util::Result<ServiceReport> DispatchService::Run(ArrivalProcess& process) {
     const double quote_eff =
         opt.quote_cost_s * fault_cost_factor * rung_factor;
 
-    if (drained == 0) {
-      report.sim.match_phase_seconds += phase_timer.ElapsedSeconds();
-      if (with_tick) return sim.AdvanceTick(prev_s, now_s, report.sim);
-      return util::Status::Ok();
-    }
-
     batch.clear();
     delays.clear();
     for (size_t i = 0; i < staged.size(); ++i) {
@@ -321,19 +316,12 @@ util::Result<ServiceReport> DispatchService::Run(ArrivalProcess& process) {
     // Ids were issued in staged (time) order and ingest stamps are
     // nondecreasing, so the dispatcher's (submit_time, id) commit order
     // is the staged order: items[i] pairs with delays[i].
-    util::Result<std::vector<core::BatchItem>> items = [&] {
-      if (with_tick) {
-        return sim.StepWindow(std::move(batch), prev_s, now_s, report.sim);
-      }
-      util::WallTimer dispatch_timer;
-      auto dispatched = sim.DispatchBatch(std::move(batch), now_s, report.sim);
-      report.sim.match_phase_seconds += dispatch_timer.ElapsedSeconds();
-      return dispatched;
-    }();
+    util::Result<std::vector<core::BatchItem>> items =
+        sim.StepWindow(std::move(batch), prev_s, now_s, report.sim);
     PTRIDER_RETURN_IF_ERROR(items.status());
     phase_timer.Restart();  // the trailing add covers just the stamping
     stats.dispatched += items->size();
-    const double done_s = virt ? 0.0 : clock->NowS();
+    const double done_s = virt ? 0.0 : wall.NowS();
     for (size_t i = 0; i < items->size(); ++i) {
       const core::BatchItem& item = (*items)[i];
       if (!virt) ingest_time.erase(item.request.id);
@@ -351,9 +339,8 @@ util::Result<ServiceReport> DispatchService::Run(ArrivalProcess& process) {
     return util::Status::Ok();
   };
 
-  for (int64_t tick = 1; tick <= total_ticks; ++tick) {
-    const double prev = now;
-    now = std::min(static_cast<double>(tick) * opt.tick_s, end_time);
+  while (clock.Next()) {
+    const double now = clock.now();
     if (injector != nullptr) {
       // Capacity squeeze applies before any push of this tick.
       const double cap_factor = injector->CapacityFactorAt(now);
@@ -368,19 +355,21 @@ util::Result<ServiceReport> DispatchService::Run(ArrivalProcess& process) {
     if (virt) {
       driver.PumpUntil(now);
     } else {
-      clock->SleepUntilS(now);
+      wall.SleepUntilS(now);
     }
     ingress_faults(now);
-    if (now + 1e-9 >= static_cast<double>(next_window) * opt.batch_window_s) {
+    if (clock.last()) {
+      // The run is over: every arrival is in (the producer has pushed its
+      // last one), and pending ingestion retries have failed — their
+      // arrivals never made it in. The last tick closes the last window.
+      if (producer != nullptr) producer->Join();
+      driver.GiveUpPending();
+    }
+    if (clock.closes_window()) {
       // Boundary: dispatch the window, then the movement tick.
-      PTRIDER_RETURN_IF_ERROR(drain_and_dispatch(prev, now,
-                                                 /*with_tick=*/true));
-      while (static_cast<double>(next_window) * opt.batch_window_s <=
-             now + 1e-9) {
-        ++next_window;
-      }
+      PTRIDER_RETURN_IF_ERROR(step_window(clock.prev(), now));
     } else {
-      PTRIDER_RETURN_IF_ERROR(sim.AdvanceTick(prev, now, report.sim));
+      PTRIDER_RETURN_IF_ERROR(sim.AdvanceTick(clock.prev(), now, report.sim));
     }
     if (opt.verbose && now >= next_progress_log) {
       const RequestQueue::Counters qc = queue.counters();
@@ -393,17 +382,9 @@ util::Result<ServiceReport> DispatchService::Run(ArrivalProcess& process) {
       next_progress_log += 3600.0;
     }
   }
-
+  // A run without ticks still waits for its producer (Join is
+  // idempotent).
   if (producer != nullptr) producer->Join();
-  // Final partial window: anything still queued (arrivals between the
-  // last flush and end_time) gets one last dispatch, with no tick left to
-  // pair with. Pending ingestion retries are declared failed first — the
-  // run is over, their arrivals never made it in.
-  if (virt) driver.PumpUntil(end_time);
-  ingress_faults(end_time);
-  driver.GiveUpPending();
-  PTRIDER_RETURN_IF_ERROR(drain_and_dispatch(now, now,
-                                             /*with_tick=*/false));
 
   if (!virt) {
     for (const util::Percentiles& p : worker_quotes) {
@@ -433,7 +414,7 @@ util::Result<ServiceReport> DispatchService::Run(ArrivalProcess& process) {
     report.sim.fleet_occupied_distance_m += v.occupied_distance_m();
     report.sim.fleet_shared_distance_m += v.shared_distance_m();
   }
-  report.sim.simulated_seconds = now;
+  report.sim.simulated_seconds = clock.now();
   report.sim.wall_clock_seconds = run_timer.ElapsedSeconds();
   stats.wall_clock_seconds = run_timer.ElapsedSeconds();
   return report;

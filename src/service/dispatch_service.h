@@ -31,7 +31,8 @@ struct ServiceOptions {
   /// Ingestion queue capacity (admission stage 1: reject-on-full).
   size_t queue_capacity = 4096;
   /// Admission stage 2: drop drained requests whose start delay exceeds
-  /// this many seconds before matching; 0 disables the hard deadline.
+  /// this many seconds before matching (finite); 0 disables the hard
+  /// deadline.
   double shed_deadline_s = 0.0;
   /// Bounded-retry backpressure for rejected ingestion pushes (default:
   /// no retries — the pre-backpressure drop behavior).
@@ -55,19 +56,20 @@ struct ServiceOptions {
   /// sequential backlog: requests drained behind a backlog see it as
   /// start delay, which is what the deadline shedder and the latency
   /// percentiles measure. 0 models an infinitely fast matcher (delay is
-  /// pure window queueing). Ignored in wall-clock mode, where real time
-  /// is measured instead.
+  /// pure window queueing). Finite and >= 0. Ignored in wall-clock mode,
+  /// where real time is measured instead.
   double assign_cost_s = 0.0;
   /// Modeled seconds from processing start to quote availability
-  /// (<= assign_cost_s in spirit; independent knob). Virtual mode only.
+  /// (<= assign_cost_s in spirit; independent knob; finite and >= 0).
+  /// Virtual mode only.
   double quote_cost_s = 0.0;
 
-  /// True (default): deterministic owner-advanced clock, arrivals pumped
-  /// inline, bit-reproducible reports. False: real (scaled) wall clock
-  /// with a producer thread — a live server, measurement only.
+  /// True (default): virtual time, arrivals pumped inline each tick,
+  /// bit-reproducible reports. False: real (scaled) wall clock with a
+  /// producer thread — a live server, measurement only.
   bool virtual_clock = true;
   /// Wall-clock mode: simulation seconds per wall second (60 compresses
-  /// an hour of load into a minute).
+  /// an hour of load into a minute); finite and > 0.
   double wall_time_scale = 1.0;
 
   /// Threads for the per-tick vehicle-movement advance phase.
@@ -82,20 +84,21 @@ struct ServiceOptions {
 /// The long-running dispatch server: drains an open-loop ingestion
 /// queue into the batched dispatch pipeline the Simulator already runs
 /// (batch window -> the simulator's one dispatch::ParallelDispatcher on
-/// Config::dispatch_threads threads -> kinetic-tree matcher over the CH
-/// oracle), with two-stage admission control, the degradation ladder
+/// Config::dispatch_threads threads -> kinetic-tree matcher over the
+/// oracle Config::sp_algorithm selects), with two-stage admission
+/// control, the degradation ladder
 /// (its rung set on that dispatcher before every batch) and SLO latency
 /// accounting.
 ///
 ///   ArrivalProcess -> WorkloadDriver -> BoundedMpscQueue
 ///       -> [admission] -> batch window -> dispatcher -> fleet movement
 ///
-/// The difference from Simulator::Run is the loop's master: Run walks a
-/// pre-sorted trip vector at whatever pace matching allows (closed
-/// loop), while the service's arrivals land on their own schedule and
-/// queue up when the server falls behind (open loop) — which is what
-/// makes overload, admission control, and latency SLOs observable at
-/// all. See DESIGN.md section 11.
+/// Both step Simulator::Run's sim::TickClock; the difference is where
+/// requests come from: Run walks a pre-sorted trip vector at whatever
+/// pace matching allows (closed loop), while the service's arrivals land
+/// on their own schedule and queue up when the server falls behind (open
+/// loop) — which is what makes overload, admission control, and latency
+/// SLOs observable at all. See DESIGN.md section 11.
 class DispatchService {
  public:
   DispatchService(core::PTRider& system, ServiceOptions options);
@@ -103,7 +106,8 @@ class DispatchService {
 
   /// Runs the full life of the service against `process`: ingests every
   /// arrival, drains to exhaustion plus drain_s, returns the combined
-  /// report. One call per instance.
+  /// report. InvalidArgument for an option outside its documented range.
+  /// One call per instance.
   util::Result<ServiceReport> Run(ArrivalProcess& process);
 
   /// Quote-only endpoint: prices a trip against the live fleet without

@@ -134,7 +134,7 @@ size_t WorkloadDriver::PumpUntil(double now_s) {
   return offered_now;
 }
 
-void WorkloadDriver::RunBlocking(ServiceClock& clock) {
+void WorkloadDriver::RunBlocking(const WallClock& clock) {
   while (true) {
     std::optional<sim::Trip> trip = Peek();
     if (!trip) break;

@@ -46,8 +46,7 @@ class ArrivalProcess {
 /// Replays a pre-generated, time-sorted trace (sim::GenerateHotspotTrips
 /// or sim::LoadTrips output — the paper's full-day Shanghai framing).
 /// `rate_multiplier` compresses the schedule: 2.0 divides every arrival
-/// time by two, doubling the offered rate over half the horizon — the
-/// knob bench_e19's trace-replay sweeps turn.
+/// time by two, doubling the offered rate over half the horizon.
 class TraceArrivals : public ArrivalProcess {
  public:
   explicit TraceArrivals(std::vector<sim::Trip> trips,
@@ -139,7 +138,7 @@ class WorkloadDriver {
 
   /// Wall-clock ingestion loop; blocks until the process is exhausted,
   /// then closes the queue.
-  void RunBlocking(ServiceClock& clock);
+  void RunBlocking(const WallClock& clock);
 
   /// Declares every still-pending retry failed (end of run). The
   /// offered/gave-up accounting only balances after this (or after
@@ -198,7 +197,7 @@ class WorkloadDriver {
 /// side of the determinism boundary (DESIGN.md section 11).
 class ProducerThread {
  public:
-  ProducerThread(WorkloadDriver& driver, ServiceClock& clock)
+  ProducerThread(WorkloadDriver& driver, const WallClock& clock)
       : thread_([&driver, &clock] { driver.RunBlocking(clock); }) {}
 
   ~ProducerThread() { Join(); }

@@ -83,13 +83,12 @@ util::Result<roadnet::VertexId> StepEdge(Motion& m,
   return to;
 }
 
-MovementOutcome AdvanceVehicle(const core::PTRider& system,
-                               vehicle::VehicleId id, const Motion& motion,
-                               double now, double budget,
+MovementOutcome AdvanceVehicle(vehicle::Vehicle& v, Motion& m,
+                               const core::PTRider& system, double now,
+                               double budget,
                                roadnet::DistanceOracle& oracle) {
   MovementOutcome out;
-  const vehicle::Vehicle& live = system.fleet().at(id);
-  if (live.tree().empty()) {
+  if (v.tree().empty()) {
     // The whole tick is the RNG-driven idle walk — oracle-free, done
     // sequentially in the commit phase in vehicle-id order.
     out.idle_remainder = true;
@@ -98,10 +97,8 @@ MovementOutcome AdvanceVehicle(const core::PTRider& system,
   }
   if (budget <= 1e-9) return out;  // nothing moves this tick
 
-  out.vehicle = live;  // scratch copies, advanced against the frozen tick
-  out.motion = motion;
-  vehicle::Vehicle& v = *out.vehicle;
-  Motion& m = out.motion;
+  out.served = true;
+  const vehicle::VehicleId id = v.id();
   const roadnet::RoadNetwork& graph = system.graph();
   const vehicle::ScheduleContext sched = system.MakeScheduleContext(now);
   core::IndexedDistanceProvider dist(oracle, system.grid());

@@ -1,7 +1,6 @@
 #ifndef PTRIDER_SIM_MOVEMENT_H_
 #define PTRIDER_SIM_MOVEMENT_H_
 
-#include <optional>
 #include <vector>
 
 #include "core/ptrider.h"
@@ -65,16 +64,14 @@ util::Result<roadnet::VertexId> StepEdge(Motion& m,
                                          double& budget,
                                          vehicle::VehicleId id);
 
-/// Result of advancing one vehicle through one tick against the frozen
-/// pre-tick system state. Everything in here is scratch: nothing touches
-/// core::PTRider until the Simulator's sequential commit phase installs
-/// it (in vehicle-id order) via PTRider::CommitAdvancedVehicle.
+/// What one vehicle's advance leaves for the Simulator's sequential
+/// commit phase, which runs in vehicle-id order: the assignment side of
+/// its arrivals (PTRider::ApplyArrival), their report accounting, the
+/// index re-registration and any idle remainder.
 struct MovementOutcome {
-  /// The vehicle's advanced copy (tree walked forward, movement
-  /// accrued, stops popped) — present iff the advance did serving work
-  /// that must be committed.
-  std::optional<vehicle::Vehicle> vehicle;
-  Motion motion;
+  /// The advance did serving work (the vehicle had a schedule and the
+  /// tick a budget): the commit marks the vehicle moved.
+  bool served = false;
   /// Arrival events in occurrence order, for commit + report accounting.
   std::vector<core::AdvanceStop> stops;
   /// The vehicle ended the advance idle with budget left (or started the
@@ -98,22 +95,24 @@ util::Status ReplanMotion(Motion& m, const vehicle::Vehicle& v,
                           roadnet::DistanceOracle& oracle);
 
 /// The movement advance phase for one vehicle: simulates its tick
-/// (`budget` meters of driving at time `now`) on scratch copies of its
-/// Vehicle and Motion, reading `system` as a frozen snapshot and routing
-/// with `oracle` (one per thread; see roadnet::DistanceOracle::Clone).
-/// Any number of AdvanceVehicle calls may run concurrently, provided no
-/// mutating call overlaps them — a vehicle's in-tick trajectory depends
-/// only on its own tree/motion, the immutable road network and
-/// deterministic oracle answers, never on another vehicle, the vehicle
-/// index or the simulator RNG (DESIGN.md section 6).
+/// (`budget` meters of driving at time `now`) on the live vehicle `v` and
+/// its motion `m`, reading graph, grid and schedule context through
+/// `system` and routing with `oracle` (one per thread; see
+/// roadnet::DistanceOracle::Clone). Calls for distinct vehicles may run
+/// concurrently, provided no other call touches the system meanwhile —
+/// a vehicle's in-tick trajectory depends only on its own tree and
+/// motion, the immutable road network and deterministic oracle answers,
+/// never on another vehicle, the vehicle index or the simulator RNG
+/// (DESIGN.md section 6). Arrivals pop their stops from `v`'s tree
+/// (core::ArriveAtStop); their assignment side is left to the commit.
 ///
 /// Vehicles that are idle at tick start return immediately with
-/// `idle_remainder` set and no scratch state: their whole tick is the
-/// oracle-free cruising walk, which consumes the shared RNG and
-/// therefore belongs to the sequential commit phase.
-MovementOutcome AdvanceVehicle(const core::PTRider& system,
-                               vehicle::VehicleId id, const Motion& motion,
-                               double now, double budget,
+/// `idle_remainder` set: their whole tick is the oracle-free cruising
+/// walk, which consumes the shared RNG and therefore belongs to the
+/// sequential commit phase.
+MovementOutcome AdvanceVehicle(vehicle::Vehicle& v, Motion& m,
+                               const core::PTRider& system, double now,
+                               double budget,
                                roadnet::DistanceOracle& oracle);
 
 }  // namespace ptrider::sim

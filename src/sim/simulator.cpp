@@ -14,8 +14,8 @@ namespace ptrider::sim {
 namespace {
 /// Below this many serving events a tick's advance runs inline: waking
 /// the movement pool costs more than the events it would spread. Both
-/// paths give identical outcomes (AdvanceVehicle is pure), so the
-/// threshold is a latency constant.
+/// paths give identical outcomes (AdvanceVehicle writes only its own
+/// vehicle and motion), so the threshold is a latency constant.
 constexpr size_t kParallelAdvanceMin = 16;
 }  // namespace
 
@@ -155,8 +155,8 @@ util::Status Simulator::AdvanceTick(double prev, double now,
   ListEvents(budget, report);
   RunAdvance(now, budget, report);
   const util::Status moved = CommitMove(now, budget, report);
-  // Reindex even after a commit error: vehicles committed before the
-  // failure must still reach the index.
+  // Reindex even after a commit error: the vehicles the commit recorded
+  // as moved must still reach the index.
   Reindex(report);
   return moved;
 }
@@ -203,21 +203,19 @@ void Simulator::RunAdvance(double now, double budget,
   util::WallTimer timer;
   const size_t events = serving_events_.size();
   advances_.resize(events);
+  const auto advance = [&](size_t k, roadnet::DistanceOracle& oracle) {
+    const vehicle::VehicleId id = serving_events_[k];
+    advances_[k] = AdvanceVehicle(system_->fleet().at(id),
+                                  motions_[static_cast<size_t>(id)], *system_,
+                                  now, budget, oracle);
+  };
   if (move_pool_ != nullptr && events >= kParallelAdvanceMin) {
     move_pool_->ParallelFor(
         events, [&](size_t k, dispatch::WorkerContext& context) {
-          const vehicle::VehicleId id = serving_events_[k];
-          advances_[k] =
-              AdvanceVehicle(*system_, id, motions_[static_cast<size_t>(id)],
-                             now, budget, context.oracle());
+          advance(k, context.oracle());
         });
   } else {
-    for (size_t k = 0; k < events; ++k) {
-      const vehicle::VehicleId id = serving_events_[k];
-      advances_[k] =
-          AdvanceVehicle(*system_, id, motions_[static_cast<size_t>(id)],
-                         now, budget, system_->oracle());
-    }
+    for (size_t k = 0; k < events; ++k) advance(k, system_->oracle());
   }
   report.move_advance_seconds += timer.ElapsedSeconds();
 }
@@ -226,40 +224,37 @@ util::Status Simulator::CommitMove(double now, double budget,
                                    SimulationReport& report) {
   util::WallTimer timer;
   // Commit the events in vehicle-id order (pass-through vehicles took
-  // their step in ListEvents): serving events install their scratch
-  // state and fold arrival events into the report with exactly the
-  // sequential loop's accounting, and idle events (plus idle
-  // remainders) walk through the RNG — the only rng_ consumers, so the
-  // draw order is the id order at every setting. Index
-  // re-registration is deferred: the commit loop only records moved
-  // vehicles, and Reindex then applies their end-of-tick registrations
-  // once per vehicle — nothing reads the index until the next tick's
-  // submissions.
+  // their step in ListEvents, serving events their advance in
+  // RunAdvance): serving events apply the assignment side of their
+  // arrivals and fold them into the report with exactly the sequential
+  // loop's accounting, and idle events (plus idle remainders) walk
+  // through the RNG — the only rng_ consumers, so the draw order is the
+  // id order at every setting. Index re-registration is deferred: the
+  // commit loop only records moved vehicles, and Reindex then applies
+  // their end-of-tick registrations once per vehicle — nothing reads the
+  // index until the next tick's submissions.
   moved_.clear();
-  // An error aborts the loop but not the Reindex after it: vehicles
-  // committed before the failure must still reach the index, or a
-  // caller keeping the system alive would match against stale lists.
+  // The first error stops the idle walks and is returned, but not the
+  // serving events' commits: their advance already moved the live
+  // vehicles, so each still applies its arrivals and reaches the index,
+  // or a caller keeping the system alive would match against stale lists.
   util::Status commit_status;
   // serving_events_ is the ascending subsequence of events_ that holds a
   // schedule, so one cursor pairs each serving event with its advance.
   size_t serving = 0;
   for (const vehicle::VehicleId id : events_) {
-    if (!commit_status.ok()) break;
-    const auto i = static_cast<size_t>(id);
     if (serving == serving_events_.size() || serving_events_[serving] != id) {
-      commit_status = MoveIdleVehicle(id, now, budget, /*hops=*/0);
+      if (commit_status.ok()) {
+        commit_status = MoveIdleVehicle(id, now, budget, /*hops=*/0);
+      }
       continue;
     }
     MovementOutcome& a = advances_[serving++];
-    commit_status = a.status;
-    if (!commit_status.ok()) break;
-    if (a.vehicle.has_value()) {
-      commit_status =
-          system_->CommitAdvancedVehicle(id, *std::move(a.vehicle), a.stops);
-      if (!commit_status.ok()) break;
+    if (commit_status.ok()) commit_status = a.status;
+    if (a.served) {
       MarkMoved(id);
-      motions_[i] = std::move(a.motion);
-      for (const core::AdvanceStop& s : a.stops) {
+      for (core::AdvanceStop& s : a.stops) {
+        system_->ApplyArrival(s);
         const core::StopEvent& event = s.event;
         if (event.stop.type == vehicle::StopType::kPickup) {
           report.pickup_wait_s.Add(event.waiting_s);
@@ -278,7 +273,7 @@ util::Status Simulator::CommitMove(double now, double budget,
         }
       }
     }
-    if (a.idle_remainder) {
+    if (a.idle_remainder && commit_status.ok()) {
       commit_status = MoveIdleVehicle(id, now, a.budget_left, a.hops);
     }
   }
@@ -345,14 +340,35 @@ util::Status Simulator::MoveIdleVehicle(vehicle::VehicleId id, double now,
   return util::Status::Ok();
 }
 
-util::Result<int64_t> TickCount(double end_time_s, double tick_s) {
+util::Result<TickClock> TickClock::Make(double end_time_s, double tick_s,
+                                       double window_s) {
   const double ticks = std::ceil(end_time_s / tick_s);
   if (!(std::isfinite(ticks) && ticks <= 0x1p53)) {
     return util::Status::InvalidArgument(util::StrFormat(
         "horizon of %g s in ticks of %g s is beyond 2^53 ticks", end_time_s,
         tick_s));
   }
-  return ticks > 0.0 ? static_cast<int64_t>(ticks) : 0;
+  TickClock clock;
+  clock.end_time_s_ = end_time_s;
+  clock.tick_s_ = tick_s;
+  clock.window_s_ = window_s;
+  clock.ticks_ = ticks > 0.0 ? static_cast<int64_t>(ticks) : 0;
+  return clock;
+}
+
+bool TickClock::Next() {
+  if (tick_ == ticks_) return false;
+  ++tick_;
+  prev_ = now_;
+  now_ = std::min(static_cast<double>(tick_) * tick_s_, end_time_s_);
+  closes_window_ =
+      window_s_ == 0.0 || tick_ == ticks_ ||
+      now_ + 1e-9 >= static_cast<double>(next_window_) * window_s_;
+  while (window_s_ > 0.0 &&
+         static_cast<double>(next_window_) * window_s_ <= now_ + 1e-9) {
+    ++next_window_;
+  }
+  return true;
 }
 
 util::Result<SimulationReport> Simulator::Run(
@@ -376,25 +392,15 @@ util::Result<SimulationReport> Simulator::Run(
   const double end_time = options_.end_time_s > 0.0
                               ? options_.end_time_s
                               : last_trip + options_.drain_s;
-  const double window = options_.batch_window_s;
+  PTRIDER_ASSIGN_OR_RETURN(
+      TickClock clock,
+      TickClock::Make(end_time, options_.tick_s, options_.batch_window_s));
 
   size_t next_trip = 0;
-  double now = 0.0;
   double next_progress_log = 3600.0;
   std::vector<vehicle::Request> batch;
-  // Window boundaries derive from an integer window index for the same
-  // reason tick times do below: accumulating `+= batch_window_s` drifts
-  // on non-representable windows until a boundary slips past a tick.
-  int64_t next_window = 1;
-  // Tick times derive from an integer tick index: accumulating
-  // `now += tick_s` drifts over long horizons (86k+ ticks at day scale)
-  // and overshoots end_time by up to one tick. The final tick is clamped
-  // to land exactly on end_time, its driving budget shortened pro rata.
-  PTRIDER_ASSIGN_OR_RETURN(const int64_t total_ticks,
-                           TickCount(end_time, options_.tick_s));
-  for (int64_t tick = 1; tick <= total_ticks; ++tick) {
-    const double prev = now;
-    now = std::min(static_cast<double>(tick) * options_.tick_s, end_time);
+  while (clock.Next()) {
+    const double now = clock.now();
     while (next_trip < trips.size() && trips[next_trip].time_s <= now) {
       const vehicle::Request r = MakeRequest(trips[next_trip++]);
       // Refuse a bad trip here: inside the batch it would only be
@@ -403,17 +409,13 @@ util::Result<SimulationReport> Simulator::Run(
       PTRIDER_RETURN_IF_ERROR(system_->ValidateRequest(r));
       batch.push_back(r);
     }
-    if (window == 0.0 || tick == total_ticks ||
-        now + 1e-9 >= static_cast<double>(next_window) * window) {
+    if (clock.closes_window()) {
       // Window boundary: dispatch, then the boundary tick.
       PTRIDER_RETURN_IF_ERROR(
-          StepWindow(std::exchange(batch, {}), prev, now, report).status());
-      while (window > 0.0 &&
-             static_cast<double>(next_window) * window <= now + 1e-9) {
-        ++next_window;
-      }
+          StepWindow(std::exchange(batch, {}), clock.prev(), now, report)
+              .status());
     } else {
-      PTRIDER_RETURN_IF_ERROR(AdvanceTick(prev, now, report));
+      PTRIDER_RETURN_IF_ERROR(AdvanceTick(clock.prev(), now, report));
     }
     if (options_.verbose && now >= next_progress_log) {
       PTRIDER_LOG(kInfo) << util::StrFormat(
@@ -432,7 +434,7 @@ util::Result<SimulationReport> Simulator::Run(
     report.fleet_occupied_distance_m += v.occupied_distance_m();
     report.fleet_shared_distance_m += v.shared_distance_m();
   }
-  report.simulated_seconds = now;
+  report.simulated_seconds = clock.now();
   report.wall_clock_seconds = timer.ElapsedSeconds();
   return report;
 }

@@ -44,24 +44,54 @@ struct SimulatorOptions {
   /// core::kMaxThreads make Run and BeginStepping fail before any pool
   /// exists). The advance walks each
   /// serving event's tick (a vehicle with a schedule that does more
-  /// than pass through its current edge) against the frozen pre-tick
-  /// state on per-thread DistanceOracle clones, fanning out only for
-  /// ticks with enough such events; a sequential commit applies the
-  /// results in vehicle-id order, so the SimulationReport is
-  /// item-for-item identical at every setting (DESIGN.md section 6) —
-  /// threads only buy movement latency at large fleet counts.
+  /// than pass through its current edge) in place, each vehicle on one
+  /// worker with its per-thread DistanceOracle clone, fanning out only
+  /// for ticks with enough such events; a sequential commit applies the
+  /// rest in vehicle-id order, so the SimulationReport is item-for-item
+  /// identical at every setting (DESIGN.md section 6) — threads only buy
+  /// movement latency at large fleet counts.
   int move_jobs = 1;
   /// Not an option: the tick engine has one stage order. The constant
   /// remains because bench/ptrider_bench prints it among its knobs.
   static constexpr int pipeline_depth = 1;
 };
 
-/// The number of `tick_s` ticks that reach `end_time_s` (the last one
-/// clamped), the integer grid Simulator::Run and DispatchService::Run
-/// step on; 0 for a horizon at or before time 0. InvalidArgument when
-/// the count is not finite or exceeds 2^53, past which
-/// `tick * tick_s` is no longer exact.
-util::Result<int64_t> TickCount(double end_time_s, double tick_s);
+/// The tick and window grid of Simulator::Run and DispatchService::Run
+/// (DESIGN.md section 6.4). Tick k ends at min(k * tick_s, end_time_s),
+/// so times never drift and the last tick lands on the end time. A tick
+/// closes a window when the window is 0, at the first tick at or past
+/// each multiple of the window, and always at the last tick.
+class TickClock {
+ public:
+  /// A clock before its first tick (0 ticks for an end at or before 0).
+  /// InvalidArgument when the tick count is not finite or exceeds 2^53,
+  /// past which `k * tick_s` is no longer exact. The caller validates
+  /// tick_s (finite, > 0) and window_s (finite, >= 0).
+  static util::Result<TickClock> Make(double end_time_s, double tick_s,
+                                      double window_s);
+
+  /// Steps to the next tick; false once the last tick has passed.
+  bool Next();
+  /// The current tick's start and end instants (0 before the first).
+  double prev() const { return prev_; }
+  double now() const { return now_; }
+  /// Whether the current tick closes a window, and is the last tick.
+  bool closes_window() const { return closes_window_; }
+  bool last() const { return tick_ == ticks_; }
+
+ private:
+  TickClock() = default;
+
+  double end_time_s_ = 0.0;
+  double tick_s_ = 0.0;
+  double window_s_ = 0.0;
+  int64_t ticks_ = 0;
+  int64_t tick_ = 0;
+  int64_t next_window_ = 1;
+  double prev_ = 0.0;
+  double now_ = 0.0;
+  bool closes_window_ = false;
+};
 
 /// Event-driven city simulation (Section 4's demonstration): feeds a trip
 /// trace through a PTRider instance while vehicles move at the constant
@@ -72,37 +102,28 @@ class Simulator {
 
   /// Runs `trips` (must be sorted by time) to completion and returns the
   /// aggregated statistics: BeginStepping, then one StepWindow per
-  /// window boundary and one AdvanceTick per other tick.
+  /// window-closing tick of a TickClock and one AdvanceTick per other.
   util::Result<SimulationReport> Run(const std::vector<Trip>& trips);
 
   // --- Stepping --------------------------------------------------------------
   // Run drives these steps over a pre-sorted trip vector. The long-running
-  // dispatch service (src/service/dispatch_service.*) drives them too, but
-  // its requests arrive through an ingestion queue on their own open-loop
-  // schedule, so it owns the outer clock loop (DESIGN.md section 11).
-  // Every driver runs one stage order: dispatch the window, then list,
-  // advance, commit and reindex the tick.
+  // dispatch service (src/service/dispatch_service.*) drives them too, on
+  // the same TickClock, but its requests arrive through an ingestion
+  // queue on their own open-loop schedule (DESIGN.md section 11). Every
+  // driver runs one stage order: dispatch the window, then list, advance,
+  // commit and reindex the tick.
 
   /// Prepares stepping: validates the clock options (tick_s finite and
   /// > 0; batch_window_s, end_time_s and drain_s finite and >= 0),
   /// move_jobs and the fleet, resets motion state and creates the
   /// dispatcher and the movement pool unless they exist already. Call
-  /// once before MakeRequest / DispatchBatch / AdvanceTick.
+  /// once before MakeRequest / StepWindow / AdvanceTick.
   util::Status BeginStepping();
   /// The trip-to-request conversion of every submission path. Stamps the
   /// trip's true arrival instant as submit_time_s, never the processing
   /// tick, and issues ids in call order (which is what makes
   /// queue-ingestion order the paper's (submit_time, id) dispatch order).
   vehicle::Request MakeRequest(const Trip& t);
-  /// Dispatches `batch` at `now` through dispatcher() and folds every
-  /// outcome into `report` exactly like one of Run's batch windows;
-  /// returns the per-request items (processing order) so the caller can
-  /// stamp per-request service latencies. Fails with FailedPrecondition,
-  /// even for an empty batch, before BeginStepping created the
-  /// dispatcher.
-  util::Result<std::vector<core::BatchItem>> DispatchBatch(
-      std::vector<vehicle::Request> batch, double now,
-      SimulationReport& report);
   /// One movement tick from `prev` to `now` (fleet budget pro-rated to
   /// the interval, exactly like Run's tick loop): the pass-through
   /// listing, the serving events' advance (on the movement pool when
@@ -114,7 +135,9 @@ class Simulator {
   util::Status AdvanceTick(double prev, double now,
                            SimulationReport& report);
   /// One window boundary: DispatchBatch at `now` (timed into
-  /// match_phase_seconds), then AdvanceTick from `prev` to `now`.
+  /// match_phase_seconds), then AdvanceTick from `prev` to `now`. Returns
+  /// the per-request items (processing order) so the caller can stamp
+  /// per-request service latencies.
   util::Result<std::vector<core::BatchItem>> StepWindow(
       std::vector<vehicle::Request> batch, double prev, double now,
       SimulationReport& report);
@@ -128,6 +151,12 @@ class Simulator {
   dispatch::ParallelDispatcher* dispatcher() { return dispatcher_.get(); }
 
  private:
+  /// Dispatches `batch` at `now` through dispatcher() and folds every
+  /// outcome into `report`. Fails with FailedPrecondition, even for an
+  /// empty batch, before BeginStepping created the dispatcher.
+  util::Result<std::vector<core::BatchItem>> DispatchBatch(
+      std::vector<vehicle::Request> batch, double now,
+      SimulationReport& report);
   /// The rider tap: builds the ChoiceContext (floor priced from the
   /// match's direct distance) and returns the chosen option index, or
   /// nullopt on decline / no options. Consumes rng_ — call once per
@@ -150,13 +179,15 @@ class Simulator {
   /// vehicles take their step here, so this one pass is all the tick
   /// spends on them.
   void ListEvents(double budget, SimulationReport& report);
-  /// Fills advances_ (slot k for serving_events_[k]) against the frozen
-  /// tick, on move_pool_ when there are at least kParallelAdvanceMin
-  /// serving events. Reads fleet/graph/motions_ only.
+  /// Advances every serving event's live vehicle and motion in place,
+  /// filling advances_ (slot k for serving_events_[k]), on move_pool_
+  /// when there are at least kParallelAdvanceMin serving events. Each
+  /// worker writes only its own events' vehicles and motions.
   void RunAdvance(double now, double budget, SimulationReport& report);
-  /// Sequential vehicle-id-order commit of events_: serving events'
-  /// advances_ and idle walks (the only rng_ consumers), folding arrival
-  /// events into `report` and recording moved_.
+  /// Sequential vehicle-id-order commit of events_: the assignment side
+  /// of serving events' arrivals (PTRider::ApplyArrival) and idle walks
+  /// (the only rng_ consumers), folding arrival events into `report` and
+  /// recording moved_.
   util::Status CommitMove(double now, double budget,
                           SimulationReport& report);
   /// Re-registers every moved_ vehicle once, in vehicle-id order.
@@ -186,7 +217,7 @@ class Simulator {
   /// move_jobs > 1 only: the movement advance pool (per-thread oracle
   /// clones persist across ticks, created by BeginStepping).
   std::unique_ptr<dispatch::WorkerPool> move_pool_;
-  /// This tick's advance results, one per serving event, in
+  /// This tick's advance outcomes, one per serving event, in
   /// serving_events_ order (the vector's capacity persists across ticks).
   std::vector<MovementOutcome> advances_;
   /// This tick's events and, among them, its serving events, ascending

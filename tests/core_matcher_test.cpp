@@ -4,7 +4,9 @@
 #include <bit>
 #include <cstdint>
 #include <memory>
+#include <vector>
 
+#include "core/price.h"
 #include "core/ptrider.h"
 #include "roadnet/graph_generator.h"
 #include "roadnet/paper_example.h"
@@ -541,6 +543,137 @@ TEST(MatcherValidationTest, TiedTaxisSurviveWhereUnscaledBoundOvershoots) {
       EXPECT_EQ(result->options[i].pickup_distance,
                 naive[i].pickup_distance);
       EXPECT_EQ(result->options[i].price, naive[i].price);
+    }
+  }
+}
+
+/// Definition 3's Delta = new_total - current_total is >= 0 in real
+/// numbers, but an insertion schedule's total can round below the
+/// vehicle's current one. The search finds such a case on a small city:
+/// a taxi B at v0 carrying a trip v0 -> vk, and a request vi -> vj on
+/// that trip's shortest path whose in-route schedule totals below B's
+/// current total, far enough that the unclamped quote lies below
+/// MinPrice. A second taxi A stands at vi carrying exactly vi -> vj, so
+/// it quotes the request at pick-up 0 and exactly MinPrice. Unclamped,
+/// B undercut A by a few ulps: the naive matcher reported both, while
+/// the indexed matchers, whose termination test and prunes take MinPrice
+/// for a floor, stopped at A. With Delta clamped at 0, B quotes MinPrice
+/// and A dominates it.
+TEST(MatcherValidationTest, PriceFloorHoldsWhereScheduleTotalRoundsDown) {
+  roadnet::CityGridOptions gopts;
+  gopts.rows = 10;
+  gopts.cols = 10;
+  gopts.seed = 7;
+  auto graph = roadnet::MakeCityGrid(gopts);
+  ASSERT_TRUE(graph.ok());
+  Config cfg;
+  cfg.default_max_wait_s = 1e6;
+  cfg.max_planned_pickup_s = 1e6;
+  cfg.default_service_sigma = 1.0;
+  roadnet::GridIndexOptions gridopts;
+  gridopts.cells_x = 5;
+  gridopts.cells_y = 5;
+  const PriceModel model(cfg);
+  const auto trip = [&cfg](vehicle::RequestId id, roadnet::VertexId from,
+                           roadnet::VertexId to) {
+    vehicle::Request r;
+    r.id = id;
+    r.start = from;
+    r.destination = to;
+    r.num_riders = 1;
+    r.max_wait_s = cfg.default_max_wait_s;
+    r.service_sigma = cfg.default_service_sigma;
+    return r;
+  };
+  // Commits `r` to vehicle `v` at time 0.
+  const auto assign = [](PTRider& sys, const vehicle::Request& r,
+                         vehicle::VehicleId v) {
+    const auto m = sys.SubmitRequest(r, 0.0);
+    if (!m.ok()) return false;
+    for (const Option& o : m->options) {
+      if (o.vehicle == v) return sys.ChooseOption(r, o, 0.0).ok();
+    }
+    return false;
+  };
+
+  roadnet::DistanceOracle oracle(*graph, {cfg.sp_algorithm});
+  const auto n = static_cast<roadnet::VertexId>(graph->NumVertices());
+  std::vector<roadnet::VertexId> route;  // v0 ... vk
+  roadnet::VertexId vi = roadnet::kInvalidVertex;
+  roadnet::VertexId vj = roadnet::kInvalidVertex;
+  for (roadnet::VertexId v0 = 0; v0 < n && vi == roadnet::kInvalidVertex;
+       ++v0) {
+    auto path = oracle.ShortestPath(v0, n - 1 - v0);
+    if (!path.ok() || path->size() < 4) continue;
+    auto sys = PTRider::Create(*graph, cfg, gridopts);  // naive
+    ASSERT_TRUE(sys.ok());
+    const auto b = (*sys)->AddVehicle(v0);
+    ASSERT_TRUE(b.ok());
+    ASSERT_TRUE(assign(**sys, trip(1, v0, path->back()), *b));
+    const roadnet::Weight current =
+        (*sys)->fleet().at(*b).tree().BestTotalDistance();
+    for (size_t i = 1; i + 2 < path->size() && vi == roadnet::kInvalidVertex;
+         ++i) {
+      for (size_t j = i + 1; j + 1 < path->size(); ++j) {
+        const auto m =
+            (*sys)->QuoteRequest(trip(2, (*path)[i], (*path)[j]), 0.0);
+        ASSERT_TRUE(m.ok());
+        const roadnet::Weight direct = m->direct_distance_m;
+        const bool below = std::any_of(
+            m->options.begin(), m->options.end(), [&](const Option& o) {
+              return o.new_total_distance < current &&
+                     model.Fn(1) * (o.new_total_distance - current + direct) /
+                             cfg.price_distance_unit_m <
+                         model.MinPrice(1, direct);
+            });
+        if (below) {
+          route = *path;
+          vi = (*path)[i];
+          vj = (*path)[j];
+          break;
+        }
+      }
+    }
+  }
+  ASSERT_NE(vi, roadnet::kInvalidVertex) << "no total rounds below";
+
+  std::vector<Option> naive;
+  for (const MatcherAlgorithm algo :
+       {MatcherAlgorithm::kNaive, MatcherAlgorithm::kSingleSide,
+        MatcherAlgorithm::kDualSide}) {
+    SCOPED_TRACE(MatcherAlgorithmName(algo));
+    cfg.matcher = algo;
+    auto sys = PTRider::Create(*graph, cfg, gridopts);
+    ASSERT_TRUE(sys.ok());
+    const auto a = (*sys)->AddVehicle(vi);
+    const auto b = (*sys)->AddVehicle(route.front());
+    ASSERT_TRUE(a.ok());
+    ASSERT_TRUE(b.ok());
+    ASSERT_TRUE(assign(**sys, trip(1, vi, vj), *a));
+    ASSERT_TRUE(assign(**sys, trip(2, route.front(), route.back()), *b));
+    const auto result = (*sys)->QuoteRequest(trip(3, vi, vj), 0.0);
+    ASSERT_TRUE(result.ok());
+    const double floor =
+        (*sys)->pricing_policy().MinPrice(1, result->direct_distance_m);
+    ASSERT_FALSE(result->options.empty());
+    EXPECT_EQ(result->options.front().vehicle, *a);
+    EXPECT_EQ(result->options.front().pickup_distance, 0.0);
+    EXPECT_EQ(std::bit_cast<uint64_t>(result->options.front().price),
+              std::bit_cast<uint64_t>(floor));
+    for (const Option& o : result->options) {
+      EXPECT_GE(o.price, floor) << "taxi " << o.vehicle;
+    }
+    if (algo == MatcherAlgorithm::kNaive) {
+      naive = result->options;
+      continue;
+    }
+    ASSERT_EQ(result->options.size(), naive.size());
+    for (size_t k = 0; k < naive.size(); ++k) {
+      EXPECT_EQ(result->options[k].vehicle, naive[k].vehicle);
+      EXPECT_EQ(std::bit_cast<uint64_t>(result->options[k].pickup_distance),
+                std::bit_cast<uint64_t>(naive[k].pickup_distance));
+      EXPECT_EQ(std::bit_cast<uint64_t>(result->options[k].price),
+                std::bit_cast<uint64_t>(naive[k].price));
     }
   }
 }

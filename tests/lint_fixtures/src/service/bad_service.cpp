@@ -1,6 +1,6 @@
 // Fixture: service/ code outside clock.h gets no wall-clock exemption —
-// only the clock abstraction may read machine time, everything else
-// must go through ServiceClock so virtual-clock runs stay bit-identical.
+// only the wall clock there may read machine time, everything else must
+// go through service::WallClock so virtual-clock runs stay bit-identical.
 
 #include <chrono>
 

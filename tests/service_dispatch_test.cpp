@@ -219,7 +219,10 @@ TEST(DispatchServiceTest, RunIsOneShot) {
 }
 
 // The service's clock options must be finite: an infinite window or
-// drain, a NaN one, or a NaN tick is refused before the run starts.
+// drain, a NaN one, or a NaN tick is refused before the run starts. So
+// are a NaN or infinite modeled cost or deadline, which would reach the
+// latency percentiles, and in wall-clock mode a scale that is not
+// finite and positive, which the clock cannot run at.
 TEST(DispatchServiceTest, RejectsNonFiniteClockOptions) {
   ServiceFixture f = MakeFixture(10, 1);
   const double nan = std::numeric_limits<double>::quiet_NaN();
@@ -234,6 +237,19 @@ TEST(DispatchServiceTest, RejectsNonFiniteClockOptions) {
   for (const double tick : {nan, inf}) {
     bad.emplace_back().tick_s = tick;
   }
+  for (const double cost : {nan, inf, -1.0}) {
+    bad.emplace_back().assign_cost_s = cost;
+    bad.emplace_back().quote_cost_s = cost;
+  }
+  for (const double deadline : {nan, inf, -inf}) {
+    bad.emplace_back().shed_deadline_s = deadline;
+  }
+  for (const double scale : {nan, inf, 0.0, -1.0}) {
+    ServiceOptions& wall = bad.emplace_back();
+    wall.virtual_clock = false;
+    wall.wall_time_scale = scale;
+    wall.drain_s = 0.0;  // a run that is not refused stays short
+  }
   PoissonArrivalOptions load;
   load.rate_per_s = 0.5;
   load.duration_s = 10.0;
@@ -246,9 +262,9 @@ TEST(DispatchServiceTest, RejectsNonFiniteClockOptions) {
   }
 }
 
-// The service steps Simulator::Run's tick grid, so it refuses a horizon
-// beyond 2^53 ticks the same way (sim::TickCount): a finite 1e30 s drain
-// is refused, not converted out of int64_t range.
+// The service steps Simulator::Run's tick clock, so it refuses a horizon
+// beyond 2^53 ticks the same way (sim::TickClock::Make): a finite 1e30 s
+// drain is refused, not converted out of int64_t range.
 TEST(DispatchServiceTest, RejectsHorizonBeyondTickRange) {
   ServiceFixture f = MakeFixture(10, 1);
   ServiceOptions opts;

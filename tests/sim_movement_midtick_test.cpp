@@ -54,8 +54,8 @@ TEST(MidTickArrivalTest, PickupWaitingUsesIntraTickInstant) {
   const double budget = 40.0;
   ASSERT_GT(budget, pickup_distance);
   Motion motion;
-  MovementOutcome out = AdvanceVehicle(**sys, *vid, motion, now, budget,
-                                       (*sys)->oracle());
+  MovementOutcome out = AdvanceVehicle((*sys)->fleet().at(*vid), motion,
+                                       **sys, now, budget, (*sys)->oracle());
   ASSERT_TRUE(out.status.ok()) << out.status.ToString();
   ASSERT_FALSE(out.stops.empty());
   ASSERT_EQ(out.stops.front().event.stop.type, vehicle::StopType::kPickup);
@@ -97,8 +97,8 @@ TEST(MidTickArrivalTest, StopAtCurrentVertexStampsTickStart) {
   const double now = 30.0;
   const double budget = 25.0;
   Motion motion;
-  MovementOutcome out = AdvanceVehicle(**sys, *vid, motion, now, budget,
-                                       (*sys)->oracle());
+  MovementOutcome out = AdvanceVehicle((*sys)->fleet().at(*vid), motion,
+                                       **sys, now, budget, (*sys)->oracle());
   ASSERT_TRUE(out.status.ok()) << out.status.ToString();
   ASSERT_FALSE(out.stops.empty());
   ASSERT_EQ(out.stops.front().event.stop.type, vehicle::StopType::kPickup);

@@ -153,6 +153,27 @@ INSTANTIATE_TEST_SUITE_P(
         // Dispatch threads: 1 (no pool) and 2.
         ::testing::Values(1, 2), ::testing::Values<uint64_t>(3, 17)));
 
+// The matrix's ticks hold a handful of serving events at most, fewer
+// than the advance needs before it fans out to the movement pool. This
+// busy city on the matrix's grid (60 taxis, 300 trips in 300 s, 20 s
+// ticks, one window per tick, 2 dispatch threads) takes the pool on 21 of
+// its 105 ticks, with up to 42 serving events, so workers advance live
+// vehicles concurrently here — the case the ThreadSanitizer job needs.
+TEST(MovementParallelTest, BusyTicksAdvanceOnThePool) {
+  const City city = MakeCity(103, /*num_trips=*/300, /*duration_s=*/300.0);
+  const auto run = [&](int move_jobs) {
+    return RunCity(city, move_jobs, /*batch_window_s=*/0.0, /*seed=*/3,
+                   /*taxis=*/60, /*tick_s=*/20.0, /*dispatch_threads=*/2);
+  };
+  const SimulationReport reference = run(/*move_jobs=*/1);
+  ASSERT_GT(reference.requests_assigned, 100);
+  ASSERT_GT(reference.requests_shared, 50);
+  for (const int move_jobs : {2, 4}) {
+    SCOPED_TRACE("move_jobs " + std::to_string(move_jobs));
+    ExpectReportsIdentical(reference, run(move_jobs));
+  }
+}
+
 // Idle cruising is the only rng_ consumer inside movement; a fleet with
 // zero demand isolates it. Every thread count must consume the stream
 // identically, so the cruise trajectories — and the exact fleet

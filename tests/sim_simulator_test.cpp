@@ -269,16 +269,66 @@ TEST(SimulatorTest, RejectsHorizonBeyondTickRange) {
             util::StatusCode::kInvalidArgument);
 }
 
-TEST(SimulatorTest, TickCountCoversTheHorizon) {
+// The tick clock every driver steps: tick k ends at min(k * tick_s,
+// end), the last tick lands exactly on the end, a window closes at the
+// first tick at or past each multiple of it and at the last tick, and a
+// horizon beyond 2^53 ticks is refused.
+TEST(SimulatorTest, TickClockCoversTheHorizon) {
   const double inf = std::numeric_limits<double>::infinity();
   const double nan = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_EQ(*TickCount(10.0, 1.0), 10);
-  EXPECT_EQ(*TickCount(10.25, 0.5), 21);
-  EXPECT_EQ(*TickCount(0.0, 1.0), 0);
-  EXPECT_EQ(*TickCount(-1e30, 1.0), 0);
-  EXPECT_EQ(*TickCount(0x1p53, 1.0), int64_t{1} << 53);
+  struct Stepped {
+    int64_t ticks = 0;
+    std::vector<double> closes;  // ends of the window-closing ticks
+    double end = 0.0;
+  };
+  const auto step = [](double end_time_s, double tick_s, double window_s) {
+    auto clock = TickClock::Make(end_time_s, tick_s, window_s);
+    EXPECT_TRUE(clock.ok()) << clock.status().ToString();
+    Stepped out;
+    double prev = 0.0;
+    while (clock->Next()) {
+      ++out.ticks;
+      EXPECT_EQ(clock->prev(), prev);
+      EXPECT_GT(clock->now(), clock->prev());
+      prev = clock->now();
+      if (clock->closes_window()) out.closes.push_back(clock->now());
+      if (clock->last()) {
+        EXPECT_TRUE(clock->closes_window());
+        EXPECT_EQ(clock->now(), end_time_s);
+      }
+    }
+    EXPECT_FALSE(clock->Next());
+    out.end = clock->now();
+    return out;
+  };
+  const Stepped whole = step(10.0, 1.0, 0.0);
+  EXPECT_EQ(whole.ticks, 10);
+  EXPECT_EQ(whole.closes.size(), 10u);
+  EXPECT_EQ(whole.end, 10.0);
+  const Stepped clamped = step(10.25, 0.5, 0.0);
+  EXPECT_EQ(clamped.ticks, 21);
+  EXPECT_EQ(clamped.end, 10.25);
+  EXPECT_EQ(step(0.0, 1.0, 0.0).ticks, 0);
+  EXPECT_EQ(step(-1e30, 1.0, 0.0).ticks, 0);
+  EXPECT_EQ(step(0.0, 1.0, 0.0).end, 0.0);
+  // Windows of 3 s on 1 s ticks to a clamped end of 10.25 s: the
+  // multiples 3, 6 and 9, then the last tick.
+  EXPECT_EQ(step(10.25, 1.0, 3.0).closes,
+            (std::vector<double>{3.0, 6.0, 9.0, 10.25}));
+  // Ticks longer than the window: the first tick at or past 3 is 4, the
+  // one at 6 closes 6, and the last tick closes the window 9 never
+  // reaches.
+  EXPECT_EQ(step(7.0, 2.0, 3.0).closes, (std::vector<double>{4.0, 6.0, 7.0}));
+  // 0.3 s ticks in 0.9 s windows: 3 * 0.3 is 0.8999999999999999, an ulp
+  // short of the first multiple, and still closes it; so does every
+  // third tick after it, then the clamped last one.
+  const Stepped ulp_short = step(9.15, 0.3, 0.9);
+  EXPECT_EQ(ulp_short.ticks, 31);
+  EXPECT_EQ(ulp_short.closes.size(), 11u);
+  EXPECT_EQ(ulp_short.closes.front(), 3 * 0.3);
+  EXPECT_TRUE(TickClock::Make(0x1p53, 1.0, 0.0).ok());
   for (const double end : {0x1p54, 1e30, inf, nan}) {
-    EXPECT_EQ(TickCount(end, 1.0).status().code(),
+    EXPECT_EQ(TickClock::Make(end, 1.0, 0.0).status().code(),
               util::StatusCode::kInvalidArgument)
         << end;
   }
